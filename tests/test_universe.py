@@ -1,13 +1,16 @@
 import pytest
 
 from kleeneset import romlib as rom
+from kleeneset.machine import fixpoint
 from kleeneset.pairing import pair
-from kleeneset.terms import mkapp
+from kleeneset.terms import A, L, N, Prim, V, compile_lambda, mkapp
 from kleeneset.universe import (
     DIST, NAT, MalformedTypeError, Truncation, check_in_U, check_in_V, din,
     enumerate_index, fin, pi_code, provably_empty, sigma_code,
 )
-from kleeneset.vcodes import seq_encode, v_finite, v_numeral, v_omega
+from kleeneset.vcodes import (
+    seq_encode, v_finite, v_numeral, v_omega, v_opair, v_upair,
+)
 
 
 def table_family(codes):
@@ -197,3 +200,102 @@ def test_enumerate_index_completeness_flags():
     members, complete = enumerate_index(sigma_code(fin(2), fam), TR)
     assert complete
     assert sorted(members) == sorted([pair(0, 0), pair(0, 1), pair(1, 0)])
+
+
+# ---------------------------------------------------------------------------
+# pinned (status, note) answers of the formation rules of U and V
+
+
+def const(c):
+    return mkapp(rom.K, c)
+
+
+def fixed_family(body):
+    """fixpoint(lam e k. body): a family whose own code is bound to e."""
+    return fixpoint(compile_lambda(L("e", "k", body)))
+
+
+# e k = e k: never converges, and the machine cannot prove it, so every
+# application runs out of fuel however warm the memo tables are
+def loop_family():
+    return fixed_family(A(V("e"), V("k")))
+
+
+LOW = Truncation(segment_bound=6, nat_bound=6, fuel=2000)
+_p = Prim("p")
+
+FORMATION_CASES = [
+    ("U fin", check_in_U, lambda: fin(3), TR, "realized", None),
+    ("U nat", check_in_U, lambda: NAT, TR, "realized", None),
+    ("U dist", check_in_U, lambda: DIST, TR, "realized", None),
+    ("U bad tag", check_in_U, lambda: pair(5, 0), TR, "refuted", None),
+    ("U bad tag-1 payload", check_in_U, lambda: pair(1, 7), TR, "refuted", None),
+    ("U sigma over fin", check_in_U,
+     lambda: sigma_code(fin(3), table_family([fin(1), fin(2), fin(3)])), TR, "realized", None),
+    ("U pi over fin", check_in_U,
+     lambda: pi_code(fin(2), table_family([NAT, fin(2)])), TR, "realized", None),
+    ("U sigma over nat", check_in_U, lambda: sigma_code(NAT, const(fin(2))), TR,
+     "realized", "family checked up to the truncation"),
+    ("U pi over nat", check_in_U, lambda: pi_code(NAT, const(NAT)), TR,
+     "realized", "family checked up to the truncation"),
+    ("U pi over dist", check_in_U, lambda: pi_code(DIST, const(fin(1))), TR,
+     "realized", "family checked up to the truncation"),
+    ("U sigma over a pi over nat", check_in_U,
+     lambda: sigma_code(pi_code(NAT, const(fin(2))), const(fin(1))), TR,
+     "realized", "family checked up to the truncation"),
+    ("U sigma over fin 0", check_in_U, lambda: sigma_code(fin(0), 15), TR, "realized", None),
+    ("U bad index", check_in_U, lambda: sigma_code(pair(6, 1), const(fin(1))), TR,
+     "refuted", None),
+    ("U bad member", check_in_U,
+     lambda: pi_code(fin(2), table_family([fin(1), pair(4, 4)])), TR, "refuted", None),
+    ("U diverging family", check_in_U, lambda: sigma_code(fin(2), 15), TR, "refuted", None),
+    ("U family out of fuel", check_in_U, lambda: sigma_code(fin(2), loop_family()), LOW,
+     "unknown", "index or family membership undecided"),
+    ("U undecided component", check_in_U,
+     lambda: sigma_code(fin(1), const(sigma_code(fin(2), loop_family()))), LOW,
+     "unknown", "index or family membership undecided"),
+    ("U undecided index", check_in_U,
+     lambda: pi_code(sigma_code(fin(2), loop_family()), const(fin(1))), LOW,
+     "unknown", "index or family membership undecided"),
+    # e k = pair(2, pair(fin 1, e)): the one component is the type itself,
+    # so the walk descends until the depth guard answers
+    ("U self-referential", check_in_U,
+     lambda: sigma_code(fin(1), fixed_family(A(_p, N(2), A(_p, N(fin(1)), V("e"))))), TR,
+     "unknown", "index or family membership undecided"),
+    ("V empty", check_in_V, lambda: 0, TR, "realized", None),
+    ("V numeral", check_in_V, lambda: v_numeral(3).code, TR, "realized", None),
+    ("V omega", check_in_V, lambda: v_omega().code, TR,
+     "realized", "element map checked up to the truncation"),
+    ("V upair", check_in_V, lambda: v_upair(v_numeral(1), v_numeral(2)).code, TR,
+     "realized", None),
+    ("V opair", check_in_V, lambda: v_opair(v_numeral(0), v_omega()).code, TR,
+     "realized", None),
+    ("V finite", check_in_V,
+     lambda: v_finite([v_numeral(2), v_upair(v_numeral(0), v_numeral(1))]).code, TR,
+     "realized", None),
+    ("V over dist", check_in_V, lambda: pair(DIST, const(0)), TR,
+     "realized", "element map checked up to the truncation"),
+    ("V bad index", check_in_V, lambda: pair(pair(5, 0), 0), TR, "refuted", None),
+    ("V bad element", check_in_V, lambda: pair(fin(1), const(pair(pair(5, 0), 0))), TR,
+     "refuted", None),
+    ("V diverging element map", check_in_V, lambda: pair(fin(2), 15), TR, "refuted", None),
+    ("V element map out of fuel", check_in_V, lambda: pair(fin(2), loop_family()), LOW,
+     "unknown", "index or element map undecided"),
+    ("V undecided index", check_in_V,
+     lambda: pair(sigma_code(fin(2), loop_family()), const(0)), LOW,
+     "unknown", "index or element map undecided"),
+    ("V undecided element", check_in_V,
+     lambda: pair(fin(1), const(pair(fin(2), loop_family()))), LOW,
+     "unknown", "index or element map undecided"),
+    # e k = pair(fin 1, e): a set whose one element is itself
+    ("V self-member", check_in_V,
+     lambda: pair(fin(1), fixed_family(A(_p, N(fin(1)), V("e")))), TR,
+     "unknown", "index or element map undecided"),
+]
+
+
+@pytest.mark.parametrize("name, check, build, tr, status, note", FORMATION_CASES,
+                         ids=[case[0] for case in FORMATION_CASES])
+def test_formation_rule_answers_are_pinned(name, check, build, tr, status, note):
+    v = check(build(), tr)
+    assert (v.status, v.note) == (status, note)

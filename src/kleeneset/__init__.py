@@ -25,7 +25,7 @@ from .lworld import (
     HFSet, SigmaCode, alpha_star, decode_sigma, def_subsets, encode_sigma,
     l_stage, ordinals_of,
 )
-from .machine import DEFAULT_FUEL, AppResult, apply, fixpoint
+from .machine import DEFAULT_FUEL, apply_raw, fixpoint
 from .pairing import incomparable_witness, pair, unpair, unpair0, unpair1
 from .realizability import (
     CheckBudget, check, find_realiser, formula_status,
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "pair", "unpair", "unpair0", "unpair1", "incomparable_witness",
-    "apply", "AppResult", "fixpoint", "DEFAULT_FUEL",
+    "apply_raw", "fixpoint", "DEFAULT_FUEL",
     "bracket_abstract", "compile_lambda", "encode", "decode",
     "din", "check_in_U", "check_in_V", "Truncation", "Verdict",
     "VCode", "v_numeral", "v_omega", "v_upair", "v_opair", "v_finite",

@@ -2,8 +2,10 @@
 
 Verbs: pca, universe, vcode, check, diagonal, lworld.  Every command
 accepts --json for machine-readable output; identical flags give
-byte-identical output.  Codes too large to print in full appear in the
-digest form ~2^bits.
+byte-identical output.  A command takes --fuel, --segment-bound,
+--nat-bound and --h-prefix only where it reads them.  Codes too large
+to print in full appear in the digest form ~2^bits.  Malformed input
+ends in one line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -54,22 +56,35 @@ def _eval_term(t: Term, fuel: int) -> Code:
     raise TypeError(t)
 
 
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fp:
+            return json.load(fp)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _path_view(path: str | None) -> diag.PathView | None:
+    """The built path prefix saved by `diagonal build --out`, if given."""
+    if path is None:
+        return None
+    payload = _read_json(path)
+    comps = payload.get("components") if isinstance(payload, dict) else payload
+    if not isinstance(comps, list):
+        raise ValueError(f"{path} holds no list of path components")
+    return diag.PathView(comps)
+
+
 def _truncation(args) -> Truncation:
-    distinguished = None
-    if getattr(args, "h_prefix", None):
-        with open(args.h_prefix, encoding="utf-8") as fp:
-            payload = json.load(fp)
-        comps = payload["components"] if isinstance(payload, dict) else payload
-        distinguished = diag.PathView(comps)
     return Truncation(segment_bound=args.segment_bound,
                       nat_bound=args.nat_bound,
                       fuel=args.fuel,
-                      distinguished=distinguished)
+                      distinguished=_path_view(args.h_prefix))
 
 
 def _parse_code(text: str) -> Code:
     if not text.isdigit():
-        raise SystemExit(f"expected a natural number, got {text!r}")
+        raise ValueError(f"expected a natural number, got {text!r}")
     return canon(int(text))  # huge inputs go to the canonical symbolic form
 
 
@@ -174,8 +189,7 @@ def _cmd_vcode(args) -> int:
     elif args.op == "pbar":
         c = internal_pair_fn().code
     else:  # alpha0
-        tr = _truncation(args)
-        c = alpha0(tr).code
+        c = alpha0(Truncation(distinguished=_path_view(args.h_prefix))).code
     _emit(args, {"code": _code_str(c)}, _code_str(c))
     return 0
 
@@ -186,7 +200,7 @@ def _cmd_check(args) -> int:
     for binding in args.bind or []:
         name, _, spec = binding.partition("=")
         if not spec:
-            raise SystemExit(f"--bind needs name=value, got {binding!r}")
+            raise ValueError(f"--bind needs name=value, got {binding!r}")
         env[name] = _vcode_spec(spec)
     realiser = _eval_term(sexpr.parse_term(args.realiser), args.fuel)
     phi = sexpr.parse_formula(args.formula)
@@ -198,8 +212,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_diagonal(args) -> int:
     if args.catalogue:
-        with open(args.catalogue, encoding="utf-8") as fp:
-            spec = json.load(fp)
+        spec = _read_json(args.catalogue)
+        if not (isinstance(spec, list) and all(
+                isinstance(item, dict) and isinstance(item.get("term"), str)
+                for item in spec)):
+            raise ValueError(f"{args.catalogue} is not a list of machines with a term each")
         machines = []
         for item in spec:
             term = sexpr.parse_term(item["term"])
@@ -266,15 +283,20 @@ def _cmd_lworld(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    p.add_argument("--segment-bound", type=int, default=16)
-    p.add_argument("--nat-bound", type=int, default=12)
+# the budget flags; all four build a Truncation, and each command takes
+# only those it reads
+_FLAGS = {
+    "--fuel": dict(type=int, default=DEFAULT_FUEL),
+    "--segment-bound": dict(type=int, default=16),
+    "--nat-bound": dict(type=int, default=12),
+    "--h-prefix": dict(default=None, help="JSON file with the built path prefix"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved for randomized subcommands")
-    p.add_argument("--h-prefix", default=None,
-                   help="JSON file with the built path prefix")
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = ops.add_parser("witness")
     q.add_argument("i", type=int); q.add_argument("j", type=int)
     q.add_argument("lower", type=int)
-    for q in ops.choices.values():
-        _add_common(q)
+    for name, q in ops.choices.items():
+        _add_flags(q, *(["--fuel"] if name in ("apply", "eval") else []))
     p.set_defaults(fn=_cmd_pca)
 
     p = sub.add_parser("universe", help="type membership checking")
@@ -303,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = ops.add_parser("check-v"); q.add_argument("code")
     q = ops.add_parser("din"); q.add_argument("k"); q.add_argument("type_code")
     for q in ops.choices.values():
-        _add_common(q)
+        _add_flags(q, *_FLAGS)
     p.set_defaults(fn=_cmd_universe)
 
     p = sub.add_parser("vcode", help="canonical set codes")
@@ -315,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = ops.add_parser("eq"); q.add_argument("a"); q.add_argument("b")
     ops.add_parser("pbar")
     ops.add_parser("alpha0")
-    for q in ops.choices.values():
-        _add_common(q)
+    for name, q in ops.choices.items():
+        _add_flags(q, *(["--h-prefix"] if name == "alpha0" else []))
     p.set_defaults(fn=_cmd_vcode)
 
     p = sub.add_parser("check", help="run the evidence checker")
@@ -324,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--bind", action="append", metavar="NAME=SPEC")
     p.add_argument("--implication-bound", type=int, default=8)
-    _add_common(p)
+    _add_flags(p, *_FLAGS)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("diagonal", help="build the path prefix")
@@ -334,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON list of {term, step_bound, name}")
     q.add_argument("--stages", type=int, default=30)
     q.add_argument("--out", default=None)
-    _add_common(q)
+    _add_flags(q, "--fuel")
     p.set_defaults(fn=_cmd_diagonal)
 
     p = sub.add_parser("lworld", help="hereditarily finite sets and stages")
@@ -347,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = ops.add_parser("encode"); q.add_argument("set")
     q = ops.add_parser("decode"); q.add_argument("u"); q.add_argument("sigma")
     for q in ops.choices.values():
-        _add_common(q)
+        _add_flags(q)
     p.set_defaults(fn=_cmd_lworld)
 
     return top

@@ -10,8 +10,8 @@ well-founded recursion.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,27 +37,21 @@ class HFSet:
 
     __slots__ = ("elems", "_rank", "_sorted")
     _intern: dict[frozenset, "HFSet"] = {}
-    _lock = threading.Lock()
 
     def __new__(cls, elems: Iterable["HFSet"] = ()):
         fs = frozenset(elems)
         got = cls._intern.get(fs)
         if got is not None:
             return got
-        with cls._lock:
-            got = cls._intern.get(fs)
-            if got is not None:
-                return got
-            self = object.__new__(cls)
-            self.elems = fs
-            self._rank = 0 if not fs else 1 + max(e._rank for e in fs)
-            self._sorted = None
-            cls._intern[fs] = self
-            return self
+        self = cls._intern[fs] = object.__new__(cls)
+        self.elems = fs
+        self._rank = 0 if not fs else 1 + max(e._rank for e in fs)
+        self._sorted = None
+        return self
 
     def sorted_children(self) -> tuple["HFSet", ...]:
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.elems, key=_CmpKey))
+            self._sorted = tuple(sorted(self.elems, key=_cmp_key))
         return self._sorted
 
     def __iter__(self):
@@ -108,14 +102,7 @@ def _cmp(a: "HFSet", b: "HFSet") -> int:
     return r
 
 
-class _CmpKey:
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __lt__(self, other):
-        return _cmp(self.obj, other.obj) < 0
+_cmp_key = functools.cmp_to_key(_cmp)
 
 
 EMPTY = HFSet()

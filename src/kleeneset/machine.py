@@ -1,6 +1,6 @@
 """Fuel-bounded evaluation of codes: the applicative structure on N.
 
-apply(f, a) runs the program f on the argument a.  Arguments are inert:
+apply_raw(f, a) runs the program f on the argument a.  Arguments are inert:
 a code in operand position is a number, full stop; it is never evaluated.
 Evaluation happens only by firing a primitive or derived combinator that
 has collected enough arguments along its application spine.  Surface
@@ -23,8 +23,7 @@ of fuel means "not converged within budget", never "diverges".  The
 machine does notice some certainly-stuck states (applying a code with
 no program reading, the self-application spine of 0); those raise
 DivergedError so callers like the membership checker can treat provable
-non-termination specially.  The public AppResult folds both into the
-out-of-fuel outcome.
+non-termination specially.
 
 Value results are memoized.  A shared cache only ever turns out-of-fuel
 answers into values, never changes a value; Value outcomes are unique
@@ -42,9 +41,8 @@ from .terms import (
 )
 
 __all__ = [
-    "Fuel", "DEFAULT_FUEL", "AppResult", "OUT_OF_FUEL",
-    "OutOfFuelError", "DivergedError",
-    "apply", "apply_raw", "apply_chain", "run_code", "fixpoint",
+    "Fuel", "DEFAULT_FUEL", "OutOfFuelError", "DivergedError",
+    "apply_raw", "apply_chain", "run_code", "fixpoint",
     "clear_caches",
 ]
 
@@ -58,24 +56,6 @@ class OutOfFuelError(Exception):
 
 class DivergedError(Exception):
     """The machine reached a state it can prove never produces a value."""
-
-
-@dataclass(frozen=True, slots=True)
-class AppResult:
-    """Either Value(code) or OutOfFuel."""
-
-    value: Code | None
-
-    @property
-    def converged(self) -> bool:
-        return self.value is not None
-
-    @property
-    def out_of_fuel(self) -> bool:
-        return self.value is None
-
-
-OUT_OF_FUEL = AppResult(None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,12 +78,10 @@ def _code_of(v) -> Code:
 
 _DIVERGED = object()
 
-_eval_memo: dict = {}
 _apply_memo: dict[tuple, object] = {}
 
 
 def clear_caches() -> None:
-    _eval_memo.clear()
     _apply_memo.clear()
     _peel_memo.clear()
 
@@ -162,7 +140,7 @@ def _machine(start_apply: tuple | None, start_eval: int | None,
     Frames: ("app2", x)  apply incoming value to x
             ("sA", b, c) s-fire: got a*c, next b*c
             ("sB", t1)   s-fire: got b*c, now t1*(b*c)
-            ("evmemo", c) / ("apmemo", key)  record results
+            ("apmemo", key)  record the result of an application
     """
     stack: list[tuple] = []
     val = None
@@ -216,13 +194,6 @@ def _machine(start_apply: tuple | None, start_eval: int | None,
         while True:
             if action == "ev":
                 c = ev_code
-                memo = _eval_memo.get(c)
-                if memo is not None:
-                    if memo is _DIVERGED:
-                        raise DivergedError(c)
-                    val = memo
-                    action = "ret"
-                    continue
                 head, args, cyclic = _peel(c)
                 hk = head_kind(head) if not cyclic else "junk"
                 if hk not in ("prim", "sc"):
@@ -235,7 +206,6 @@ def _machine(start_apply: tuple | None, start_eval: int | None,
                     action = "ret"
                     continue
                 budget.step()
-                stack.append(("evmemo", c))
                 for extra in args[arity:][::-1]:
                     stack.append(("app2", extra))
                 fix_self = _Spine(head, (args[0],)) if args else None
@@ -302,8 +272,6 @@ def _machine(start_apply: tuple | None, start_eval: int | None,
             elif kind == "sB":
                 pending = (frame[1], val)
                 action = "ap"
-            elif kind == "evmemo":
-                _eval_memo[frame[1]] = val
             elif kind == "apmemo":
                 _apply_memo[frame[1]] = val
             else:  # pragma: no cover
@@ -312,8 +280,6 @@ def _machine(start_apply: tuple | None, start_eval: int | None,
         for frame in stack:
             if frame[0] == "apmemo":
                 _apply_memo[frame[1]] = _DIVERGED
-            elif frame[0] == "evmemo":
-                _eval_memo[frame[1]] = _DIVERGED
         raise
 
 
@@ -332,14 +298,6 @@ def apply_raw(f: Code, a: Code, fuel: Fuel = DEFAULT_FUEL) -> Code:
     return _code_of(_machine((vf, a), None, budget))
 
 
-def apply(f: Code, a: Code, fuel: Fuel = DEFAULT_FUEL) -> AppResult:
-    """The public pq = r application: Value(r) or OutOfFuel."""
-    try:
-        return AppResult(apply_raw(f, a, fuel))
-    except (OutOfFuelError, DivergedError):
-        return OUT_OF_FUEL
-
-
 def apply_chain(f: Code, *args: Code, fuel: Fuel = DEFAULT_FUEL) -> Code:
     """apply_raw folded left over several arguments, one shared budget."""
     budget = _Budget(fuel)
@@ -350,7 +308,7 @@ def apply_chain(f: Code, *args: Code, fuel: Fuel = DEFAULT_FUEL) -> Code:
 
 
 def fixpoint(f: Code) -> Code:
-    """A code e with apply(e, x) = apply(apply(f, e), x) for every x.
+    """A code e with apply_raw(e, x) == apply_raw(apply_raw(f, e), x).
 
     e is the under-applied fix spine, so the numeric code f receives is
     exactly e itself.

@@ -10,22 +10,22 @@ set codes would be astronomically large as plain ints, so a code in this
 library is either an int (small) or a Big node (a hash-consed symbolic
 pair).  A Big node denotes the exact same natural number the closed form
 would produce; the representation is canonical, so numeric equality is
-structural identity and splitting a pair is O(1).  Only codes whose size
-estimate stays under a threshold are materialized as ints, which keeps
-isqrt calls cheap.
+structural identity and splitting a pair is O(1).  Exactly the naturals
+of at most 2048 bits are ints, which keeps isqrt calls cheap: pair makes
+an int when the larger component has at most 1024 bits, canon when the
+number itself has at most 2048, and the two rules agree.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 __all__ = [
     "Code", "Big", "pair", "unpair", "unpair0", "unpair1", "canon",
     "incomparable_witness", "code_value", "code_bits", "is_big",
 ]
 
-# Codes estimated above this many bits stay symbolic.
+# Naturals of more than this many bits stay symbolic.
 _THRESHOLD_BITS = 2048
 
 
@@ -77,7 +77,6 @@ class Big:
 Code = int | Big
 
 _intern: dict[tuple, Big] = {}
-_intern_lock = threading.Lock()
 
 
 def is_big(c: Code) -> bool:
@@ -108,8 +107,9 @@ def pair(a: Code, b: Code) -> Code:
     max{a,b}*(max{a,b}+1) + a - b when it is odd.  Always lands in
     [m*m, (m+1)*(m+1)) for m = max{a,b}.
     """
-    est = 2 * max(code_bits(a), code_bits(b)) + 2
-    if est <= _THRESHOLD_BITS:
+    max_bits = max(code_bits(a), code_bits(b))
+    if max_bits <= _THRESHOLD_BITS // 2:
+        # then pair(a, b) < (max+1)^2 <= 2^2048, canon's int range
         if a < 0 or b < 0:
             raise ValueError("pair is defined on naturals only")
         return _pair_int(a, b)  # type: ignore[arg-type]
@@ -122,11 +122,7 @@ def pair(a: Code, b: Code) -> Code:
     key = (a, b)
     got = _intern.get(key)
     if got is None:
-        with _intern_lock:
-            got = _intern.get(key)
-            if got is None:
-                got = Big(a, b, est)
-                _intern[key] = got
+        got = _intern[key] = Big(a, b, 2 * max_bits + 2)
     return got
 
 

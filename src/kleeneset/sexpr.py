@@ -8,7 +8,9 @@ Terms in formulas: variable names, (numeral N), omega, (opair t u),
             (f0 t), or a raw code literal.
 
 parse(print(x)) is the identity on well-formed input; syntax errors
-carry the offending position.
+carry the offending position.  Input nested deeper than _MAX_NESTING
+parentheses is a syntax error, so that no later recursion over the
+parsed tree can exhaust the host stack.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "ParseError", "parse_term", "print_term", "parse_formula", "print_formula",
     "NAMED_CODES",
 ]
+
+_MAX_NESTING = 100
 
 NAMED_CODES = {
     "iota": rom.IOTA,
@@ -80,6 +84,7 @@ class _Reader:
         self.toks = _tokenize(text)
         self.i = 0
         self.length = len(text)
+        self.depth = 0
 
     def peek(self) -> _Tok | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -89,6 +94,12 @@ class _Reader:
         if t is None:
             raise ParseError("unexpected end of input", self.length)
         self.i += 1
+        if t.text == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(f"nested deeper than {_MAX_NESTING}", t.pos)
+        elif t.text == ")":
+            self.depth -= 1
         return t
 
     def expect(self, text: str) -> _Tok:

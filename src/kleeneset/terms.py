@@ -27,7 +27,6 @@ is a plain application spine over small codes.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .pairing import Code, pair, unpair
@@ -141,7 +140,6 @@ def prim_code(name: str) -> int:
 _rom: list[tuple] = []
 _node_index: dict[tuple, int] = {}
 _sc_index: dict[tuple, int] = {}
-_rom_lock = threading.Lock()
 
 
 def rom_size() -> int:
@@ -157,14 +155,9 @@ def _intern_node(f: Code, a: Code) -> int:
     got = _node_index.get(key)
     if got is not None:
         return got
-    with _rom_lock:
-        got = _node_index.get(key)
-        if got is not None:
-            return got
-        code = _rom_code(len(_rom))
-        _rom.append(("node", f, a))
-        _node_index[key] = code
-        return code
+    code = _node_index[key] = _rom_code(len(_rom))
+    _rom.append(("node", f, a))
+    return code
 
 
 def _intern_term(t: Term) -> int:
@@ -198,14 +191,9 @@ def register_combinator(term: Term, name: str = "") -> int:
     got = _sc_index.get(key)
     if got is not None:
         return got
-    with _rom_lock:
-        got = _sc_index.get(key)
-        if got is not None:
-            return got
-        code = _rom_code(len(_rom))
-        _rom.append(("sc", body_code, len(params), name))
-        _sc_index[key] = code
-        return code
+    code = _sc_index[key] = _rom_code(len(_rom))
+    _rom.append(("sc", body_code, len(params), name))
+    return code
 
 
 def _rom_entry(code: Code) -> tuple | None:

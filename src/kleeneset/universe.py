@@ -15,8 +15,9 @@ growing the truncation can only turn Unknown into one of them, never
 flip them.  Membership in a product over an infinite index type is never
 Realized (only refutable), which keeps every Realized verdict sound.
 
-Verdict caches are plain dicts keyed by (code, type, truncation) and
-mutated by single atomic operations; concurrent queries are fine.
+check_in_U and check_in_V read one formation rule, as sets are indexed
+families: an index type in U plus a family converging to a good member
+(a type, or a set) at every index.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class Truncation:
     enumerated; nat_bound caps enumeration of the naturals; fuel bounds
     every program run.  distinguished, when set, answers membership in
     the distinguished type (the diagonal module provides one backed by a
-    built path prefix).
+    built path prefix) and names its contents by a cache_token, which
+    the verdict caches key on.
     """
 
     segment_bound: int = 16
@@ -106,9 +108,7 @@ class Truncation:
     distinguished: object = None
 
     def key(self) -> tuple:
-        token = getattr(self.distinguished, "cache_token", None)
-        if token is None and self.distinguished is not None:
-            token = id(self.distinguished)  # caller keeps the object alive
+        token = None if self.distinguished is None else self.distinguished.cache_token
         return (self.segment_bound, self.nat_bound, self.fuel, token)
 
 
@@ -333,80 +333,56 @@ def _provably_empty_raw(t: Code, tr: Truncation, depth: int) -> tuple[bool, bool
     return False, clean
 
 
-def _family_clause(t: Code, tr: Truncation, member_check: Callable[[Code, Truncation], Verdict],
-                   depth: int) -> Verdict:
-    """The shared "every index member maps to a good value" clause."""
-    view = type_view(t)
-    members, complete = enumerate_index(view.index, tr)
-    worst = REALIZED
+def _family_walk(index: Code, family: Code, tr: Truncation, index_depth: int,
+                 member_check: Callable[[Code], Verdict],
+                 truncated_note: str, undecided_note: str) -> Verdict:
+    """The formation rule U and V share: the index type is in U, and the
+    family converges on every enumerated index to a good member.  Only a
+    truncated enumeration qualifies a realized answer with a note."""
+    v_index = check_in_U(index, tr, index_depth)
+    if v_index.refuted:
+        return REFUTED
+    members, complete = enumerate_index(index, tr)
+    decided = v_index.realized
     for k0 in members:
         try:
-            ek = apply_raw(view.family, k0, tr.fuel)
+            ek = apply_raw(family, k0, tr.fuel)
         except OutOfFuelError:
-            worst = unknown("family application exhausted fuel")
+            decided = False
             continue
         except DivergedError:
             return REFUTED  # the rule needs the family to converge here
-        v = member_check(ek, tr)
+        v = member_check(ek)
         if v.refuted:
             return REFUTED
-        if not v.realized:
-            worst = unknown(v.note or "component undecided")
-    if not complete and worst.realized:
-        return Verdict("realized", "family checked up to the truncation")
-    return worst
+        decided = decided and v.realized
+    if not decided:
+        return unknown(undecided_note)
+    if not complete:
+        return Verdict("realized", truncated_note)
+    return REALIZED
 
 
 def check_in_U(t: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
     """Is t a well-formed type code (member of the type universe)?"""
     if _depth > _MAX_DEPTH:
-        return unknown("recursion depth bound hit")
+        return unknown(_DEPTH_NOTE)
     view = type_view(t)
     if view.kind == "invalid":
         return REFUTED  # no formation rule concludes an unknown tag
     if view.kind in ("fin", "nat", "dist"):
         return REALIZED
-    v_index = check_in_U(view.index, tr, _depth + 1)
-    if v_index.refuted:
-        return REFUTED
-    v_fam = _family_clause(t, tr, lambda e, trr: check_in_U(e, trr, _depth + 1), _depth)
-    if v_fam.refuted:
-        return REFUTED
-    if v_index.realized and v_fam.realized:
-        return v_fam if v_fam.note else v_index
-    return unknown("index or family membership undecided")
+    return _family_walk(view.index, view.family, tr, _depth + 1,
+                        lambda e: check_in_U(e, tr, _depth + 1),
+                        "family checked up to the truncation",
+                        "index or family membership undecided")
 
 
 def check_in_V(a: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
     """Is a a well-formed set code (index type plus element map)?"""
     if _depth > _MAX_DEPTH:
-        return unknown("recursion depth bound hit")
+        return unknown(_DEPTH_NOTE)
     n, e = unpair(a)
-    v_index = check_in_U(n, tr)
-    if v_index.refuted:
-        return REFUTED
-    view = type_view(n)
-    if view.kind == "invalid":
-        return REFUTED
-    members, complete = enumerate_index(n, tr)
-    worst = REALIZED
-    for k0 in members:
-        try:
-            ek = apply_raw(e, k0, tr.fuel)
-        except OutOfFuelError:
-            worst = unknown("element map exhausted fuel")
-            continue
-        except DivergedError:
-            return REFUTED
-        v = check_in_V(ek, tr, _depth + 1)
-        if v.refuted:
-            return REFUTED
-        if not v.realized:
-            worst = unknown(v.note or "element membership undecided")
-    if not complete and worst.realized:
-        worst = Verdict("realized", "element map checked up to the truncation")
-    if v_index.realized and worst.realized:
-        return worst
-    if worst.refuted or v_index.refuted:
-        return REFUTED
-    return unknown("index or element map undecided")
+    return _family_walk(n, e, tr, 0, lambda c: check_in_V(c, tr, _depth + 1),
+                        "element map checked up to the truncation",
+                        "index or element map undecided")

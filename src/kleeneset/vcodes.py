@@ -198,13 +198,6 @@ def subeq_type(a, b) -> Code:
     return subeq_code(as_code(a), as_code(b))
 
 
-def in_type(a, b) -> Code:
-    """Type of membership evidence: an index into b paired with equality."""
-    bc = as_code(b)
-    fam = mkapps(rom.INF, as_code(a), bc)
-    return sigma_code(unpair0(bc), fam)
-
-
 # ---------------------------------------------------------------------------
 # The graph of the pairing function as a set, the path ordinal, and the
 # derived family

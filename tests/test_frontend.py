@@ -1,12 +1,14 @@
 import io
 import json
 import random
+import shlex
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from kleeneset import romlib as rom
-from kleeneset.cli import main
+from kleeneset.cli import build_parser, main
 from kleeneset.realizability import BAll, Eq, In, Val, Var
 from kleeneset.sexpr import (
     ParseError, parse_formula, parse_term, print_formula, print_term,
@@ -233,3 +235,58 @@ def test_cli_din_over_the_path_set(tmp_path):
 def test_cli_reports_malformed_bounds_cleanly(capsys):
     rc, out = run_cli("check", "0", "(in (numeral 1) 8100)")
     assert rc == 2
+
+
+def _write(path, payload):
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+HOSTILE_INPUTS = {
+    "missing h-prefix file": lambda d: (
+        "universe", "din", "0", "2", "--h-prefix", str(d / "missing.json")),
+    "missing catalogue file": lambda d: (
+        "diagonal", "build", "--catalogue", str(d / "missing.json")),
+    "h-prefix without components": lambda d: (
+        "universe", "din", "0", "2", "--h-prefix", _write(d / "h.json", {"stages": []})),
+    "catalogue item without term": lambda d: (
+        "diagonal", "build", "--catalogue", _write(d / "cat.json", [{"name": "copy"}])),
+    "code that is not a natural": lambda d: ("pca", "unpair", "abc"),
+    "binding without a value": lambda d: ("check", "0", "(in a a)", "--bind", "a"),
+    "term nested 3000 deep": lambda d: ("pca", "eval", "(app " * 3000 + "k" + " 1)" * 3000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+def test_cli_hostile_input_is_one_line_and_exit_2(case, tmp_path, capsys):
+    rc = main(list(HOSTILE_INPUTS[case](tmp_path)))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _readme_commands():
+    """The command lines of the README's command-line section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    block = block.replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("kleeneset ")]
+
+
+def test_cli_flags_sit_only_on_the_verbs_that_read_them():
+    parser = build_parser()
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:  # every README flag is accepted where it is used
+        parser.parse_args(argv + ["--json"])
+    for argv in (["lworld", "lstage", "2", "--fuel", "5"],
+                 ["pca", "pair", "1", "2", "--nat-bound", "3"],
+                 ["vcode", "numeral", "2", "--fuel", "9"],
+                 ["vcode", "alpha0", "--segment-bound", "4"],
+                 ["diagonal", "build", "--h-prefix", "h.json"],
+                 ["universe", "din", "3", "25", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2

@@ -140,3 +140,17 @@ def test_every_number_has_one_representation():
     # components entering as raw over-threshold ints are canonized
     a, _ = unpair(big)
     assert is_big(a) and code_value(a) == 2 ** 3000
+
+
+_NEAR_THRESHOLD = st.integers(min_value=2 ** 1020, max_value=2 ** 1026)
+
+
+@given(_NEAR_THRESHOLD | st.sampled_from([2 ** 1023, 2 ** 1024 - 1, 2 ** 1024]),
+       _NEAR_THRESHOLD | st.integers(min_value=0, max_value=10))
+def test_pair_and_canon_agree_at_the_threshold(a, b):
+    # the larger component having exactly 1024 bits is the boundary case
+    for x, y in ((a, b), (b, a)):
+        c = pair(x, y)
+        assert canon(code_value(c)) == c
+        assert hash(canon(code_value(c))) == hash(c)
+        assert unpair(c) == (x, y)

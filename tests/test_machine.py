@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kleeneset import romlib as rom
+from kleeneset import terms
 from kleeneset.machine import (
-    DivergedError, OutOfFuelError, apply_chain, apply_raw, fixpoint,
-    run_code,
+    DivergedError, OutOfFuelError, apply_chain, apply_raw, clear_caches,
+    fixpoint, run_code,
 )
-from kleeneset.pairing import pair, unpair0, unpair1
+from kleeneset.pairing import pair, unpair, unpair0, unpair1
 from kleeneset.terms import (
-    A, L, Lam, Lit, N, Prim, V, bracket_abstract, compile_lambda, decode,
-    encode, mkapp, UnboundVariableError)
+    A, L, Lam, Lit, N, PRIM_ARITY, PRIM_ORDER, Prim, V, app_view,
+    bracket_abstract, compile_lambda, decode, encode, mkapp, mkapps,
+    prim_code, rom_size, UnboundVariableError)
+from kleeneset.vcodes import seq_encode, v_numeral
 
 
 def test_basic_combinator_examples():
@@ -267,3 +270,81 @@ def test_values_identical_cold_and_warm():
     clear_caches()
     again = [apply_chain(f, *args) for f, args in jobs]
     assert cold == warm == again
+
+
+# ---------------------------------------------------------------------------
+# what the machine charges and how it reads a head code
+
+_SEQ = seq_encode([1, 2, 3, 4, 5, 6])
+
+COLD_MINIMUM_FUEL = [  # program, arguments, least fuel that converges cold
+    ("HALF", (200,), 3239),
+    ("PLUS", (3, 4), 163),
+    ("MONUS", (9, 4), 311),
+    ("ELEMOF", (_SEQ, 4), 2308),
+    ("EQ", (v_numeral(3).code, v_numeral(3).code), 96),
+    ("SNOC", (_SEQ, 7), 2754),
+    ("TS", (_SEQ, 3), 2362),
+]
+
+
+@pytest.mark.parametrize("name,args,fuel", COLD_MINIMUM_FUEL,
+                         ids=[row[0] for row in COLD_MINIMUM_FUEL])
+def test_cold_minimum_fuel_is_pinned(name, args, fuel):
+    f = getattr(rom, name)
+    clear_caches()
+    apply_chain(f, *args, fuel=fuel)
+    clear_caches()
+    with pytest.raises(OutOfFuelError):
+        apply_chain(f, *args, fuel=fuel - 1)
+
+
+def _read_head(code):
+    """A head code read from its tag and payload: ('prim' | 'sc', arity),
+    ('node', (operator, operand)) for a table application node, or
+    ('data', None) for every code with no program reading."""
+    tag, payload = unpair(code)
+    if tag == 1 and isinstance(payload, int) and payload < len(PRIM_ORDER):
+        return "prim", PRIM_ARITY[PRIM_ORDER[payload]]
+    if tag == 2 and isinstance(payload, int) and payload < rom_size():
+        entry = terms._rom[payload]
+        if entry[0] == "node":
+            return "node", (entry[1], entry[2])
+        return "sc", entry[2]
+    return "data", None
+
+
+def _assert_machine_reads(code):
+    kind, info = _read_head(code)
+    if kind == "node":
+        assert app_view(code) == info
+        return
+    assert app_view(code) is None
+    if kind == "data":  # inert as written, stuck in head position
+        assert run_code(mkapp(code, 7), fuel=1) == mkapp(code, 7)
+        with pytest.raises(DivergedError):
+            apply_raw(code, 7, fuel=1)
+        return
+    under = mkapps(code, *[7] * (info - 1))
+    assert run_code(under, fuel=1) == under  # under-applied: a value, no fuel
+    with pytest.raises(OutOfFuelError):  # full arity: one dispatch, one fire
+        run_code(mkapp(under, 7), fuel=1)
+
+
+def test_machine_reads_head_codes_by_tag_and_payload():
+    clear_caches()
+    codes = [prim_code(name) for name in PRIM_ORDER]
+    codes += [pair(2, i) for i in range(rom_size())]
+    codes += [pair(3, 0), pair(4, 5), pair(17, 2), pair(1, 9), pair(1, 2 ** 40),
+              pair(1, 2 ** 5000), pair(2, 2 ** 5000), pair(3, 2 ** 5000)]
+    for code in codes:
+        _assert_machine_reads(code)
+    past = pair(2, rom_size())
+    _assert_machine_reads(past)
+    assert _read_head(past) == ("data", None)
+    fresh = compile_lambda(L("x", "y", A(Prim("p"), V("y"), A(Prim("p"), V("x"), V("y")))))
+    clear_caches()
+    assert _read_head(past) != ("data", None)
+    for code in (past, fresh):
+        _assert_machine_reads(code)
+    assert _read_head(fresh) == ("sc", 2)

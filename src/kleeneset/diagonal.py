@@ -50,12 +50,6 @@ class SeqCode:
     def __len__(self) -> int:
         return len(self.components)
 
-    def prefix(self, n: int) -> "SeqCode":
-        return SeqCode(self.components[:n])
-
-    def prefix_code(self, n: int) -> Code:
-        return seq_encode(self.components[:n])
-
 
 @dataclass(frozen=True, slots=True)
 class CatalogueMachine:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .pairing import pair, unpair
 
 __all__ = [
-    "HFSet", "EMPTY", "hf", "hf_nat", "hf_rank", "is_transitive", "is_ordinal",
+    "HFSet", "EMPTY", "hf", "hf_nat", "is_transitive", "is_ordinal",
     "parse_hf", "print_hf",
     "FOTerm", "FOVar", "FOParam", "FOFormula", "eval_fo", "enumerate_formulas",
     "def_subsets", "l_stage", "ordinals_of", "alpha_star",
@@ -31,11 +31,12 @@ class HFSet:
     """A hereditarily finite set; interned, so == is identity.
 
     Sets are ordered canonically (rank, then size, then children
-    lexicographically); the comparison is memoized on interned instances
-    because deep sets are exponentially large as trees but small as DAGs.
+    lexicographically).  Two distinct sets of equal rank and size differ
+    in their first non-identical sorted child, so a comparison walks one
+    path down the DAG, never the exponentially larger tree.
     """
 
-    __slots__ = ("elems", "_rank", "_sorted")
+    __slots__ = ("elems", "_rank", "_sorted", "_ordinal")
     _intern: dict[frozenset, "HFSet"] = {}
 
     def __new__(cls, elems: Iterable["HFSet"] = ()):
@@ -47,6 +48,7 @@ class HFSet:
         self.elems = fs
         self._rank = 0 if not fs else 1 + max(e._rank for e in fs)
         self._sorted = None
+        self._ordinal = None
         return self
 
     def sorted_children(self) -> tuple["HFSet", ...]:
@@ -76,30 +78,17 @@ class HFSet:
         return self._rank
 
 
-_cmp_memo: dict[tuple[int, int], int] = {}
-
-
 def _cmp(a: "HFSet", b: "HFSet") -> int:
     if a is b:
         return 0
-    key = (id(a), id(b))
-    got = _cmp_memo.get(key)
-    if got is not None:
-        return got
     if a._rank != b._rank:
-        r = -1 if a._rank < b._rank else 1
-    elif len(a.elems) != len(b.elems):
-        r = -1 if len(a.elems) < len(b.elems) else 1
-    else:
-        r = 0
-        for x, y in zip(a.sorted_children(), b.sorted_children()):
-            c = _cmp(x, y)
-            if c != 0:
-                r = c
-                break
-    _cmp_memo[key] = r
-    _cmp_memo[(id(b), id(a))] = -r
-    return r
+        return -1 if a._rank < b._rank else 1
+    if len(a.elems) != len(b.elems):
+        return -1 if len(a.elems) < len(b.elems) else 1
+    for x, y in zip(a.sorted_children(), b.sorted_children()):
+        if x is not y:
+            return _cmp(x, y)  # the first difference decides
+    raise AssertionError("distinct interned sets share their children")  # pragma: no cover
 
 
 _cmp_key = functools.cmp_to_key(_cmp)
@@ -119,38 +108,36 @@ def hf_nat(n: int) -> HFSet:
     return out
 
 
-def hf_rank(x: HFSet) -> int:
-    return x.rank
-
-
 def is_transitive(x: HFSet) -> bool:
     return all(e.elems <= x.elems for e in x.elems)
 
 
-_ordinal_memo: dict[int, bool] = {}
-
-
 def is_ordinal(x: HFSet) -> bool:
     """Hereditarily transitive (the classical finite reading)."""
-    got = _ordinal_memo.get(id(x))
-    if got is None:
-        got = is_transitive(x) and all(is_ordinal(e) for e in x.elems)
-        _ordinal_memo[id(x)] = got
-    return got
+    if x._ordinal is None:
+        x._ordinal = is_transitive(x) and all(is_ordinal(e) for e in x.elems)
+    return x._ordinal
 
 
 def print_hf(x: HFSet) -> str:
     return "{" + ",".join(print_hf(e) for e in x) + "}"
 
 
+_MAX_NESTING = 100  # the s-expression reader's bound
+
+
 def parse_hf(text: str) -> HFSet:
+    """Read a set literal such as {{},{{}}}; nesting deeper than
+    _MAX_NESTING braces is rejected, so no recursion exhausts the stack."""
     text = "".join(text.split())
     pos = 0
 
-    def parse() -> HFSet:
+    def parse(depth: int) -> HFSet:
         nonlocal pos
         if pos >= len(text) or text[pos] != "{":
             raise ValueError(f"expected '{{' at position {pos}")
+        if depth > _MAX_NESTING:
+            raise ValueError(f"set literal nested deeper than {_MAX_NESTING} at position {pos}")
         pos += 1
         elems = []
         while True:
@@ -162,9 +149,9 @@ def parse_hf(text: str) -> HFSet:
             if text[pos] == ",":
                 pos += 1
                 continue
-            elems.append(parse())
+            elems.append(parse(depth + 1))
 
-    result = parse()
+    result = parse(1)
     if pos != len(text):
         raise ValueError(f"trailing input at position {pos}")
     return result

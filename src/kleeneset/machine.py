@@ -25,9 +25,12 @@ no program reading, the self-application spine of 0); those raise
 DivergedError so callers like the membership checker can treat provable
 non-termination specially.
 
-Value results are memoized.  A shared cache only ever turns out-of-fuel
-answers into values, never changes a value; Value outcomes are unique
-per (f, a) and stable under fuel increase.
+What a head code does is one lookup in terms.HEADS per dispatch; a code
+not in it is data.  Value results are memoized.  A shared cache only
+ever turns out-of-fuel answers into values, never changes a value:
+Value outcomes are unique per (f, a) and stable under fuel increase, and
+the memos are cleared whenever the library table grows, since that
+gives a stuck tag-2 code a program reading.
 """
 
 from __future__ import annotations
@@ -35,10 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pairing import Code, canon, pair, unpair
-from .terms import (
-    PRIM_ARITY, PRIM_BY_CODE, app_view, head_kind, mkapp, prim_code,
-    sc_arity, sc_body,
-)
+from .terms import HEADS, app_view, clear_caches, mkapp, prim_code, table_memo
 
 __all__ = [
     "Fuel", "DEFAULT_FUEL", "OutOfFuelError", "DivergedError",
@@ -78,12 +78,7 @@ def _code_of(v) -> Code:
 
 _DIVERGED = object()
 
-_apply_memo: dict[tuple, object] = {}
-
-
-def clear_caches() -> None:
-    _apply_memo.clear()
-    _peel_memo.clear()
+_apply_memo: dict[tuple, object] = table_memo()
 
 
 class _Budget:
@@ -100,14 +95,15 @@ class _Budget:
             raise OutOfFuelError
 
 
-_peel_memo: dict = {}
+_peel_memo: dict = table_memo()
 
 
-def _peel(code: Code) -> tuple[Code, list, bool]:
+def _peel(code: Code) -> tuple[Code, tuple]:
     """Head and operand codes of an application spine, outermost-last.
 
-    The final flag marks the degenerate self-operator spine of 0.
-    Memoized: operator spines are re-walked on every application.
+    The walk stops at the degenerate self-operator spine of 0, whose
+    head is an application code and so data.  Memoized: operator spines
+    are re-walked on every application.
     """
     got = _peel_memo.get(code)
     if got is not None:
@@ -116,21 +112,12 @@ def _peel(code: Code) -> tuple[Code, list, bool]:
     head = code
     while True:
         view = app_view(head)
-        if view is None:
-            out = (head, args_rev[::-1], False)
+        if view is None or view[0] == head:
             break
-        f, a = view
-        if f == head:
-            out = (head, args_rev[::-1], True)
-            break
-        args_rev.append(a)
-        head = f
-    _peel_memo[code] = out
+        args_rev.append(view[1])
+        head = view[0]
+    out = _peel_memo[code] = (head, tuple(args_rev[::-1]))
     return out
-
-
-def _arity_of(head: Code, hk: str) -> int:
-    return PRIM_ARITY[PRIM_BY_CODE[head]] if hk == "prim" else sc_arity(head)
 
 
 def _machine(start_apply: tuple | None, start_eval: int | None,
@@ -154,15 +141,14 @@ def _machine(start_apply: tuple | None, start_eval: int | None,
         action = "ev"
         pending = None
 
-    def fire(head: Code, hk: str, full: list, self_value):
+    def fire(entry: tuple, full, self_value):
         """-> ('ret', value) or ('ap', (f, a)) after stacking frames."""
         budget.step()
-        if hk == "sc":
-            body = sc_body(head)
+        kind, body, _, name = entry
+        if kind == "sc":
             for extra in full[:0:-1]:
                 stack.append(("app2", extra))
             return "ap", (body, full[0])
-        name = PRIM_BY_CODE[head]
         if name == "k":
             return "ret", full[0]
         if name == "sN":
@@ -194,22 +180,18 @@ def _machine(start_apply: tuple | None, start_eval: int | None,
         while True:
             if action == "ev":
                 c = ev_code
-                head, args, cyclic = _peel(c)
-                hk = head_kind(head) if not cyclic else "junk"
-                if hk not in ("prim", "sc"):
-                    val = c  # data: evaluation only rewrites program spines
+                head, args = _peel(c)
+                entry = HEADS.get(head)
+                if entry is None or len(args) < entry[2]:
+                    val = c  # data or an under-applied spine: a value as written
                     action = "ret"
                     continue
-                arity = _arity_of(head, hk)
-                if len(args) < arity:
-                    val = c  # an under-applied spine is a value as written
-                    action = "ret"
-                    continue
+                arity = entry[2]
                 budget.step()
                 for extra in args[arity:][::-1]:
                     stack.append(("app2", extra))
                 fix_self = _Spine(head, (args[0],)) if args else None
-                action, out = fire(head, hk, args[:arity], fix_self)
+                action, out = fire(entry, args[:arity], fix_self)
                 if action == "ret":
                     val = out
                 else:
@@ -219,19 +201,16 @@ def _machine(start_apply: tuple | None, start_eval: int | None,
             if action == "ap":
                 vf, va = pending  # type: ignore[misc]
                 pending = None
-                if not isinstance(vf, _Spine):
-                    head, sargs, cyclic = _peel(vf)
-                    hk = head_kind(head) if not cyclic else "junk"
-                    if hk not in ("prim", "sc"):
-                        if not isinstance(va, _Spine):
-                            _apply_memo[(vf, va)] = _DIVERGED
-                        raise DivergedError(vf)
-                    args = tuple(sargs)
+                if isinstance(vf, _Spine):
+                    head, args = vf.head, vf.args
                 else:
-                    head = vf.head
-                    args = vf.args
-                    hk = head_kind(head)
-                arity = _arity_of(head, hk)
+                    head, args = _peel(vf)
+                entry = HEADS.get(head)
+                if entry is None:  # data in head position is stuck
+                    if not isinstance(va, _Spine):
+                        _apply_memo[(vf, va)] = _DIVERGED
+                    raise DivergedError(vf)
+                arity = entry[2]
                 if len(args) + 1 < arity:
                     val = _Spine(head, args + (va,))
                     action = "ret"
@@ -250,7 +229,7 @@ def _machine(start_apply: tuple | None, start_eval: int | None,
                 for extra in full[arity:][::-1]:
                     stack.append(("app2", extra))
                 fix_self = vf if len(args) == 1 else _Spine(head, (full[0],))
-                action, out = fire(head, hk, full[:arity], fix_self)
+                action, out = fire(entry, full[:arity], fix_self)
                 if action == "ret":
                     val = out
                 else:

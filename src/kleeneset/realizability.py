@@ -31,7 +31,7 @@ from .lworld import HFSet
 from .machine import (
     DivergedError, OutOfFuelError, apply_raw)
 from .pairing import Code, pair, unpair
-from .terms import mkapp
+from .terms import mkapp, table_memo
 from .universe import (
     REALIZED, REFUTED, Truncation, Verdict, check_in_V, din,
     enumerate_index, provably_empty, type_view, unknown,
@@ -174,10 +174,6 @@ class CheckBudget:
     truncation: Truncation = Truncation()
     implication_bound: int = 8
     witness_family: tuple[VCode, ...] = ()
-
-    def key(self) -> tuple:
-        return (self.truncation.key(), self.implication_bound,
-                tuple(v.code for v in self.witness_family))
 
 
 def _join(*vs: Verdict) -> Verdict:
@@ -352,7 +348,7 @@ def _check_implies(e: Code, phi: Implies, env: dict, budget: CheckBudget) -> Ver
 # Witness synthesis
 
 
-_synth_memo: dict = {}
+_synth_memo: dict = table_memo()
 
 
 def _synth_eq(a: Code, b: Code, tr: Truncation, depth: int) -> tuple[Code | None, bool]:

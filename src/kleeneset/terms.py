@@ -9,8 +9,15 @@ function as a tag/payload pair (tag = unpair0(c), payload = unpair1(c)):
   tag 2   library entry: payload indexes the intern table built at import
           time (plus any lambdas compiled later in the run); entries are
           either plain application nodes or derived combinators with a
-          declared arity
+          declared arity.  A payload past the table is stuck until an
+          entry is registered at that index.
   tag 3+  stuck: decodes to a designated diverging term
+
+What a head code does is read from one table, HEADS: code -> (kind,
+body, arity, name) for every primitive and derived combinator; every
+code not in it is data.  Because appending an entry gives a stuck code
+a meaning, every memo whose answers depend on the table is made by
+table_memo() and cleared whenever the table grows.
 
 Literals need no tag: the number n used as data *is* n; used as a program
 it is whatever its tag says.  That dual reading is the whole point of a
@@ -33,9 +40,9 @@ from .pairing import Code, pair, unpair
 
 __all__ = [
     "Term", "Prim", "Lit", "Var", "App", "Lam", "RomRef", "Junk",
-    "PRIM_ORDER", "PRIM_ARITY", "prim_code", "PRIM_BY_CODE",
-    "TAG_APP", "TAG_PRIM", "TAG_ROM",
-    "mkapp", "mkapps", "app_view", "head_kind", "sc_arity", "sc_body",
+    "PRIM_ORDER", "PRIM_ARITY", "prim_code", "HEADS",
+    "TAG_APP", "TAG_PRIM", "TAG_ROM", "table_memo", "clear_caches",
+    "mkapp", "mkapps", "app_view",
     "encode", "decode", "free_vars", "UnboundVariableError",
     "bracket_abstract", "lambda_lift", "compile_lambda", "register_combinator",
     "rom_size", "A", "L", "V", "N",
@@ -120,7 +127,10 @@ TAG_PRIM = 1
 TAG_ROM = 2
 
 _PRIM_CODE = {name: pair(TAG_PRIM, i) for i, name in enumerate(PRIM_ORDER)}
-PRIM_BY_CODE = {c: name for name, c in _PRIM_CODE.items()}
+
+# head code -> (kind, body, arity, name), kind "prim" or "sc"
+HEADS: dict[Code, tuple] = {
+    c: ("prim", None, PRIM_ARITY[name], name) for name, c in _PRIM_CODE.items()}
 
 
 def prim_code(name: str) -> int:
@@ -131,15 +141,30 @@ def prim_code(name: str) -> int:
 # Intern table ("rom"): application nodes and derived combinators
 #
 # Entries:  ("node", f_code, a_code)        plain application node
-#           ("sc",  body_code, arity, name) derived combinator
+#           ("sc",  body_code, arity, name) derived combinator, also in HEADS
 #
 # Allocation order is deterministic: the library's own entries are created
 # in a fixed sequence at import time (see romlib), user compilations append
-# after that.  Codes already handed out never change meaning.
+# after that.  Codes inside the table never change meaning; the code just
+# past it does, when the next entry is appended.
 
 _rom: list[tuple] = []
 _node_index: dict[tuple, int] = {}
 _sc_index: dict[tuple, int] = {}
+_table_memos: list[dict] = []
+
+
+def table_memo() -> dict:
+    """A new memo table that is cleared whenever the intern table grows."""
+    memo: dict = {}
+    _table_memos.append(memo)
+    return memo
+
+
+def clear_caches() -> None:
+    """Empty every memo made by table_memo (the intern tables stay)."""
+    for memo in _table_memos:
+        memo.clear()
 
 
 def rom_size() -> int:
@@ -157,6 +182,7 @@ def _intern_node(f: Code, a: Code) -> int:
         return got
     code = _node_index[key] = _rom_code(len(_rom))
     _rom.append(("node", f, a))
+    clear_caches()
     return code
 
 
@@ -192,15 +218,10 @@ def register_combinator(term: Term, name: str = "") -> int:
     if got is not None:
         return got
     code = _sc_index[key] = _rom_code(len(_rom))
-    _rom.append(("sc", body_code, len(params), name))
+    entry = HEADS[code] = ("sc", body_code, len(params), name)
+    _rom.append(entry)
+    clear_caches()
     return code
-
-
-def _rom_entry(code: Code) -> tuple | None:
-    a, b = unpair(code)
-    if a == TAG_ROM and isinstance(b, int) and b < len(_rom):
-        return _rom[b]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -234,35 +255,9 @@ def app_view(code: Code) -> tuple[Code, Code] | None:
     return None
 
 
-def head_kind(code: Code) -> str:
-    """'prim' | 'sc' | 'app' | 'junk' for a non-application head."""
-    tag, payload = unpair(code)
-    if tag == TAG_PRIM and isinstance(payload, int) and payload < len(PRIM_ORDER):
-        return "prim"
-    if tag == TAG_APP:
-        return "app"
-    if tag == TAG_ROM and isinstance(payload, int) and payload < len(_rom):
-        return "app" if _rom[payload][0] == "node" else "sc"
-    return "junk"
-
-
-def sc_arity(code: Code) -> int:
-    e = _rom_entry(code)
-    assert e is not None and e[0] == "sc"
-    return e[2]
-
-
-def sc_body(code: Code) -> Code:
-    e = _rom_entry(code)
-    assert e is not None and e[0] == "sc"
-    return e[1]
-
-
 def sc_name(code: Code) -> str:
-    e = _rom_entry(code)
-    if e is not None and e[0] == "sc":
-        return e[3]
-    return ""
+    e = HEADS.get(code)
+    return e[3] if e is not None and e[0] == "sc" else ""
 
 
 # ---------------------------------------------------------------------------

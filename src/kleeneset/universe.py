@@ -29,6 +29,7 @@ from .machine import (
     DEFAULT_FUEL, DivergedError, OutOfFuelError, apply_raw,
 )
 from .pairing import Code, pair, unpair
+from .terms import table_memo
 
 __all__ = [
     "Verdict", "REALIZED", "REFUTED", "Truncation", "MalformedTypeError",
@@ -158,7 +159,7 @@ def _family_at(e: Code, k: Code, tr: Truncation, on_realized_index: bool) -> tup
         return "unknown", 0
 
 
-_din_memo: dict = {}
+_din_memo: dict = table_memo()
 
 
 def din(k: Code, t: Code, tr: Truncation = DEFAULT_TRUNCATION) -> Verdict:
@@ -272,7 +273,7 @@ def enumerate_index(t: Code, tr: Truncation) -> tuple[list[Code], bool]:
     return [], False
 
 
-_empty_memo: dict = {}
+_empty_memo: dict = table_memo()
 
 
 def provably_empty(t: Code, tr: Truncation, depth: int = 0) -> bool:

@@ -254,6 +254,7 @@ HOSTILE_INPUTS = {
     "code that is not a natural": lambda d: ("pca", "unpair", "abc"),
     "binding without a value": lambda d: ("check", "0", "(in a a)", "--bind", "a"),
     "term nested 3000 deep": lambda d: ("pca", "eval", "(app " * 3000 + "k" + " 1)" * 3000),
+    "set literal nested 3000 deep": lambda d: ("lworld", "encode", "{" * 3000 + "}" * 3000),
 }
 
 

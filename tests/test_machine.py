@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +18,7 @@ from kleeneset.terms import (
     A, L, Lam, Lit, N, PRIM_ARITY, PRIM_ORDER, Prim, V, app_view,
     bracket_abstract, compile_lambda, decode, encode, mkapp, mkapps,
     prim_code, rom_size, UnboundVariableError)
+from kleeneset.universe import NAT, din, fin, pi_code
 from kleeneset.vcodes import seq_encode, v_numeral
 
 
@@ -348,3 +353,33 @@ def test_machine_reads_head_codes_by_tag_and_payload():
     for code in (past, fresh):
         _assert_machine_reads(code)
     assert _read_head(fresh) == ("sc", 2)
+
+
+_GROWN_TABLE_SCRIPT = """
+from kleeneset import romlib as rom
+from kleeneset.machine import DivergedError, apply_raw
+from kleeneset.terms import A, L, Prim, V, compile_lambda, mkapp
+from kleeneset.universe import NAT, din, fin, pi_code
+code = compile_lambda(L("x", A(Prim("p"), V("x"), V("x"))))
+try:
+    value = apply_raw(code, 5)
+except DivergedError:
+    value = "diverged"
+print(value, din(code, pi_code(fin(1), mkapp(rom.K, NAT))).status)
+"""
+
+
+def test_outcomes_do_not_outlive_a_growth_of_the_library_table():
+    # the code just past the table is stuck until an entry lands there
+    code = pair(2, rom_size())
+    total_on_one = pi_code(fin(1), mkapp(rom.K, NAT))
+    with pytest.raises(DivergedError):
+        apply_raw(code, 5)
+    assert din(code, total_on_one).refuted
+    assert compile_lambda(L("x", A(Prim("p"), V("x"), V("x")))) == code
+    warm = f"{apply_raw(code, 5)} {din(code, total_on_one).status}"
+    src = str(Path(terms.__file__).resolve().parents[1])
+    cold = subprocess.run([sys.executable, "-c", _GROWN_TABLE_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True).stdout.strip()
+    assert warm == cold == f"{pair(5, 5)} realized"

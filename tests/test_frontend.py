@@ -276,6 +276,18 @@ def _readme_commands():
             for line in block.splitlines() if line.startswith("kleeneset ")]
 
 
+def test_readme_commands_print_the_pinned_json(tmp_path, monkeypatch):
+    """Each README command, run with --json, prints the pinned text."""
+    pinned = json.loads((Path(__file__).parent / "data" / "readme_json.json")
+                        .read_text(encoding="utf-8"))
+    monkeypatch.chdir(tmp_path)  # `diagonal build --out h.json` writes here
+    got = []
+    for argv in _readme_commands():
+        rc, out = run_cli(*argv, "--json")
+        got.append({"argv": argv, "exit": rc, "stdout": out})
+    assert got == pinned
+
+
 def test_cli_flags_sit_only_on_the_verbs_that_read_them():
     parser = build_parser()
     commands = _readme_commands()

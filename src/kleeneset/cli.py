@@ -64,7 +64,7 @@ def _read_json(path: str):
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _path_view(path: str | None) -> diag.PathView | None:
+def _path_view(path: str | None) -> diag.SeqCode | None:
     """The built path prefix saved by `diagonal build --out`, if given."""
     if path is None:
         return None
@@ -72,7 +72,7 @@ def _path_view(path: str | None) -> diag.PathView | None:
     comps = payload.get("components") if isinstance(payload, dict) else payload
     if not isinstance(comps, list):
         raise ValueError(f"{path} holds no list of path components")
-    return diag.PathView(comps)
+    return diag.SeqCode(comps)
 
 
 def _truncation(args) -> Truncation:

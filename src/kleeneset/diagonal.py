@@ -16,9 +16,8 @@ pair(j, n) making the last component disagree.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import romlib as rom
 from .machine import (
@@ -39,16 +38,65 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class SeqCode:
-    """A finite sequence of naturals together with its code."""
+    """A finite sequence of naturals together with the codes of its prefixes.
+
+    It also serves as the distinguished set of a truncation: the initial
+    segments of the path this sequence is a prefix of.  Segments inside
+    the prefix are decided, longer candidates that agree with the whole
+    prefix are beyond the truncation, everything else is out.  Each
+    prefix code is encoded the first time it is asked for and kept.
+    """
 
     components: tuple[int, ...]
+    _codes: dict[int, Code] = field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
 
-    @property
-    def code(self) -> Code:
-        return seq_encode(self.components)
+    def __post_init__(self):
+        comps = tuple(self.components)
+        for k, x in enumerate(comps):
+            if type(x) is not int or x < 0:
+                raise ValueError(f"sequence component {k} is not a natural: {x!r}")
+        object.__setattr__(self, "components", comps)
 
     def __len__(self) -> int:
         return len(self.components)
+
+    @property
+    def code(self) -> Code:
+        return self.segment_code(len(self.components))
+
+    @property
+    def cache_token(self) -> Code:
+        # equal sequences are equal paths, so verdict caches may share entries
+        return self.code
+
+    def segment_code(self, length: int) -> Code | None:
+        if not 0 <= length <= len(self.components):
+            return None
+        got = self._codes.get(length)
+        if got is None:
+            got = self._codes[length] = seq_encode(self.components[:length])
+        return got
+
+    def member_codes(self, segment_bound: int) -> list[Code]:
+        return [self.segment_code(n)
+                for n in range(min(segment_bound, len(self.components)) + 1)]
+
+    def membership(self, c: Code) -> str:
+        length = unpair(c)[0]
+        if not isinstance(length, int) or length > len(self.components) + 65536:
+            # too long to inspect: could extend the path past the prefix
+            return "beyond"
+        if length <= len(self.components):
+            return "member" if c == self.segment_code(length) else "nonmember"
+        comps = seq_decode(c)
+        if comps is None or any(not isinstance(x, int) for x in comps):
+            return "nonmember"  # not the canonical code of any sequence
+        agrees = tuple(comps[:len(self.components)]) == self.components
+        return "beyond" if agrees else "nonmember"
+
+
+PathView = SeqCode  # the older name of the path set, kept for its callers
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,61 +137,9 @@ class RequirementStatus:
     witness: int | None = None
 
 
-class PathView:
-    """Membership oracle for the set of initial segments of the path.
-
-    Backed by a finite prefix: segments inside the prefix are decided,
-    longer candidates that agree with the whole prefix are beyond the
-    truncation, everything else is out.
-    """
-
-    _serial = itertools.count()
-
-    def __init__(self, components):
-        self._comps = tuple(int(x) for x in components)
-        self._codes = [seq_encode(self._comps[:L])
-                       for L in range(len(self._comps) + 1)]
-        self._code_set = set(self._codes)
-        # distinct per instance and never reused, unlike id(): verdict
-        # caches key on it
-        self.cache_token = ("path", next(self._serial))
-
-    def prefix_length(self) -> int:
-        return len(self._comps)
-
-    def components(self) -> tuple[int, ...]:
-        return self._comps
-
-    def segment_code(self, length: int) -> Code | None:
-        if 0 <= length < len(self._codes):
-            return self._codes[length]
-        return None
-
-    def member_codes(self, segment_bound: int) -> list[Code]:
-        return self._codes[:min(segment_bound, len(self._comps)) + 1]
-
-    def membership(self, c: Code) -> str:
-        if c in self._code_set:
-            return "member"
-        length = unpair(c)[0]
-        if not isinstance(length, int) or length > len(self._comps) + 65536:
-            # too long to inspect: could extend the path past the prefix
-            return "beyond"
-        comps = seq_decode(c)
-        if comps is None or any(not isinstance(x, int) for x in comps):
-            return "nonmember"  # not the canonical code of any sequence
-        k = min(len(comps), len(self._comps))
-        if tuple(comps[:k]) != self._comps[:k]:
-            return "nonmember"
-        if len(comps) <= len(self._comps):
-            return "nonmember"  # equal prefixes would have hit the code set
-        return "beyond"
-
-
 def x_membership(t, h_prefix) -> str:
     """member | nonmember | beyond_truncation for a candidate code."""
-    view = h_prefix if isinstance(h_prefix, PathView) else PathView(
-        h_prefix.components if isinstance(h_prefix, SeqCode) else h_prefix)
+    view = h_prefix if isinstance(h_prefix, SeqCode) else SeqCode(h_prefix)
     status = view.membership(t.code if isinstance(t, SeqCode) else t)
     return "beyond_truncation" if status == "beyond" else status
 
@@ -172,8 +168,7 @@ def requirement_satisfied(t: SeqCode, r: Requirement,
     Only an undeclared machine running out of fuel leaves the answer
     open.
     """
-    comps = t.components
-    length = len(comps)
+    length = len(t)
     saw_unknown = False
     for n in range(max(r.i, r.j) + 1, math.isqrt(length) + 2):
         pin = pair(r.i, n)
@@ -182,13 +177,13 @@ def requirement_satisfied(t: SeqCode, r: Requirement,
             break
         if pin > length or pjn > length:
             continue
-        status, out = _run_machine(r.machine, seq_encode(comps[:pin]), fuel)
+        status, out = _run_machine(r.machine, t.segment_code(pin), fuel)
         if status in ("declared_exhausted", "diverged"):
             return RequirementStatus("yes", n)
         if status == "out_of_fuel":
             saw_unknown = True
             continue
-        if out != seq_encode(comps[:pjn]):
+        if out != t.segment_code(pjn):
             return RequirementStatus("yes", n)
     return RequirementStatus("unknown" if saw_unknown else "no", None)
 

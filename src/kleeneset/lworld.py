@@ -79,16 +79,18 @@ class HFSet:
 
 
 def _cmp(a: "HFSet", b: "HFSet") -> int:
-    if a is b:
-        return 0
-    if a._rank != b._rank:
-        return -1 if a._rank < b._rank else 1
-    if len(a.elems) != len(b.elems):
-        return -1 if len(a.elems) < len(b.elems) else 1
-    for x, y in zip(a.sorted_children(), b.sorted_children()):
-        if x is not y:
-            return _cmp(x, y)  # the first difference decides
-    raise AssertionError("distinct interned sets share their children")  # pragma: no cover
+    while a is not b:
+        if a._rank != b._rank:
+            return -1 if a._rank < b._rank else 1
+        if len(a.elems) != len(b.elems):
+            return -1 if len(a.elems) < len(b.elems) else 1
+        for x, y in zip(a.sorted_children(), b.sorted_children()):
+            if x is not y:
+                a, b = x, y  # the first difference decides
+                break
+        else:  # pragma: no cover
+            raise AssertionError("distinct interned sets share their children")
+    return 0
 
 
 _cmp_key = functools.cmp_to_key(_cmp)
@@ -120,7 +122,20 @@ def is_ordinal(x: HFSet) -> bool:
 
 
 def print_hf(x: HFSet) -> str:
-    return "{" + ",".join(print_hf(e) for e in x) + "}"
+    """The set literal, children in canonical order.  Each distinct
+    subset is printed once, bottom-up, so no depth exhausts the stack."""
+    text: dict[HFSet, str] = {}
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        if y in text:
+            continue
+        pending = [e for e in y.elems if e not in text]
+        if pending:
+            todo += [y] + pending
+        else:
+            text[y] = "{" + ",".join(text[e] for e in y) + "}"
+    return text[x]
 
 
 _MAX_NESTING = 100  # the s-expression reader's bound
@@ -423,7 +438,9 @@ def encode_sigma(s: HFSet, enumeration: Sequence[HFSet] | None = None) -> SigmaC
 
 
 def decode_sigma(code: SigmaCode) -> HFSet:
-    """Rebuild the coded set by recursion along the membership digraph."""
+    """Rebuild the coded set by well-founded recursion along the
+    membership digraph, run on an explicit stack of (index, members
+    still to visit), so no depth exhausts the host stack."""
     members: dict[int, list[int]] = {n: [] for n in code.u}
     for edge in code.sigma:
         m, n = unpair(edge)
@@ -435,18 +452,20 @@ def decode_sigma(code: SigmaCode) -> HFSet:
     if code.root not in code.u:
         raise ValueError("root index outside the index set")
     done: dict[int, HFSet] = {}
-    on_stack: set[int] = set()
-
-    def g(n: int) -> HFSet:
-        got = done.get(n)
-        if got is not None:
-            return got
-        if n in on_stack:
-            raise IllFoundedCodeError(f"index {n} depends on itself")
-        on_stack.add(n)
-        out = HFSet(g(m) for m in members[n])
-        on_stack.remove(n)
-        done[n] = out
-        return out
-
-    return g(code.root)
+    on_stack = {code.root}
+    frames = [(code.root, iter(members[code.root]))]
+    while frames:
+        n, rest = frames[-1]
+        for m in rest:
+            if m in done:
+                continue
+            if m in on_stack:
+                raise IllFoundedCodeError(f"index {m} depends on itself")
+            on_stack.add(m)
+            frames.append((m, iter(members[m])))
+            break
+        else:
+            frames.pop()
+            on_stack.remove(n)
+            done[n] = HFSet(done[m] for m in members[n])
+    return done[code.root]

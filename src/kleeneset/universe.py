@@ -97,10 +97,11 @@ class Truncation:
 
     segment_bound caps the length of distinguished-set members that get
     enumerated; nat_bound caps enumeration of the naturals; fuel bounds
-    every program run.  distinguished, when set, answers membership in
-    the distinguished type (the diagonal module provides one backed by a
-    built path prefix) and names its contents by a cache_token, which
-    the verdict caches key on.
+    every program run.  distinguished, when set, is the distinguished
+    type: a built path prefix (`diagonal.SeqCode`) that answers
+    `membership(c)`, lists `member_codes(segment_bound)`, gives the code
+    of each segment by `segment_code(length)`, and names its contents by
+    a `cache_token`, which the verdict caches key on.
     """
 
     segment_bound: int = 16

@@ -258,5 +258,5 @@ def f0_membership_realiser(i: int, k: int, tr: Truncation) -> Code:
     if seg is None:
         raise ValueError(
             f"path prefix too short: need a segment of length {m}, "
-            f"have {xs.prefix_length()} components")
+            f"have {len(xs)} components")
     return pair(m, pair(seg, rom.IOTA))

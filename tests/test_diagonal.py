@@ -1,16 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kleeneset import romlib as rom
+from kleeneset import diagonal, romlib as rom
 from kleeneset.diagonal import (
     CatalogueMachine, Requirement, SeqCode, build_h,
     default_catalogue, enumerate_requirements, extend_for_requirement,
     extract_g, impostor_report, requirement_satisfied, x_membership)
 from kleeneset.machine import DivergedError, OutOfFuelError, apply_raw
-from kleeneset.pairing import pair
+from kleeneset.pairing import pair, unpair
 from kleeneset.terms import L, N, compile_lambda
-from kleeneset.vcodes import seq_encode
+from kleeneset.vcodes import seq_decode, seq_encode
 
 
 def const_machine(values, bound=50_000):
@@ -224,3 +225,70 @@ def test_x_membership_on_uninspectable_codes(built_path):
     # a sane-length non-canonical code is provably out
     junky = pair(3, pair(pair(1, 1), pair(1, 7)))
     assert x_membership(junky, h) == "nonmember"
+
+
+# ---------------------------------------------------------------------------
+# SeqCode as the path set: prefix codes and membership
+
+
+def _membership_oracle(comps, c):
+    """The path-set reading, straight from the decoded candidate."""
+    length = unpair(c)[0]
+    if not isinstance(length, int) or length > len(comps) + 65536:
+        return "beyond"
+    got = seq_decode(c)
+    if got is None or any(not isinstance(x, int) for x in got):
+        return "nonmember"
+    if len(got) <= len(comps):
+        return "member" if tuple(got) == comps[:len(got)] else "nonmember"
+    return "beyond" if tuple(got[:len(comps)]) == comps else "nonmember"
+
+
+_COMPONENTS = st.lists(st.integers(min_value=0, max_value=40)
+                       | st.integers(min_value=0, max_value=2 ** 70), max_size=12)
+
+
+@given(_COMPONENTS, st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=4),
+       st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_seqcode_prefix_codes_and_membership(comps, others, tail):
+    comps = tuple(comps)
+    s = SeqCode(comps)
+    for n in range(len(comps) + 1):
+        assert s.segment_code(n) == seq_encode(comps[:n])
+    assert s.segment_code(len(comps) + 1) is None and s.segment_code(-1) is None
+    assert s.code == seq_encode(comps)
+    assert s.member_codes(3) == [seq_encode(comps[:n])
+                                 for n in range(min(3, len(comps)) + 1)]
+    candidates = [seq_encode(comps[:n]) for n in range(len(comps) + 1)]
+    for k in range(len(comps)):
+        bumped = list(comps)
+        bumped[k] += 1
+        candidates.append(seq_encode(bumped))
+    candidates += [seq_encode(comps + tuple(tail)), seq_encode(tail), pair(10 ** 9, 0)]
+    candidates += others
+    for c in candidates:
+        assert s.membership(c) == _membership_oracle(comps, c), c
+    twin = SeqCode(list(comps))
+    assert twin == s and hash(twin) == hash(s)
+    assert twin.cache_token == s.cache_token
+
+
+def test_seqcode_encodes_lazily_and_once(monkeypatch):
+    calls = []
+    def counting(xs):
+        calls.append(len(xs))
+        return seq_encode(xs)
+    monkeypatch.setattr(diagonal, "seq_encode", counting)
+    s = SeqCode(tuple(range(4000)))
+    assert calls == []  # a long --h-prefix file costs no encoding to load
+    assert s.membership(0) == "member"
+    assert s.segment_code(7) == seq_encode(range(7))
+    s.segment_code(7)
+    assert calls == [0, 7]
+
+
+@pytest.mark.parametrize("bad", [None, 1.5, "1", True, -1, [0]])
+def test_seqcode_rejects_components_that_are_not_naturals(bad):
+    with pytest.raises(ValueError):
+        SeqCode((0, bad, 1))

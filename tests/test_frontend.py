@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kleeneset import romlib as rom
+from kleeneset import lworld as lw, romlib as rom
 from kleeneset.cli import build_parser, main
 from kleeneset.realizability import BAll, Eq, In, Val, Var
 from kleeneset.sexpr import (
@@ -249,6 +249,12 @@ HOSTILE_INPUTS = {
         "diagonal", "build", "--catalogue", str(d / "missing.json")),
     "h-prefix without components": lambda d: (
         "universe", "din", "0", "2", "--h-prefix", _write(d / "h.json", {"stages": []})),
+    "h-prefix with a null component": lambda d: (
+        "universe", "din", "0", "2", "--h-prefix", _write(d / "h.json", [0, None, 1])),
+    "h-prefix with a 1.5 component": lambda d: (
+        "universe", "din", "0", "2", "--h-prefix", _write(d / "h.json", [0, 1.5])),
+    "h-prefix with a negative component": lambda d: (
+        "universe", "din", "0", "2", "--h-prefix", _write(d / "h.json", [0, -1])),
     "catalogue item without term": lambda d: (
         "diagonal", "build", "--catalogue", _write(d / "cat.json", [{"name": "copy"}])),
     "code that is not a natural": lambda d: ("pca", "unpair", "abc"),
@@ -265,6 +271,17 @@ def test_cli_hostile_input_is_one_line_and_exit_2(case, tmp_path, capsys):
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_cli_decodes_a_deep_singleton_chain():
+    chain = lw.EMPTY
+    for _ in range(1500):
+        chain = lw.HFSet([chain])
+    code = lw.encode_sigma(chain)
+    rc, out = run_cli("lworld", "decode", json.dumps(sorted(code.u)),
+                      json.dumps(sorted(code.sigma)))
+    assert rc == 0
+    assert out == "{" * 1501 + "}" * 1501 + "\n"
 
 
 def _readme_commands():

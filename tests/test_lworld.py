@@ -135,6 +135,31 @@ def test_decode_rejects_cycles():
         decode_sigma(SigmaCode(frozenset({0}), frozenset({0})))
 
 
+def _print_recursively(x):
+    return "{" + ",".join(_print_recursively(e) for e in x) + "}"
+
+
+def test_print_hf_keeps_the_canonical_child_order():
+    rng = random.Random(5)
+    sets = all_hf_up_to_rank(3) + [random_hf(rng, 6) for _ in range(30)]
+    for x in sets:
+        assert print_hf(x) == _print_recursively(x)
+
+
+def test_deep_sets_code_decode_and_print():
+    chain = EMPTY
+    for _ in range(1500):
+        chain = HFSet([chain])
+    assert decode_sigma(encode_sigma(chain)) is chain
+    assert print_hf(chain) == "{" * 1501 + "}" * 1501
+    # two chains of equal rank and size: comparing them walks 1500 levels
+    other = HFSet([EMPTY, hf_nat(1)])
+    for _ in range(1498):
+        other = HFSet([other])
+    both = HFSet([chain, other])
+    assert decode_sigma(encode_sigma(both)) is both
+
+
 def test_encode_rejects_bad_enumerations():
     s = HFSet([EMPTY, hf_nat(1)])
     with pytest.raises(ValueError):

@@ -43,10 +43,10 @@ def test_dist_membership(path_view):
     tr = Truncation(segment_bound=6, nat_bound=6, distinguished=path_view)
     empty_seg = path_view.segment_code(0)
     assert din(empty_seg, DIST, tr).realized
-    comps = list(path_view.components()[:3])
+    comps = list(path_view.components[:3])
     comps[-1] += 1
     assert din(seq_encode(comps), DIST, tr).refuted
-    longer = list(path_view.components()) + [0]
+    longer = list(path_view.components) + [0]
     assert din(seq_encode(longer), DIST, tr).unknown
 
 

@@ -17,25 +17,36 @@ value is materialized to its code exactly when a number-consuming
 primitive (sN pN d p p0 p1) or the caller looks at it, at which point
 it is the plain application-spine code pair(0, pair(f, a))-nested.
 
-Reduction is iterative (explicit frames, no host recursion), charging
-one fuel unit per combinator fire and per redex dispatch.  Running out
-of fuel means "not converged within budget", never "diverges".  The
-machine does notice some certainly-stuck states (applying a code with
-no program reading, the self-application spine of 0); those raise
+Reduction is iterative, with no host recursion: a stack of frames, each
+either an operand to apply the returned value to or a tuple tagged by a
+small int (the two halves of an s-fire and a memo write).  Fuel is
+part of the specification: one unit per redex dispatch when a run
+starts on a code whose own spine is a redex, and one per combinator
+fire; nothing else costs fuel.  The budget is counted down in a local
+and written back to the _Budget when the run ends, however it ends, so
+a budget shared by apply_chain sees every step.  Running out of fuel
+means "not converged within budget", never "diverges".  The machine
+does notice some certainly-stuck states (applying a code with no
+program reading, the self-application spine of 0); those raise
 DivergedError so callers like the membership checker can treat provable
 non-termination specially.
 
 What a head code does is one lookup in terms.HEADS per dispatch; a code
-not in it is data.  Value results are memoized.  A shared cache only
-ever turns out-of-fuel answers into values, never changes a value:
-Value outcomes are unique per (f, a) and stable under fuel increase, and
-the memos are cleared whenever the library table grows, since that
-gives a stuck tag-2 code a program reading.
+not in it is data.  Value results are memoized per application of a
+code to a code.  The memo is read before anything else is done with the
+application (a key is only ever written for an application that fires
+or is stuck, so a hit skips nothing a miss would do), written when the
+application returns a value, and marked diverged for every application
+still open when DivergedError is raised; running out of fuel leaves the
+open applications unrecorded.  A shared cache only ever turns
+out-of-fuel answers into values, never changes a value: Value outcomes
+are unique per (f, a) and stable under fuel increase, and the memos are
+cleared whenever the library table grows, since that gives a stuck
+tag-2 code a program reading.  tests/data/step_trace.json pins the
+steps charged, cold and warm, on a fixed corpus.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .pairing import Code, canon, pair, unpair
 from .terms import HEADS, app_view, clear_caches, mkapp, prim_code, table_memo
@@ -58,22 +69,20 @@ class DivergedError(Exception):
     """The machine reached a state it can prove never produces a value."""
 
 
-@dataclass(frozen=True, slots=True)
-class _Spine:
-    """Under-applied combinator: head code and symbolic argument values."""
+class _Spine(tuple):
+    """Under-applied combinator: (head code, tuple of symbolic argument values)."""
 
-    head: Code
-    args: tuple
+    __slots__ = ()
 
     def code(self) -> Code:
-        c = self.head
-        for a in self.args:
+        c, args = self
+        for a in args:
             c = mkapp(c, _code_of(a))
         return c
 
 
 def _code_of(v) -> Code:
-    return v.code() if isinstance(v, _Spine) else v
+    return v.code() if type(v) is _Spine else v
 
 
 _DIVERGED = object()
@@ -88,11 +97,6 @@ class _Budget:
         if steps <= 0:
             raise ValueError("fuel must be positive")
         self.left = steps
-
-    def step(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise OutOfFuelError
 
 
 _peel_memo: dict = table_memo()
@@ -120,146 +124,144 @@ def _peel(code: Code) -> tuple[Code, tuple]:
     return out
 
 
-def _machine(start_apply: tuple | None, start_eval: int | None,
+# Tags of the tuple frames; any other stack entry is an operand.
+_MEMO, _SA, _SB = 0, 1, 2
+
+
+def _machine(start_apply: tuple | None, start_eval: Code | None,
              budget: _Budget):
     """Run to a value (int or _Spine).
 
-    Frames: ("app2", x)  apply incoming value to x
-            ("sA", b, c) s-fire: got a*c, next b*c
-            ("sB", t1)   s-fire: got b*c, now t1*(b*c)
-            ("apmemo", key)  record the result of an application
+    Starts either by applying a value to a value (start_apply) or by
+    dispatching on a code's own spine (start_eval).  Frames:
+        x             an operand: apply the returned value to x
+        (_SA, b, c)   s a b c fired, a*c is running: next b*c
+        (_SB, t)      t = a*c, b*c is running: next t*(b*c)
+        (_MEMO, key)  record the value returned for the application key
     """
-    stack: list[tuple] = []
-    val = None
-    if start_apply is not None:
-        pending: tuple | None = start_apply
-        action = "ap"
-        ev_code = 0
-    else:
-        assert start_eval is not None
-        ev_code = start_eval
-        action = "ev"
-        pending = None
-
-    def fire(entry: tuple, full, self_value):
-        """-> ('ret', value) or ('ap', (f, a)) after stacking frames."""
-        budget.step()
-        kind, body, _, name = entry
-        if kind == "sc":
-            for extra in full[:0:-1]:
-                stack.append(("app2", extra))
-            return "ap", (body, full[0])
-        if name == "k":
-            return "ret", full[0]
-        if name == "sN":
-            n = _code_of(full[0])
-            return "ret", n + 1 if isinstance(n, int) else canon(n.value() + 1)
-        if name == "pN":
-            n = _code_of(full[0])
-            if not isinstance(n, int):
-                return "ret", canon(n.value() - 1)
-            return "ret", n - 1 if n > 0 else 0
-        if name == "d":
-            return "ret", full[0] if _code_of(full[2]) == _code_of(full[3]) else full[1]
-        if name == "p":
-            return "ret", pair(_code_of(full[0]), _code_of(full[1]))
-        if name == "p0":
-            return "ret", unpair(_code_of(full[0]))[0]
-        if name == "p1":
-            return "ret", unpair(_code_of(full[0]))[1]
-        if name == "s":
-            stack.append(("sA", full[1], full[2]))
-            return "ap", (full[0], full[2])
-        if name == "fix":
-            # self_value is the (fix f) spine: the program's own code
-            stack.append(("app2", full[1]))
-            return "ap", (full[0], self_value)
-        raise AssertionError(name)  # pragma: no cover
-
+    stack: list = []
+    push = stack.append
+    pop = stack.pop
+    memo = _apply_memo
+    memo_get = memo.get
+    peel_get = _peel_memo.get
+    heads_get = HEADS.get
+    left = budget.left
     try:
+        if start_apply is None:
+            head, args = _peel(start_eval)
+            entry = heads_get(head)
+            if entry is None or len(args) < entry[2]:
+                return start_eval  # data or an under-applied spine: a value as written
+            arity = entry[2]
+            left -= 1  # the dispatch; the fire is charged below
+            if left < 0:
+                raise OutOfFuelError
+            for extra in reversed(args[arity:]):
+                push(extra)
+            f = _Spine((head, args[:arity - 1]))
+            a = args[arity - 1]
+        else:
+            f, a = start_apply
         while True:
-            if action == "ev":
-                c = ev_code
-                head, args = _peel(c)
-                entry = HEADS.get(head)
-                if entry is None or len(args) < entry[2]:
-                    val = c  # data or an under-applied spine: a value as written
-                    action = "ret"
-                    continue
-                arity = entry[2]
-                budget.step()
-                for extra in args[arity:][::-1]:
-                    stack.append(("app2", extra))
-                fix_self = _Spine(head, (args[0],)) if args else None
-                action, out = fire(entry, args[:arity], fix_self)
-                if action == "ret":
-                    val = out
+            while True:  # apply f to a until a value is in val
+                if type(f) is _Spine:
+                    head, args = f
+                    key = None
                 else:
-                    pending = out
-                continue
-
-            if action == "ap":
-                vf, va = pending  # type: ignore[misc]
-                pending = None
-                if isinstance(vf, _Spine):
-                    head, args = vf.head, vf.args
-                else:
-                    head, args = _peel(vf)
-                entry = HEADS.get(head)
+                    if type(a) is _Spine:
+                        key = None
+                    else:
+                        key = (f, a)
+                        val = memo_get(key)
+                        if val is not None:
+                            if val is _DIVERGED:
+                                raise DivergedError(f)
+                            break
+                    got = peel_get(f)
+                    head, args = got if got is not None else _peel(f)
+                entry = heads_get(head)
                 if entry is None:  # data in head position is stuck
-                    if not isinstance(va, _Spine):
-                        _apply_memo[(vf, va)] = _DIVERGED
-                    raise DivergedError(vf)
-                arity = entry[2]
-                if len(args) + 1 < arity:
-                    val = _Spine(head, args + (va,))
-                    action = "ret"
-                    continue
-                key = (vf, va) if not isinstance(vf, _Spine) and not isinstance(va, _Spine) else None
+                    if key is not None:
+                        memo[key] = _DIVERGED
+                    raise DivergedError(f)
+                kind, body, arity, name = entry
+                n = len(args) + 1
+                if n < arity:
+                    val = _Spine((head, args + (a,)))
+                    break
                 if key is not None:
-                    memo = _apply_memo.get(key)
-                    if memo is not None:
-                        if memo is _DIVERGED:
-                            raise DivergedError(vf)
-                        val = memo
-                        action = "ret"
-                        continue
-                    stack.append(("apmemo", key))
-                full = list(args) + [va]
-                for extra in full[arity:][::-1]:
-                    stack.append(("app2", extra))
-                fix_self = vf if len(args) == 1 else _Spine(head, (full[0],))
-                action, out = fire(entry, full[:arity], fix_self)
-                if action == "ret":
-                    val = out
-                else:
-                    pending = out
-                continue
-
-            # action == "ret"
-            if not stack:
-                return val
-            frame = stack.pop()
-            kind = frame[0]
-            if kind == "app2":
-                pending = (val, frame[1])
-                action = "ap"
-            elif kind == "sA":
-                stack.append(("sB", val))
-                pending = (frame[1], frame[2])
-                action = "ap"
-            elif kind == "sB":
-                pending = (frame[1], val)
-                action = "ap"
-            elif kind == "apmemo":
-                _apply_memo[frame[1]] = val
-            else:  # pragma: no cover
-                raise AssertionError(kind)
+                    push((_MEMO, key))
+                if n > arity:  # over-applied code: stack the extra operands
+                    full = args + (a,)
+                    for extra in reversed(full[arity:]):
+                        push(extra)
+                    args = full[:arity - 1]
+                    a = full[arity - 1]
+                    f = _Spine((head, args))
+                left -= 1  # the fire
+                if left < 0:
+                    raise OutOfFuelError
+                if name == "s":
+                    push((_SA, args[1], a))
+                    f = args[0]
+                    continue
+                if name == "k":
+                    val = args[0]
+                elif kind == "sc":
+                    if args:
+                        push(a)
+                        for extra in args[:0:-1]:
+                            push(extra)
+                        a = args[0]
+                    f = body
+                    continue
+                elif name == "fix":  # f is the (fix g) spine: the program's own code
+                    push(a)
+                    f, a = args[0], f
+                    continue
+                elif name == "d":
+                    val = args[0] if _code_of(args[2]) == _code_of(a) else args[1]
+                elif name == "p":
+                    val = pair(_code_of(args[0]), _code_of(a))
+                elif name == "sN":
+                    a = _code_of(a)
+                    val = a + 1 if isinstance(a, int) else canon(a.value() + 1)
+                elif name == "pN":
+                    a = _code_of(a)
+                    if not isinstance(a, int):
+                        val = canon(a.value() - 1)
+                    else:
+                        val = a - 1 if a > 0 else 0
+                elif name == "p0":
+                    val = unpair(_code_of(a))[0]
+                else:  # p1
+                    val = unpair(_code_of(a))[1]
+                break
+            # return val to the frames below
+            while True:
+                if not stack:
+                    return val
+                frame = pop()
+                if type(frame) is not tuple:
+                    f, a = val, frame
+                    break
+                tag = frame[0]
+                if tag == _SA:
+                    push((_SB, val))
+                    f, a = frame[1], frame[2]
+                    break
+                if tag == _SB:
+                    f, a = frame[1], val
+                    break
+                memo[frame[1]] = val
     except DivergedError:
         for frame in stack:
-            if frame[0] == "apmemo":
-                _apply_memo[frame[1]] = _DIVERGED
+            if type(frame) is tuple and frame[0] == _MEMO:
+                memo[frame[1]] = _DIVERGED
         raise
+    finally:
+        budget.left = left
 
 
 def run_code(code: Code, fuel: Fuel = DEFAULT_FUEL) -> Code:

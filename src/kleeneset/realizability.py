@@ -351,33 +351,40 @@ def _check_implies(e: Code, phi: Implies, env: dict, budget: CheckBudget) -> Ver
 _synth_memo: dict = table_memo()
 
 
-def _synth_eq(a: Code, b: Code, tr: Truncation, depth: int) -> tuple[Code | None, bool]:
+def _synth_eq(a: Code, b: Code, tr: Truncation,
+              depth: int) -> tuple[Code | None, bool, bool]:
+    """(witness, decisive, clean) for a = b.  An answer is cached only
+    when clean, that is when no depth guard fired anywhere below it,
+    since a guarded answer depends on the depth of the call."""
     key = ("eq", a, b, tr.key())
     got = _synth_memo.get(key)
     if got is not None:
         return got
     if depth > 60:
-        return (None, False)
-    res: tuple[Code | None, bool]
+        return (None, False, False)
+    res: tuple[Code | None, bool, bool]
     if din(rom.IOTA, eq_code(a, b), tr).realized:
-        res = (rom.IOTA, True)
+        res = (rom.IOTA, True, True)
     elif provably_empty(eq_code(a, b), tr):
-        res = (None, True)
+        res = (None, True, True)
     else:
-        w1, d1 = _synth_subeq(a, b, tr, depth + 1)
-        w2, d2 = _synth_subeq(b, a, tr, depth + 1)
+        w1, d1, c1 = _synth_subeq(a, b, tr, depth + 1)
+        w2, d2, c2 = _synth_subeq(b, a, tr, depth + 1)
         if w1 is not None and w2 is not None:
-            res = (pair(w1, w2), True)
+            res = (pair(w1, w2), True, c1 and c2)
         elif (w1 is None and d1) or (w2 is None and d2):
-            res = (None, True)
+            res = (None, True, c1 and c2)
         else:
-            res = (None, False)
-    _synth_memo[key] = res
+            res = (None, False, c1 and c2)
+    if res[2]:
+        _synth_memo[key] = res
     return res
 
 
-def _synth_subeq(a: Code, b: Code, tr: Truncation, depth: int) -> tuple[Code | None, bool]:
-    """A program sending members of a to equal members of b, as a table."""
+def _synth_subeq(a: Code, b: Code, tr: Truncation,
+                 depth: int) -> tuple[Code | None, bool, bool]:
+    """A program sending members of a to equal members of b, as a table;
+    (witness, decisive, clean) as for _synth_eq."""
     key = ("sub", a, b, tr.key())
     got = _synth_memo.get(key)
     if got is not None:
@@ -385,9 +392,9 @@ def _synth_subeq(a: Code, b: Code, tr: Truncation, depth: int) -> tuple[Code | N
     view_a = type_view(index_type_of(a))
     view_b = type_view(index_type_of(b))
     if view_a.kind != "fin" or view_b.kind != "fin":
-        return (None, False)
+        return (None, False, True)
     table: list[Code] = []
-    decisive = True
+    decisive = clean = True
     res: tuple[Code | None, bool] | None = None
     for k in range(view_a.size):
         try:
@@ -402,7 +409,8 @@ def _synth_subeq(a: Code, b: Code, tr: Truncation, depth: int) -> tuple[Code | N
             except (OutOfFuelError, DivergedError):
                 decisive = False
                 continue
-            w, d = _synth_eq(ak, by, tr, depth + 1)
+            w, d, c = _synth_eq(ak, by, tr, depth + 1)
+            clean = clean and c
             if w is not None:
                 found = pair(y, w)
                 break
@@ -412,10 +420,10 @@ def _synth_subeq(a: Code, b: Code, tr: Truncation, depth: int) -> tuple[Code | N
             break
         table.append(found)
     if res is None:
-        code = mkapp(rom.ELEMOF, seq_encode(table)) if table else 0
-        res = (code, True)
-    _synth_memo[key] = res
-    return res
+        res = (mkapp(rom.ELEMOF, seq_encode(table)) if table else 0, True)
+    if clean:
+        _synth_memo[key] = res + (True,)
+    return res + (clean,)
 
 
 def find_realiser(phi: Formula, env: Mapping[str, VCode] | None = None,
@@ -439,7 +447,7 @@ def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Cod
     if isinstance(phi, Eq):
         a = resolve_term(phi.x, env)
         b = resolve_term(phi.y, env)
-        return _synth_eq(a.code, b.code, tr, depth)
+        return _synth_eq(a.code, b.code, tr, depth)[:2]
 
     if isinstance(phi, In):
         a = resolve_term(phi.x, env)
@@ -452,7 +460,7 @@ def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Cod
             except (OutOfFuelError, DivergedError):
                 decisive = False
                 continue
-            w, d = _synth_eq(a.code, elem, tr, depth + 1)
+            w, d, _ = _synth_eq(a.code, elem, tr, depth + 1)
             if w is not None:
                 return (pair(k, w), True)
             decisive = decisive and d

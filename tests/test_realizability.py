@@ -277,8 +277,22 @@ def test_synthesized_subset_witnesses_check_against_the_types():
         (v_numeral(1), v_finite([n[1]]), False),     # 0 is not a member of {1}
     ]
     for a, b, expect in cases:
-        w, decisive = _synth_subeq(a.code, b.code, TR, 0)
+        w, decisive, _ = _synth_subeq(a.code, b.code, TR, 0)
         assert decisive
         assert (w is not None) == expect, (a, b)
         if w is not None:
             assert din(w, subeq_code(a.code, b.code), TR).realized
+
+
+def test_synthesis_after_a_deep_call_matches_a_cold_call():
+    # under the depth guard the element comparisons of {0, 1} = {1, 0}
+    # come back undecided; no answer computed there may be cached
+    from kleeneset.machine import clear_caches
+    from kleeneset.realizability import _synth_eq
+    a, b = v_upair(N0, N1).code, v_upair(N1, N0).code
+    clear_caches()
+    cold = _synth_eq(a, b, TR, 0)[:2]
+    assert cold[0] is not None and cold[1]
+    clear_caches()
+    assert _synth_eq(a, b, TR, 60)[:2] == (None, False)
+    assert _synth_eq(a, b, TR, 0)[:2] == cold

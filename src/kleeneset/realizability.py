@@ -453,7 +453,7 @@ def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Cod
         a = resolve_term(phi.x, env)
         b = resolve_term(phi.y, env)
         members, complete = enumerate_index(b.index_type, tr)
-        decisive = complete
+        decisive = bool(complete)
         for k in members:
             try:
                 elem = elem_of(b, k, tr.fuel)
@@ -523,7 +523,7 @@ def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Cod
     if isinstance(phi, BEx):
         bound = resolve_term(phi.bound, env)
         members, complete = enumerate_index(bound.index_type, tr)
-        decisive = complete
+        decisive = bool(complete)
         for i in members:
             try:
                 elem = elem_of(bound, i, tr.fuel)

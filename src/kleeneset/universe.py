@@ -34,7 +34,7 @@ from .terms import table_memo
 __all__ = [
     "Verdict", "REALIZED", "REFUTED", "Truncation", "MalformedTypeError",
     "TypeView", "type_view", "din", "check_in_U", "check_in_V",
-    "enumerate_index", "provably_empty",
+    "enumerate_index", "provably_empty", "MAX_FIN_INDEX",
     "FIN0", "NAT", "DIST", "fin", "sigma_code", "pi_code",
 ]
 
@@ -171,6 +171,11 @@ def din(k: Code, t: Code, tr: Truncation = DEFAULT_TRUNCATION) -> Verdict:
 _MAX_DEPTH = 200
 _DEPTH_NOTE = "recursion depth bound hit"
 
+# A finite index type with more members than this is not listed: the
+# rules that would walk its members answer unknown instead.
+MAX_FIN_INDEX = 1 << 16
+_TOO_LARGE_NOTE = f"finite index type of more than {MAX_FIN_INDEX} members not enumerated"
+
 
 def _din(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
     memo_key = (k, t, tr.key())
@@ -221,7 +226,8 @@ def _din_raw(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
     # pi
     members, complete = enumerate_index(view.index, tr)
     saw_unknown = not complete
-    note = None if complete else "index type enumerated up to the truncation"
+    note = (None if complete else "index type enumerated up to the truncation"
+            if complete is False else _TOO_LARGE_NOTE)
     for k0 in members:
         st, ek = _family_at(view.family, k0, tr, on_realized_index=True)
         if st != "value":
@@ -246,10 +252,15 @@ def _din_raw(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
     return REALIZED
 
 
-def enumerate_index(t: Code, tr: Truncation) -> tuple[list[Code], bool]:
-    """Members of an index type up to the truncation, plus completeness."""
+def enumerate_index(t: Code, tr: Truncation) -> tuple[list[Code], bool | None]:
+    """Members of an index type up to the truncation, plus completeness:
+    True when every member is listed, False when the listing stops at the
+    truncation, None (as falsy as False) when a finite type of more than
+    MAX_FIN_INDEX members is in it and is not listed."""
     view = type_view(t)
     if view.kind == "fin":
+        if view.size > MAX_FIN_INDEX:
+            return [], None
         return list(range(view.size)), True
     if view.kind == "nat":
         return list(range(tr.nat_bound + 1)), False
@@ -358,6 +369,8 @@ def _family_walk(index: Code, family: Code, tr: Truncation, index_depth: int,
         if v.refuted:
             return REFUTED
         decided = decided and v.realized
+    if complete is None:
+        return unknown(_TOO_LARGE_NOTE)
     if not decided:
         return unknown(undecided_note)
     if not complete:

@@ -9,6 +9,7 @@ import pytest
 
 from kleeneset import lworld as lw, romlib as rom
 from kleeneset.cli import build_parser, main
+from kleeneset.pairing import pair
 from kleeneset.realizability import BAll, Eq, In, Val, Var
 from kleeneset.sexpr import (
     ParseError, parse_formula, parse_term, print_formula, print_term,
@@ -271,6 +272,21 @@ def test_cli_hostile_input_is_one_line_and_exit_2(case, tmp_path, capsys):
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+OVERSIZED_INPUTS = {  # well-formed, but too large to walk: an answer, not an error
+    "sigma over a finite type of 2**70 members": (
+        "universe", "check-u", str(pair(2, pair(pair(0, 2 ** 70), 0)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_INPUTS))
+def test_cli_oversized_input_is_answered(case, capsys):
+    rc = main(list(OVERSIZED_INPUTS[case]))
+    captured = capsys.readouterr()
+    assert rc in (0, 1)
+    assert "Traceback" not in captured.err
+    assert captured.out.startswith("unknown")
 
 
 def test_cli_decodes_a_deep_singleton_chain():

@@ -5,8 +5,8 @@ from kleeneset.machine import fixpoint
 from kleeneset.pairing import pair
 from kleeneset.terms import A, L, N, Prim, V, compile_lambda, mkapp
 from kleeneset.universe import (
-    DIST, NAT, MalformedTypeError, Truncation, check_in_U, check_in_V, din,
-    enumerate_index, fin, pi_code, provably_empty, sigma_code,
+    DIST, MAX_FIN_INDEX, NAT, MalformedTypeError, Truncation, check_in_U,
+    check_in_V, din, enumerate_index, fin, pi_code, provably_empty, sigma_code,
 )
 from kleeneset.vcodes import (
     seq_encode, v_finite, v_numeral, v_omega, v_opair, v_upair,
@@ -299,3 +299,21 @@ FORMATION_CASES = [
 def test_formation_rule_answers_are_pinned(name, check, build, tr, status, note):
     v = check(build(), tr)
     assert (v.status, v.note) == (status, note)
+
+
+def test_finite_index_types_past_the_cap_are_not_enumerated():
+    big = fin(MAX_FIN_INDEX + 1)
+    assert enumerate_index(big, TR) == ([], None)  # not listed at all
+    assert enumerate_index(fin(2 ** 70), TR) == ([], None)
+    to_nat = mkapp(rom.K, NAT)
+    for v in (check_in_U(sigma_code(fin(2 ** 70), 0), TR),
+              check_in_U(pi_code(big, to_nat), TR),
+              check_in_V(pair(big, 0), TR),
+              din(0, pi_code(big, to_nat), TR)):
+        assert v.unknown and "not enumerated" in v.note
+    assert not provably_empty(sigma_code(big, to_nat), TR)
+    # at the cap and below, the members are walked as before
+    assert enumerate_index(fin(MAX_FIN_INDEX), TR) == (list(range(MAX_FIN_INDEX)), True)
+    assert check_in_U(sigma_code(fin(3), to_nat), TR).realized
+    assert din(0, pi_code(fin(2), to_nat), TR).refuted
+    assert check_in_V(pair(fin(2), v_numeral(0).elem_map), TR).realized

@@ -96,7 +96,7 @@ class SeqCode:
         return "beyond" if agrees else "nonmember"
 
 
-PathView = SeqCode  # the older name of the path set, kept for its callers
+PathView = SeqCode  # the older name, kept only because bench/workloads.py builds D.PathView
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,7 +18,7 @@ def built_path(catalogue):
 @pytest.fixture(scope="session")
 def path_view(built_path):
     seq, _ = built_path
-    return diagonal.PathView(seq.components)
+    return diagonal.SeqCode(seq.components)
 
 
 @pytest.fixture(scope="session")

@@ -62,11 +62,11 @@ def code_from_json(j):
     return pair(code_from_json(j["pair"][0]), code_from_json(j["pair"][1]))
 
 
-def digest(c, _memo: dict | None = None) -> int | str:
+def digest(c) -> int | str:
     """A value code as itself when it fits 64 bits, else a structural hash."""
     if isinstance(c, int) and c.bit_length() <= 64:
         return c
-    memo = {} if _memo is None else _memo
+    memo: dict = {}
 
     def h(x) -> str:
         if isinstance(x, int):
@@ -215,7 +215,6 @@ def build() -> dict:
 
 def main(argv: list[str]) -> int:
     trace = build()
-    text = '{"calls": [\n' + ",\n".join(json.dumps(c) for c in trace["calls"]) + "\n]}\n"
     if "--check" in argv:
         old = json.loads(TRACE.read_text())
         if old == trace:
@@ -225,7 +224,7 @@ def main(argv: list[str]) -> int:
         print(f"{TRACE.name} differs: {len(old['calls'])} calls committed, "
               f"{len(trace['calls'])} made; first differing: {bad[:5]}")
         return 1
-    TRACE.write_text(text)
+    TRACE.write_text('{"calls": [\n' + ",\n".join(json.dumps(c) for c in trace["calls"]) + "\n]}\n")
     print(f"wrote {len(trace['calls'])} calls to {TRACE}")
     return 0
 

@@ -33,7 +33,7 @@ from .machine import (
 from .pairing import Code, pair, unpair
 from .terms import mkapp, table_memo
 from .universe import (
-    REALIZED, REFUTED, Truncation, Verdict, check_in_V, din,
+    MAX_FIN_INDEX, REALIZED, REFUTED, Truncation, Verdict, check_in_V, din,
     enumerate_index, provably_empty, type_view, unknown,
 )
 from .vcodes import (
@@ -391,7 +391,8 @@ def _synth_subeq(a: Code, b: Code, tr: Truncation,
         return got
     view_a = type_view(index_type_of(a))
     view_b = type_view(index_type_of(b))
-    if view_a.kind != "fin" or view_b.kind != "fin":
+    if (view_a.kind != "fin" or view_b.kind != "fin"
+            or max(view_a.size, view_b.size) > MAX_FIN_INDEX):
         return (None, False, True)
     table: list[Code] = []
     decisive = clean = True
@@ -577,7 +578,7 @@ def denote(v, tr: Truncation | None = None, _depth: int = 0) -> HFSet | None:
         return None
     code = as_code(v)
     view = type_view(index_type_of(code))
-    if view.kind != "fin":
+    if view.kind != "fin" or view.size > MAX_FIN_INDEX:
         return None
     out = []
     for k in range(view.size):

@@ -296,3 +296,13 @@ def test_synthesis_after_a_deep_call_matches_a_cold_call():
     clear_caches()
     assert _synth_eq(a, b, TR, 60)[:2] == (None, False)
     assert _synth_eq(a, b, TR, 0)[:2] == cold
+
+
+def test_sets_indexed_past_the_cap_are_out_of_reach():
+    # 2**70 copies of 0: not walked member by member, so no answer is found
+    from kleeneset.terms import mkapp
+    from kleeneset.universe import fin
+    a = VCode(pair(fin(2 ** 70), mkapp(rom.K, N0.code)))
+    assert denote(a) is None
+    assert find_realiser(Eq(Val(a), Val(N1)), {}, B) == (None, False)
+    assert formula_status(Eq(Val(a), Val(N1)), {}, B).unknown

@@ -362,23 +362,25 @@ def _synth_eq(a: Code, b: Code, tr: Truncation,
         return got
     if depth > 60:
         return (None, False, False)
-    res: tuple[Code | None, bool, bool]
+    res: tuple[Code | None, bool]
+    clean = True
     if din(rom.IOTA, eq_code(a, b), tr).realized:
-        res = (rom.IOTA, True, True)
+        res = (rom.IOTA, True)
     elif provably_empty(eq_code(a, b), tr):
-        res = (None, True, True)
+        res = (None, True)
     else:
         w1, d1, c1 = _synth_subeq(a, b, tr, depth + 1)
         w2, d2, c2 = _synth_subeq(b, a, tr, depth + 1)
+        clean = c1 and c2
         if w1 is not None and w2 is not None:
-            res = (pair(w1, w2), True, c1 and c2)
+            res = (pair(w1, w2), True)
         elif (w1 is None and d1) or (w2 is None and d2):
-            res = (None, True, c1 and c2)
+            res = (None, True)
         else:
-            res = (None, False, c1 and c2)
-    if res[2]:
-        _synth_memo[key] = res
-    return res
+            res = (None, False)
+    if clean:
+        _synth_memo[key] = res + (True,)
+    return res + (clean,)
 
 
 def _synth_subeq(a: Code, b: Code, tr: Truncation,
@@ -421,7 +423,8 @@ def _synth_subeq(a: Code, b: Code, tr: Truncation,
             break
         table.append(found)
     if res is None:
-        res = (mkapp(rom.ELEMOF, seq_encode(table)) if table else 0, True)
+        code = mkapp(rom.ELEMOF, seq_encode(table)) if table else 0
+        res = (code, True)
     if clean:
         _synth_memo[key] = res + (True,)
     return res + (clean,)

@@ -226,8 +226,9 @@ def _din_raw(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
     # pi
     members, complete = enumerate_index(view.index, tr)
     saw_unknown = not complete
-    note = (None if complete else "index type enumerated up to the truncation"
-            if complete is False else _TOO_LARGE_NOTE)
+    note = None if complete else "index type enumerated up to the truncation"
+    if complete is None:
+        note = _TOO_LARGE_NOTE
     for k0 in members:
         st, ek = _family_at(view.family, k0, tr, on_realized_index=True)
         if st != "value":

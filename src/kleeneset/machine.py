@@ -31,8 +31,9 @@ program reading, the self-application spine of 0); those raise
 DivergedError so callers like the membership checker can treat provable
 non-termination specially.
 
-What a head code does is one lookup in terms.HEADS per dispatch; a code
-not in it is data.  Value results are memoized per application of a
+What a head code does is one lookup in terms.HEADS, made when a spine
+is first peeled (the peel memo keeps it) and carried by the symbolic
+spines built on it; a code not in it is data.  Value results are memoized per application of a
 code to a code.  The memo is read before anything else is done with the
 application (a key is only ever written for an application that fires
 or is stuck, so a hit skips nothing a miss would do), written when the
@@ -70,12 +71,13 @@ class DivergedError(Exception):
 
 
 class _Spine(tuple):
-    """Under-applied combinator: (head code, tuple of symbolic argument values)."""
+    """Under-applied combinator: (head code, tuple of symbolic argument
+    values, the head's terms.HEADS entry)."""
 
     __slots__ = ()
 
     def code(self) -> Code:
-        c, args = self
+        c, args, _ = self
         for a in args:
             c = mkapp(c, _code_of(a))
         return c
@@ -102,8 +104,9 @@ class _Budget:
 _peel_memo: dict = table_memo()
 
 
-def _peel(code: Code) -> tuple[Code, tuple]:
-    """Head and operand codes of an application spine, outermost-last.
+def _peel(code: Code) -> tuple[Code, tuple, tuple | None]:
+    """Head and operand codes of an application spine, outermost-last,
+    and the head's terms.HEADS entry (None for data).
 
     The walk stops at the degenerate self-operator spine of 0, whose
     head is an application code and so data.  Memoized: operator spines
@@ -120,7 +123,7 @@ def _peel(code: Code) -> tuple[Code, tuple]:
             break
         args_rev.append(view[1])
         head = view[0]
-    out = _peel_memo[code] = (head, tuple(args_rev[::-1]))
+    out = _peel_memo[code] = (head, tuple(args_rev[::-1]), HEADS.get(head))
     return out
 
 
@@ -145,12 +148,10 @@ def _machine(start_apply: tuple | None, start_eval: Code | None,
     memo = _apply_memo
     memo_get = memo.get
     peel_get = _peel_memo.get
-    heads_get = HEADS.get
     left = budget.left
     try:
         if start_apply is None:
-            head, args = _peel(start_eval)
-            entry = heads_get(head)
+            head, args, entry = _peel(start_eval)
             if entry is None or len(args) < entry[2]:
                 return start_eval  # data or an under-applied spine: a value as written
             arity = entry[2]
@@ -159,14 +160,14 @@ def _machine(start_apply: tuple | None, start_eval: Code | None,
                 raise OutOfFuelError
             for extra in reversed(args[arity:]):
                 push(extra)
-            f = _Spine((head, args[:arity - 1]))
+            f = _Spine((head, args[:arity - 1], entry))
             a = args[arity - 1]
         else:
             f, a = start_apply
         while True:
             while True:  # apply f to a until a value is in val
                 if type(f) is _Spine:
-                    head, args = f
+                    head, args, entry = f
                     key = None
                 else:
                     if type(a) is _Spine:
@@ -179,8 +180,7 @@ def _machine(start_apply: tuple | None, start_eval: Code | None,
                                 raise DivergedError(f)
                             break
                     got = peel_get(f)
-                    head, args = got if got is not None else _peel(f)
-                entry = heads_get(head)
+                    head, args, entry = got if got is not None else _peel(f)
                 if entry is None:  # data in head position is stuck
                     if key is not None:
                         memo[key] = _DIVERGED
@@ -188,7 +188,7 @@ def _machine(start_apply: tuple | None, start_eval: Code | None,
                 kind, body, arity, name = entry
                 n = len(args) + 1
                 if n < arity:
-                    val = _Spine((head, args + (a,)))
+                    val = _Spine((head, args + (a,), entry))
                     break
                 if key is not None:
                     push((_MEMO, key))
@@ -198,7 +198,7 @@ def _machine(start_apply: tuple | None, start_eval: Code | None,
                         push(extra)
                     args = full[:arity - 1]
                     a = full[arity - 1]
-                    f = _Spine((head, args))
+                    f = _Spine((head, args, entry))
                 left -= 1  # the fire
                 if left < 0:
                     raise OutOfFuelError

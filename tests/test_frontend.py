@@ -9,11 +9,13 @@ import pytest
 
 from kleeneset import lworld as lw, romlib as rom
 from kleeneset.cli import build_parser, main
+from kleeneset.machine import fixpoint
+from kleeneset.pairing import code_value, pair
 from kleeneset.realizability import BAll, Eq, In, Val, Var
 from kleeneset.sexpr import (
     ParseError, parse_formula, parse_term, print_formula, print_term,
 )
-from kleeneset.terms import App, Lam, Lit, Prim, Var as TVar
+from kleeneset.terms import App, Lam, Lit, Prim, Var as TVar, mkapp, mkapps
 from kleeneset.universe import fin, sigma_code
 
 
@@ -281,6 +283,16 @@ def test_cli_answers_a_type_too_large_to_walk(capsys):
     assert rc in (0, 1)
     assert "Traceback" not in captured.err
     assert captured.out.startswith("unknown")
+
+
+def test_cli_answers_a_type_whose_family_returns_itself(capsys):
+    # e 0 = sigma(fin 1, e): every index type below the top is the top again
+    t = sigma_code(fin(1), fixpoint(
+        mkapps(rom.S, mkapp(rom.K, rom.K), mkapp(rom.SIGMA_PROG, fin(1)))))
+    rc = main(["universe", "check-v", str(code_value(pair(t, 0)))])
+    captured = capsys.readouterr()
+    assert rc in (0, 1)
+    assert "Traceback" not in captured.err
 
 
 def test_cli_decodes_a_deep_singleton_chain():

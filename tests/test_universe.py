@@ -3,7 +3,9 @@ import pytest
 from kleeneset import romlib as rom
 from kleeneset.machine import fixpoint
 from kleeneset.pairing import pair
-from kleeneset.terms import A, L, N, Prim, V, compile_lambda, mkapp
+from kleeneset.terms import (
+    A, L, N, Prim, V, clear_caches, compile_lambda, mkapp, mkapps,
+)
 from kleeneset.universe import (
     DIST, MAX_FIN_INDEX, NAT, MalformedTypeError, Truncation, check_in_U,
     check_in_V, din, enumerate_index, fin, pi_code, provably_empty, sigma_code,
@@ -317,3 +319,32 @@ def test_finite_index_types_past_the_cap_are_not_enumerated():
     assert check_in_U(sigma_code(fin(3), to_nat), TR).realized
     assert din(0, pi_code(fin(2), to_nat), TR).refuted
     assert check_in_V(pair(fin(2), v_numeral(0).elem_map), TR).realized
+
+
+def test_din_answers_the_same_cold_and_after_a_deeper_call():
+    # T[n] = sigma(fin 1, K T[n-1]) holds k[n] = <0, k[n-1]>; the chain of
+    # 250 runs into the depth guard, the chain of 150 does not
+    types, members = [fin(1)], [0]
+    for _ in range(250):
+        types.append(sigma_code(fin(1), mkapp(rom.K, types[-1])))
+        members.append(pair(0, members[-1]))
+    clear_caches()
+    cold = din(members[150], types[150], TR)
+    assert cold.realized
+    clear_caches()
+    din(members[250], types[250], TR)
+    assert din(members[150], types[150], TR) == cold
+
+
+def self_reproducing_index_type():
+    """sigma(fin 1, e) with e 0 = the type itself: e = fix (S (K K) (sigma (fin 1)))."""
+    return sigma_code(fin(1), fixpoint(
+        mkapps(rom.S, mkapp(rom.K, rom.K), mkapp(rom.SIGMA_PROG, fin(1)))))
+
+
+def test_a_type_whose_family_returns_itself_gets_answers():
+    t = self_reproducing_index_type()
+    assert enumerate_index(t, TR) == ([], False)
+    assert din(0, pi_code(t, 0), TR).unknown
+    assert check_in_U(t, TR).unknown
+    assert check_in_V(pair(t, 0), TR).unknown

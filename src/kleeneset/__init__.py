@@ -35,7 +35,7 @@ from .terms import bracket_abstract, compile_lambda, decode, encode
 from .universe import Truncation, Verdict, check_in_U, check_in_V, din
 from .vcodes import (
     VCode, alpha0, eq_type, f0_membership_realiser, internal_pair_fn,
-    subeq_type, v_finite, v_numeral, v_omega, v_opair, v_upair,
+    v_finite, v_numeral, v_omega, v_opair, v_upair,
 )
 
 __version__ = "0.1.0"
@@ -46,7 +46,7 @@ __all__ = [
     "bracket_abstract", "compile_lambda", "encode", "decode",
     "din", "check_in_U", "check_in_V", "Truncation", "Verdict",
     "VCode", "v_numeral", "v_omega", "v_upair", "v_opair", "v_finite",
-    "eq_type", "subeq_type", "internal_pair_fn", "alpha0",
+    "eq_type", "internal_pair_fn", "alpha0",
     "f0_membership_realiser",
     "check", "CheckBudget", "formula_status", "find_realiser",
     "subcountability_witness", "incomparability_statement_realiser",

@@ -202,7 +202,12 @@ def _cmd_check(args) -> int:
         if not spec:
             raise ValueError(f"--bind needs name=value, got {binding!r}")
         env[name] = _vcode_spec(spec)
-    realiser = _eval_term(sexpr.parse_term(args.realiser), args.fuel)
+    try:
+        realiser = _eval_term(sexpr.parse_term(args.realiser), args.fuel)
+    except OutOfFuelError:
+        raise ValueError(f"the realiser ran out of fuel ({args.fuel} steps)") from None
+    except DivergedError:
+        raise ValueError("the realiser diverges") from None
     phi = sexpr.parse_formula(args.formula)
     budget = rz.CheckBudget(truncation=tr, implication_bound=args.implication_bound)
     v = rz.check(realiser, phi, env, budget)

@@ -33,8 +33,8 @@ from .machine import (
 from .pairing import Code, pair, unpair
 from .terms import mkapp, table_memo
 from .universe import (
-    MAX_FIN_INDEX, REALIZED, REFUTED, Truncation, Verdict, check_in_V, din,
-    enumerate_index, provably_empty, type_view, unknown,
+    GUARD_HITS, MAX_FIN_INDEX, REALIZED, REFUTED, Truncation, Verdict,
+    check_in_V, din, enumerate_index, provably_empty, type_view, unknown,
 )
 from .vcodes import (
     VCode, as_code, elem_of, eq_code, f0_vcode, index_type_of, seq_encode,
@@ -352,41 +352,38 @@ _synth_memo: dict = table_memo()
 
 
 def _synth_eq(a: Code, b: Code, tr: Truncation,
-              depth: int) -> tuple[Code | None, bool, bool]:
-    """(witness, decisive, clean) for a = b.  An answer is cached only
-    when clean, that is when no depth guard fired anywhere below it,
-    since a guarded answer depends on the depth of the call."""
+              depth: int) -> tuple[Code | None, bool]:
+    """(witness, decisive) for a = b."""
     key = ("eq", a, b, tr.key())
     got = _synth_memo.get(key)
     if got is not None:
         return got
     if depth > 60:
-        return (None, False, False)
-    res: tuple[Code | None, bool]
-    clean = True
+        GUARD_HITS[0] += 1
+        return (None, False)
+    hits = GUARD_HITS[0]
     if din(rom.IOTA, eq_code(a, b), tr).realized:
         res = (rom.IOTA, True)
     elif provably_empty(eq_code(a, b), tr):
         res = (None, True)
     else:
-        w1, d1, c1 = _synth_subeq(a, b, tr, depth + 1)
-        w2, d2, c2 = _synth_subeq(b, a, tr, depth + 1)
-        clean = c1 and c2
+        w1, d1 = _synth_subeq(a, b, tr, depth + 1)
+        w2, d2 = _synth_subeq(b, a, tr, depth + 1)
         if w1 is not None and w2 is not None:
             res = (pair(w1, w2), True)
         elif (w1 is None and d1) or (w2 is None and d2):
             res = (None, True)
         else:
             res = (None, False)
-    if clean:
-        _synth_memo[key] = res + (True,)
-    return res + (clean,)
+    if GUARD_HITS[0] == hits:
+        _synth_memo[key] = res
+    return res
 
 
 def _synth_subeq(a: Code, b: Code, tr: Truncation,
-                 depth: int) -> tuple[Code | None, bool, bool]:
+                 depth: int) -> tuple[Code | None, bool]:
     """A program sending members of a to equal members of b, as a table;
-    (witness, decisive, clean) as for _synth_eq."""
+    (witness, decisive) as for _synth_eq."""
     key = ("sub", a, b, tr.key())
     got = _synth_memo.get(key)
     if got is not None:
@@ -395,9 +392,10 @@ def _synth_subeq(a: Code, b: Code, tr: Truncation,
     view_b = type_view(index_type_of(b))
     if (view_a.kind != "fin" or view_b.kind != "fin"
             or max(view_a.size, view_b.size) > MAX_FIN_INDEX):
-        return (None, False, True)
+        return (None, False)
+    hits = GUARD_HITS[0]
     table: list[Code] = []
-    decisive = clean = True
+    decisive = True
     res: tuple[Code | None, bool] | None = None
     for k in range(view_a.size):
         try:
@@ -412,8 +410,7 @@ def _synth_subeq(a: Code, b: Code, tr: Truncation,
             except (OutOfFuelError, DivergedError):
                 decisive = False
                 continue
-            w, d, c = _synth_eq(ak, by, tr, depth + 1)
-            clean = clean and c
+            w, d = _synth_eq(ak, by, tr, depth + 1)
             if w is not None:
                 found = pair(y, w)
                 break
@@ -425,9 +422,9 @@ def _synth_subeq(a: Code, b: Code, tr: Truncation,
     if res is None:
         code = mkapp(rom.ELEMOF, seq_encode(table)) if table else 0
         res = (code, True)
-    if clean:
-        _synth_memo[key] = res + (True,)
-    return res + (clean,)
+    if GUARD_HITS[0] == hits:
+        _synth_memo[key] = res
+    return res
 
 
 def find_realiser(phi: Formula, env: Mapping[str, VCode] | None = None,
@@ -446,12 +443,13 @@ def find_realiser(phi: Formula, env: Mapping[str, VCode] | None = None,
 def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Code | None, bool]:
     tr = budget.truncation
     if depth > 40:
+        GUARD_HITS[0] += 1
         return (None, False)
 
     if isinstance(phi, Eq):
         a = resolve_term(phi.x, env)
         b = resolve_term(phi.y, env)
-        return _synth_eq(a.code, b.code, tr, depth)[:2]
+        return _synth_eq(a.code, b.code, tr, depth)
 
     if isinstance(phi, In):
         a = resolve_term(phi.x, env)
@@ -464,7 +462,7 @@ def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Cod
             except (OutOfFuelError, DivergedError):
                 decisive = False
                 continue
-            w, d, _ = _synth_eq(a.code, elem, tr, depth + 1)
+            w, d = _synth_eq(a.code, elem, tr, depth + 1)
             if w is not None:
                 return (pair(k, w), True)
             decisive = decisive and d
@@ -578,6 +576,7 @@ def denote(v, tr: Truncation | None = None, _depth: int = 0) -> HFSet | None:
     """The hereditarily finite set a finite-indexed code stands for."""
     tr = tr or Truncation()
     if _depth > 40:
+        GUARD_HITS[0] += 1
         return None
     code = as_code(v)
     view = type_view(index_type_of(code))

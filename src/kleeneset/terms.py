@@ -255,11 +255,6 @@ def app_view(code: Code) -> tuple[Code, Code] | None:
     return None
 
 
-def sc_name(code: Code) -> str:
-    e = HEADS.get(code)
-    return e[3] if e is not None and e[0] == "sc" else ""
-
-
 # ---------------------------------------------------------------------------
 # encode / decode
 

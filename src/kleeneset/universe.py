@@ -18,6 +18,12 @@ Realized (only refutable), which keeps every Realized verdict sound.
 check_in_U and check_in_V read one formation rule, as sets are indexed
 families: an index type in U plus a family converging to a good member
 (a type, or a set) at every index.
+
+Every recursive decider here and in realizability stops at a depth guard
+and then answers as if undecided.  Such an answer depends on the depth of
+the call, so one rule keeps it out of the memos: each guard that fires
+bumps GUARD_HITS, and a memoized decider stores an answer only when the
+count did not move while it computed that answer.
 """
 
 from __future__ import annotations
@@ -143,21 +149,21 @@ def type_view(t: Code) -> TypeView:
     return TypeView("invalid")
 
 
-def _family_at(e: Code, k: Code, tr: Truncation, on_realized_index: bool) -> tuple[str, Code]:
-    """Apply a family program; ('value', code) | ('unknown', 0).
+def _family_at(e: Code, k: Code, tr: Truncation, on_realized_index: bool) -> Code | None:
+    """Apply a family program; None when it does not converge.
 
     A provably diverging family on an index that is certainly inhabited
     is a malformed type, not an unknown.
     """
     try:
-        return "value", apply_raw(e, k, tr.fuel)
+        return apply_raw(e, k, tr.fuel)
     except OutOfFuelError:
-        return "unknown", 0
+        return None
     except DivergedError:
         if on_realized_index:
             raise MalformedTypeError(
                 f"family {e!r} diverges on index {k!r}") from None
-        return "unknown", 0
+        return None
 
 
 _din_memo: dict = table_memo()
@@ -170,6 +176,9 @@ def din(k: Code, t: Code, tr: Truncation = DEFAULT_TRUNCATION) -> Verdict:
 
 _MAX_DEPTH = 200
 _DEPTH_NOTE = "recursion depth bound hit"
+# The count of depth-guard hits (see the module docstring), one element
+# so that realizability's guards bump the same count.
+GUARD_HITS = [0]
 
 # A finite index type with more members than this is not listed: the
 # rules that would walk its members answer unknown instead.
@@ -182,14 +191,16 @@ def _din(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
     got = _din_memo.get(memo_key)
     if got is not None:
         return got
+    hits = GUARD_HITS[0]
     v = _din_raw(k, t, tr, depth)
-    if v.note != _DEPTH_NOTE:  # depth-guard answers depend on the call site
+    if GUARD_HITS[0] == hits:
         _din_memo[memo_key] = v
     return v
 
 
 def _din_raw(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
     if depth > _MAX_DEPTH:
+        GUARD_HITS[0] += 1
         return unknown(_DEPTH_NOTE)
     view = type_view(t)
     if view.kind == "invalid":
@@ -213,8 +224,8 @@ def _din_raw(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
         v0 = _din(k0, view.index, tr, depth + 1)
         if v0.refuted:
             return REFUTED  # first disjunct of the non-membership rule
-        st, ek = _family_at(view.family, k0, tr, on_realized_index=v0.realized)
-        if st != "value":
+        ek = _family_at(view.family, k0, tr, on_realized_index=v0.realized)
+        if ek is None:
             return unknown("family application exhausted fuel")
         v1 = _din(u, ek, tr, depth + 1)
         if v1.refuted:
@@ -230,8 +241,8 @@ def _din_raw(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
     if complete is None:
         note = _TOO_LARGE_NOTE
     for k0 in members:
-        st, ek = _family_at(view.family, k0, tr, on_realized_index=True)
-        if st != "value":
+        ek = _family_at(view.family, k0, tr, on_realized_index=True)
+        if ek is None:
             saw_unknown = True
             continue
         if provably_empty(ek, tr, depth + 1):
@@ -253,11 +264,16 @@ def _din_raw(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
     return REALIZED
 
 
-def enumerate_index(t: Code, tr: Truncation) -> tuple[list[Code], bool | None]:
+def enumerate_index(t: Code, tr: Truncation,
+                    _depth: int = 0) -> tuple[list[Code], bool | None]:
     """Members of an index type up to the truncation, plus completeness:
     True when every member is listed, False when the listing stops at the
-    truncation, None (as falsy as False) when a finite type of more than
-    MAX_FIN_INDEX members is in it and is not listed."""
+    truncation or at the depth guard, None (as falsy as False) when a
+    finite type of more than MAX_FIN_INDEX members is in it and is not
+    listed."""
+    if _depth > _MAX_DEPTH:
+        GUARD_HITS[0] += 1
+        return [], False
     view = type_view(t)
     if view.kind == "fin":
         if view.size > MAX_FIN_INDEX:
@@ -271,15 +287,15 @@ def enumerate_index(t: Code, tr: Truncation) -> tuple[list[Code], bool | None]:
             return [], False
         return list(xs.member_codes(tr.segment_bound)), False
     if view.kind == "sigma":
-        base, base_complete = enumerate_index(view.index, tr)
+        base, base_complete = enumerate_index(view.index, tr, _depth + 1)
         out: list[Code] = []
         complete = base_complete
         for k0 in base:
-            st, ek = _family_at(view.family, k0, tr, on_realized_index=False)
-            if st != "value":
+            ek = _family_at(view.family, k0, tr, on_realized_index=False)
+            if ek is None:
                 complete = False
                 continue
-            sub, sub_complete = enumerate_index(ek, tr)
+            sub, sub_complete = enumerate_index(ek, tr, _depth + 1)
             complete = complete and sub_complete
             out.extend(pair(k0, u) for u in sub)
         return out, complete
@@ -291,60 +307,45 @@ _empty_memo: dict = table_memo()
 
 def provably_empty(t: Code, tr: Truncation, depth: int = 0) -> bool:
     """True only when no natural can be a member of t."""
-    return _provably_empty(t, tr, depth)[0]
-
-
-def _provably_empty(t: Code, tr: Truncation, depth: int) -> tuple[bool, bool]:
-    """(emptiness, clean); a result is cached only when no depth guard
-    fired anywhere below it, since guarded answers depend on the call site."""
     key = (t, tr.key())
     got = _empty_memo.get(key)
     if got is not None:
-        return got, True
+        return got
     if depth > 40:
-        return False, False
-    result, clean = _provably_empty_raw(t, tr, depth)
-    if clean:
+        GUARD_HITS[0] += 1
+        return False
+    hits = GUARD_HITS[0]
+    result = _provably_empty_raw(t, tr, depth)
+    if GUARD_HITS[0] == hits:
         _empty_memo[key] = result
-    return result, clean
+    return result
 
 
-def _provably_empty_raw(t: Code, tr: Truncation, depth: int) -> tuple[bool, bool]:
+def _provably_empty_raw(t: Code, tr: Truncation, depth: int) -> bool:
     view = type_view(t)
     if view.kind == "fin":
-        return view.size == 0, True
+        return view.size == 0
     if view.kind in ("nat", "dist"):
-        return False, True  # the empty sequence always codes a path member
+        return False  # the empty sequence always codes a path member
     if view.kind == "invalid":
-        return False, True
+        return False
     members, complete = enumerate_index(view.index, tr)
     if view.kind == "sigma":
-        idx_empty, idx_clean = _provably_empty(view.index, tr, depth + 1)
-        if idx_empty:
-            return True, idx_clean
+        if provably_empty(view.index, tr, depth + 1):
+            return True
         if not complete:
-            return False, True
-        clean = idx_clean
+            return False
         for k0 in members:
-            st, ek = _family_at(view.family, k0, tr, on_realized_index=False)
-            if st != "value":
-                return False, clean
-            sub_empty, sub_clean = _provably_empty(ek, tr, depth + 1)
-            clean = clean and sub_clean
-            if not sub_empty:
-                return False, clean
-        return bool(members), clean
+            ek = _family_at(view.family, k0, tr, on_realized_index=False)
+            if ek is None or not provably_empty(ek, tr, depth + 1):
+                return False
+        return bool(members)
     # pi: empty when some certainly-inhabited index maps to an empty target
-    clean = True
     for k0 in members:
-        st, ek = _family_at(view.family, k0, tr, on_realized_index=False)
-        if st != "value":
-            continue
-        sub_empty, sub_clean = _provably_empty(ek, tr, depth + 1)
-        clean = clean and sub_clean
-        if sub_empty:
-            return True, sub_clean
-    return False, clean
+        ek = _family_at(view.family, k0, tr, on_realized_index=False)
+        if ek is not None and provably_empty(ek, tr, depth + 1):
+            return True
+    return False
 
 
 def _family_walk(index: Code, family: Code, tr: Truncation, index_depth: int,
@@ -382,6 +383,7 @@ def _family_walk(index: Code, family: Code, tr: Truncation, index_depth: int,
 def check_in_U(t: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
     """Is t a well-formed type code (member of the type universe)?"""
     if _depth > _MAX_DEPTH:
+        GUARD_HITS[0] += 1
         return unknown(_DEPTH_NOTE)
     view = type_view(t)
     if view.kind == "invalid":
@@ -397,6 +399,7 @@ def check_in_U(t: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) ->
 def check_in_V(a: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
     """Is a a well-formed set code (index type plus element map)?"""
     if _depth > _MAX_DEPTH:
+        GUARD_HITS[0] += 1
         return unknown(_DEPTH_NOTE)
     n, e = unpair(a)
     return _family_walk(n, e, tr, 0, lambda c: check_in_V(c, tr, _depth + 1),

@@ -27,7 +27,7 @@ __all__ = [
     "VCode", "EqType", "as_code",
     "v_numeral", "v_omega", "v_upair", "v_opair", "v_finite",
     "elem_of", "index_type_of",
-    "subeq_code", "eq_code", "eq_type", "subeq_type",
+    "subeq_code", "eq_code", "eq_type",
     "subeq_code_via_machine", "eq_code_via_machine",
     "internal_pair_fn", "pair_graph_elem", "alpha0",
     "f0_vcode", "f0_membership_type", "f0_membership_realiser",
@@ -48,9 +48,6 @@ class VCode:
     @property
     def elem_map(self) -> Code:
         return unpair1(self.code)
-
-    def elem(self, k: Code, fuel: int = DEFAULT_FUEL) -> "VCode":
-        return VCode(apply_raw(self.elem_map, k, fuel))
 
 
 def as_code(v) -> Code:
@@ -192,10 +189,6 @@ def eq_code_via_machine(a: Code, b: Code, fuel: int = DEFAULT_FUEL) -> Code:
 def eq_type(a, b) -> EqType:
     av, bv = VCode(as_code(a)), VCode(as_code(b))
     return EqType(av, bv, eq_code(av.code, bv.code))
-
-
-def subeq_type(a, b) -> Code:
-    return subeq_code(as_code(a), as_code(b))
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,10 @@ HOSTILE_INPUTS = {
         "diagonal", "build", "--catalogue", _write(d / "cat.json", [{"name": "copy"}])),
     "code that is not a natural": lambda d: ("pca", "unpair", "abc"),
     "binding without a value": lambda d: ("check", "0", "(in a a)", "--bind", "a"),
+    "check realiser that diverges": lambda d: ("check", "(app 0 0)", "(= omega omega)"),
+    "check realiser out of fuel": lambda d: (
+        "check", "(app (lam x (app x x)) (lam x (app x x)))", "(= omega omega)",
+        "--fuel", "1000"),
     "term nested 3000 deep": lambda d: ("pca", "eval", "(app " * 3000 + "k" + " 1)" * 3000),
     "set literal nested 3000 deep": lambda d: ("lworld", "encode", "{" * 3000 + "}" * 3000),
 }

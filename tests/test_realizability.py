@@ -277,7 +277,7 @@ def test_synthesized_subset_witnesses_check_against_the_types():
         (v_numeral(1), v_finite([n[1]]), False),     # 0 is not a member of {1}
     ]
     for a, b, expect in cases:
-        w, decisive, _ = _synth_subeq(a.code, b.code, TR, 0)
+        w, decisive = _synth_subeq(a.code, b.code, TR, 0)
         assert decisive
         assert (w is not None) == expect, (a, b)
         if w is not None:

@@ -336,14 +336,10 @@ def test_din_answers_the_same_cold_and_after_a_deeper_call():
     assert din(members[150], types[150], TR) == cold
 
 
-def self_reproducing_index_type():
-    """sigma(fin 1, e) with e 0 = the type itself: e = fix (S (K K) (sigma (fin 1)))."""
-    return sigma_code(fin(1), fixpoint(
-        mkapps(rom.S, mkapp(rom.K, rom.K), mkapp(rom.SIGMA_PROG, fin(1)))))
-
-
 def test_a_type_whose_family_returns_itself_gets_answers():
-    t = self_reproducing_index_type()
+    # e 0 = sigma(fin 1, e) for e = fix (S (K K) (sigma (fin 1)))
+    t = sigma_code(fin(1), fixpoint(
+        mkapps(rom.S, mkapp(rom.K, rom.K), mkapp(rom.SIGMA_PROG, fin(1)))))
     assert enumerate_index(t, TR) == ([], False)
     assert din(0, pi_code(t, 0), TR).unknown
     assert check_in_U(t, TR).unknown

@@ -18,7 +18,7 @@ from kleeneset.terms import (
     A, L, Lam, Lit, N, PRIM_ARITY, PRIM_ORDER, Prim, V, app_view,
     bracket_abstract, compile_lambda, decode, encode, mkapp, mkapps,
     prim_code, rom_size, UnboundVariableError)
-from kleeneset.universe import NAT, din, fin, pi_code
+from kleeneset.universe import NAT, check_in_U, din, fin, pi_code, sigma_code
 from kleeneset.vcodes import seq_encode, v_numeral
 
 
@@ -359,13 +359,14 @@ _GROWN_TABLE_SCRIPT = """
 from kleeneset import romlib as rom
 from kleeneset.machine import DivergedError, apply_raw
 from kleeneset.terms import A, L, Prim, V, compile_lambda, mkapp
-from kleeneset.universe import NAT, din, fin, pi_code
+from kleeneset.universe import NAT, check_in_U, din, fin, pi_code, sigma_code
 code = compile_lambda(L("x", A(Prim("p"), V("x"), V("x"))))
 try:
     value = apply_raw(code, 5)
 except DivergedError:
     value = "diverged"
-print(value, din(code, pi_code(fin(1), mkapp(rom.K, NAT))).status)
+print(value, din(code, pi_code(fin(1), mkapp(rom.K, NAT))).status,
+      check_in_U(sigma_code(fin(1), code)).status)
 """
 
 
@@ -373,13 +374,17 @@ def test_outcomes_do_not_outlive_a_growth_of_the_library_table():
     # the code just past the table is stuck until an entry lands there
     code = pair(2, rom_size())
     total_on_one = pi_code(fin(1), mkapp(rom.K, NAT))
+    family_past_the_table = sigma_code(fin(1), code)
     with pytest.raises(DivergedError):
         apply_raw(code, 5)
     assert din(code, total_on_one).refuted
+    assert check_in_U(family_past_the_table).refuted
     assert compile_lambda(L("x", A(Prim("p"), V("x"), V("x")))) == code
-    warm = f"{apply_raw(code, 5)} {din(code, total_on_one).status}"
+    warm = (f"{apply_raw(code, 5)} {din(code, total_on_one).status}"
+            f" {check_in_U(family_past_the_table).status}")
     src = str(Path(terms.__file__).resolve().parents[1])
     cold = subprocess.run([sys.executable, "-c", _GROWN_TABLE_SCRIPT],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True).stdout.strip()
-    assert warm == cold == f"{pair(5, 5)} realized"
+    # the family now answers fin 0 = pair(0, 0) at index 0
+    assert warm == cold == f"{pair(5, 5)} realized realized"

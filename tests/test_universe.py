@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kleeneset import romlib as rom
 from kleeneset.machine import fixpoint
@@ -303,6 +304,16 @@ def test_formation_rule_answers_are_pinned(name, check, build, tr, status, note)
     assert (v.status, v.note) == (status, note)
 
 
+def test_formation_rule_answers_hold_warm():
+    # all cases in one process, forwards and then backwards, so that each
+    # is asked after every other one has filled the memo tables
+    cases = [(name, check, build(), tr, (status, note))
+             for name, check, build, tr, status, note in FORMATION_CASES]
+    for name, check, code, tr, pinned in cases + cases[::-1]:
+        v = check(code, tr)
+        assert (name, (v.status, v.note)) == (name, pinned)
+
+
 def test_finite_index_types_past_the_cap_are_not_enumerated():
     big = fin(MAX_FIN_INDEX + 1)
     assert enumerate_index(big, TR) == ([], None)  # not listed at all
@@ -344,3 +355,77 @@ def test_a_type_whose_family_returns_itself_gets_answers():
     assert din(0, pi_code(t, 0), TR).unknown
     assert check_in_U(t, TR).unknown
     assert check_in_V(pair(t, 0), TR).unknown
+
+
+# ---------------------------------------------------------------------------
+# check_in_U and check_in_V answer the same cold, warm and after a deeper call
+
+
+def type_chain(t, n):
+    """sigma(fin 1, K .) applied n times: t sits n levels down."""
+    for _ in range(n):
+        t = sigma_code(fin(1), const(t))
+    return t
+
+
+def set_chain(a, n):
+    """{.} applied n times: a sits n levels down."""
+    for _ in range(n):
+        a = pair(fin(1), const(a))
+    return a
+
+
+@pytest.mark.parametrize("first", [150, 250])
+@pytest.mark.parametrize("check, chain, bottom", [(check_in_U, type_chain, fin(1)),
+                                                  (check_in_V, set_chain, 0)],
+                         ids=["U", "V"])
+def test_formation_answers_on_deep_chains_do_not_depend_on_order(check, chain, bottom, first):
+    # the chain of 250 runs into the depth guard, the chain of 150 does not
+    codes = {n: chain(bottom, n) for n in (150, 250)}
+    cold = {}
+    for n, code in codes.items():
+        clear_caches()
+        cold[n] = check(code, TR)
+    assert cold[150].realized and cold[250].unknown
+    clear_caches()
+    for n in (first, 400 - first):
+        assert check(codes[n], TR) == cold[n]
+
+
+def _families(members):
+    # constant families, one that never converges (every application runs
+    # out of fuel) and one that provably diverges
+    return members.map(const) | st.builds(loop_family) | st.just(15)
+
+
+_TYPE_CODES = st.recursive(
+    st.sampled_from([fin(0), fin(1), fin(2), NAT, DIST]),
+    lambda inner: st.builds(lambda former, n, e: former(n, e),
+                            st.sampled_from([sigma_code, pi_code]), inner, _families(inner)),
+    max_leaves=5)
+_SET_CODES = st.recursive(
+    st.just(0),  # the empty set
+    lambda inner: st.builds(pair, _TYPE_CODES, _families(inner)),
+    max_leaves=4)
+
+
+@given(st.tuples(st.just(check_in_U), _TYPE_CODES, st.just(type_chain))
+       | st.tuples(st.just(check_in_V), _SET_CODES, st.just(set_chain)),
+       st.integers(min_value=185, max_value=205))
+@settings(max_examples=60, deadline=None)
+def test_formation_answers_are_the_same_cold_warm_and_after_a_deeper_call(case, depth):
+    check, code, chain = case
+    # the deeper call meets the code near the depth guard
+    deeper = chain(code, depth)
+    clear_caches()
+    cold = check(code, LOW)
+    clear_caches()
+    cold_deeper = check(deeper, LOW)
+    clear_caches()
+    assert check(code, LOW) == cold
+    assert check(code, LOW) == cold
+    assert check(deeper, LOW) == cold_deeper
+    assert check(code, LOW) == cold
+    clear_caches()
+    check(deeper, LOW)
+    assert check(code, LOW) == cold

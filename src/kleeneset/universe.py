@@ -23,12 +23,18 @@ Every recursive decider here and in realizability stops at a depth guard
 and then answers as if undecided.  Such an answer depends on the depth of
 the call, so one rule keeps it out of the memos: each guard that fires
 bumps GUARD_HITS, and a memoized decider stores an answer only when the
-count did not move while it computed that answer.
+count did not move while it computed that answer.  check_in_U and
+check_in_V store with each answer its height, how far below its own depth
+the computation reached (a memo hit counts by its stored height), and
+reuse it at depth d only when d + height <= _MAX_DEPTH: each one's only
+depth-dependent children are calls of itself, so the guard then fires
+exactly where a cold run would fire it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Callable
 
 from .machine import (
@@ -380,11 +386,36 @@ def _family_walk(index: Code, family: Code, tr: Truncation, index_depth: int,
     return REALIZED
 
 
+def _depth_memo(decide):
+    """Guard and memoize a decider of (code, tr, depth) under the height
+    rule of the module docstring."""
+    memo: dict = table_memo()
+    reach = 0  # the deepest depth reached by the call in progress
+
+    @wraps(decide)
+    def memoized(c: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
+        nonlocal reach
+        if _depth > _MAX_DEPTH:
+            GUARD_HITS[0] += 1
+            return unknown(_DEPTH_NOTE)
+        key = (c, tr.key())
+        got = memo.get(key)
+        if got is not None and _depth + got[1] <= _MAX_DEPTH:
+            reach = max(reach, _depth + got[1])
+            return got[0]
+        outer, reach = reach, _depth
+        hits = GUARD_HITS[0]
+        v = decide(c, tr, _depth)
+        if GUARD_HITS[0] == hits:
+            memo[key] = (v, reach - _depth)
+        reach = max(outer, reach)
+        return v
+    return memoized
+
+
+@_depth_memo
 def check_in_U(t: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
     """Is t a well-formed type code (member of the type universe)?"""
-    if _depth > _MAX_DEPTH:
-        GUARD_HITS[0] += 1
-        return unknown(_DEPTH_NOTE)
     view = type_view(t)
     if view.kind == "invalid":
         return REFUTED  # no formation rule concludes an unknown tag
@@ -396,11 +427,9 @@ def check_in_U(t: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) ->
                         "index or family membership undecided")
 
 
+@_depth_memo
 def check_in_V(a: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
     """Is a a well-formed set code (index type plus element map)?"""
-    if _depth > _MAX_DEPTH:
-        GUARD_HITS[0] += 1
-        return unknown(_DEPTH_NOTE)
     n, e = unpair(a)
     return _family_walk(n, e, tr, 0, lambda c: check_in_V(c, tr, _depth + 1),
                         "element map checked up to the truncation",

@@ -2,6 +2,7 @@ import io
 import json
 import random
 import shlex
+import signal
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -294,6 +295,25 @@ def test_cli_answers_a_type_whose_family_returns_itself(capsys):
     t = sigma_code(fin(1), fixpoint(
         mkapps(rom.S, mkapp(rom.K, rom.K), mkapp(rom.SIGMA_PROG, fin(1)))))
     rc = main(["universe", "check-v", str(code_value(pair(t, 0)))])
+    captured = capsys.readouterr()
+    assert rc in (0, 1)
+    assert "Traceback" not in captured.err
+
+
+def test_cli_checks_a_set_code_whose_walk_meets_the_same_elements_again(capsys):
+    # unmemoized, this walk repeats each element's whole tree and ran for
+    # minutes; a two-second alarm stops the test if it ever does again
+    def too_slow(signum, frame):
+        raise TimeoutError("universe check-v took more than 2 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(2)
+    try:
+        rc = main(["universe", "check-v", "897371221224137741117825546714260897873529554",
+                   "--fuel", "20000"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     captured = capsys.readouterr()
     assert rc in (0, 1)
     assert "Traceback" not in captured.err

@@ -375,11 +375,11 @@ def set_chain(a, n):
     return a
 
 
-@pytest.mark.parametrize("first", [150, 250])
+@pytest.mark.parametrize("order", [(150, 250), (250, 150)], ids=["150-first", "250-first"])
 @pytest.mark.parametrize("check, chain, bottom", [(check_in_U, type_chain, fin(1)),
                                                   (check_in_V, set_chain, 0)],
                          ids=["U", "V"])
-def test_formation_answers_on_deep_chains_do_not_depend_on_order(check, chain, bottom, first):
+def test_formation_answers_on_deep_chains_do_not_depend_on_order(check, chain, bottom, order):
     # the chain of 250 runs into the depth guard, the chain of 150 does not
     codes = {n: chain(bottom, n) for n in (150, 250)}
     cold = {}
@@ -388,7 +388,7 @@ def test_formation_answers_on_deep_chains_do_not_depend_on_order(check, chain, b
         cold[n] = check(code, TR)
     assert cold[150].realized and cold[250].unknown
     clear_caches()
-    for n in (first, 400 - first):
+    for n in order:
         assert check(codes[n], TR) == cold[n]
 
 
@@ -423,7 +423,7 @@ def test_formation_answers_are_the_same_cold_warm_and_after_a_deeper_call(case, 
     cold_deeper = check(deeper, LOW)
     clear_caches()
     assert check(code, LOW) == cold
-    assert check(code, LOW) == cold
+    assert check(code, LOW) == cold  # warm
     assert check(deeper, LOW) == cold_deeper
     assert check(code, LOW) == cold
     clear_caches()

@@ -1,18 +1,19 @@
 import itertools
 import random
+import signal
 
 import pytest
 
 from kleeneset import romlib as rom
 from kleeneset.lworld import EMPTY, HFSet, hf_nat
-from kleeneset.machine import apply_chain
+from kleeneset.machine import apply_chain, clear_caches
 from kleeneset.pairing import pair
 from kleeneset.realizability import (
     All, And, BAll, BEx, CheckBudget, Eq, Ex, Implies, In, Not, Or, Val, Var, check, denote, find_realiser, formula_status,
     incomparability_formula, incomparability_statement_realiser, native_truth,
     subcountability_formula, subcountability_witness)
 from kleeneset.terms import L, V, compile_lambda
-from kleeneset.universe import Truncation
+from kleeneset.universe import Truncation, fin
 from kleeneset.vcodes import (
     VCode, alpha0, v_finite, v_numeral, v_omega, v_opair, v_upair,
 )
@@ -286,22 +287,48 @@ def test_synthesized_subset_witnesses_check_against_the_types():
 
 def test_synthesis_after_a_deep_call_matches_a_cold_call():
     # under the depth guard the element comparisons of {0, 1} = {1, 0}
-    # come back undecided; no answer computed there may be cached
-    from kleeneset.machine import clear_caches
+    # come back undecided; each depth answers as it does cold, whichever
+    # is asked first
     from kleeneset.realizability import _synth_eq
     a, b = v_upair(N0, N1).code, v_upair(N1, N0).code
+    cold = {}
+    for depth in (0, 60):
+        clear_caches()
+        cold[depth] = _synth_eq(a, b, TR, depth)
+    assert cold[0][0] is not None and cold[0][1]
+    assert cold[60] == (None, False)
+    for order in ((0, 60), (60, 0)):
+        clear_caches()
+        assert [_synth_eq(a, b, TR, depth) for depth in order] == [cold[d] for d in order]
+
+
+def test_equality_of_deep_singleton_chains_is_decided_in_time():
+    # two 17-deep singleton chains over two codes of the empty set; depth
+    # guards fire in the comparisons, and when their answers were not
+    # memoized each level recomputed its whole subtree and the query took
+    # 15 s; a two-second alarm stops the test if it ever does again
+    def too_slow(signum, frame):
+        raise TimeoutError("formula_status took more than 2 s")
+
+    a, b = 0, pair(fin(0), 7)
+    for _ in range(17):
+        a, b = v_finite([a]).code, v_finite([b]).code
+    phi = Eq(Val(VCode(a)), Val(VCode(b)))
     clear_caches()
-    cold = _synth_eq(a, b, TR, 0)[:2]
-    assert cold[0] is not None and cold[1]
-    clear_caches()
-    assert _synth_eq(a, b, TR, 60)[:2] == (None, False)
-    assert _synth_eq(a, b, TR, 0)[:2] == cold
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(2)
+    try:
+        status = formula_status(phi, {}, B)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert status.realized
+    assert native_truth(phi, {}, TR) is True
 
 
 def test_sets_indexed_past_the_cap_are_out_of_reach():
     # 2**70 copies of 0: not walked member by member, so no answer is found
     from kleeneset.terms import mkapp
-    from kleeneset.universe import fin
     a = VCode(pair(fin(2 ** 70), mkapp(rom.K, N0.code)))
     assert denote(a) is None
     assert find_realiser(Eq(Val(a), Val(N1)), {}, B) == (None, False)

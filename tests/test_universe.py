@@ -128,6 +128,12 @@ def test_provably_empty():
     assert provably_empty(sigma_code(fin(0), 0), TR)
     assert provably_empty(pi_code(fin(1), mkapp(rom.K, fin(0))), TR)
     assert not provably_empty(pi_code(fin(0), 0), TR)
+    # the chain of 50 runs into the depth guard at 40, the chain of 30 does
+    # not; each answers as it does cold, whichever is asked first
+    chains = {n: type_chain(fin(0), n) for n in (30, 50)}
+    for order in ((30, 50), (50, 30)):
+        clear_caches()
+        assert [provably_empty(chains[n], TR) for n in order] == [n == 30 for n in order]
 
 
 def test_truncation_monotonicity():
@@ -332,21 +338,6 @@ def test_finite_index_types_past_the_cap_are_not_enumerated():
     assert check_in_V(pair(fin(2), v_numeral(0).elem_map), TR).realized
 
 
-def test_din_answers_the_same_cold_and_after_a_deeper_call():
-    # T[n] = sigma(fin 1, K T[n-1]) holds k[n] = <0, k[n-1]>; the chain of
-    # 250 runs into the depth guard, the chain of 150 does not
-    types, members = [fin(1)], [0]
-    for _ in range(250):
-        types.append(sigma_code(fin(1), mkapp(rom.K, types[-1])))
-        members.append(pair(0, members[-1]))
-    clear_caches()
-    cold = din(members[150], types[150], TR)
-    assert cold.realized
-    clear_caches()
-    din(members[250], types[250], TR)
-    assert din(members[150], types[150], TR) == cold
-
-
 def test_a_type_whose_family_returns_itself_gets_answers():
     # e 0 = sigma(fin 1, e) for e = fix (S (K K) (sigma (fin 1)))
     t = sigma_code(fin(1), fixpoint(
@@ -358,7 +349,7 @@ def test_a_type_whose_family_returns_itself_gets_answers():
 
 
 # ---------------------------------------------------------------------------
-# check_in_U and check_in_V answer the same cold, warm and after a deeper call
+# the memoized deciders answer the same cold, warm and after a deeper call
 
 
 def type_chain(t, n):
@@ -375,10 +366,24 @@ def set_chain(a, n):
     return a
 
 
+def member_chain(kt, n):
+    """<0, .> and sigma(fin 1, K .) applied n times to the member and the
+    type of kt: the membership of the one in the other sits n levels down."""
+    k, t = kt
+    for _ in range(n):
+        k = pair(0, k)
+    return k, type_chain(t, n)
+
+
+def din_of(kt, tr):
+    return din(*kt, tr)
+
+
 @pytest.mark.parametrize("order", [(150, 250), (250, 150)], ids=["150-first", "250-first"])
 @pytest.mark.parametrize("check, chain, bottom", [(check_in_U, type_chain, fin(1)),
-                                                  (check_in_V, set_chain, 0)],
-                         ids=["U", "V"])
+                                                  (check_in_V, set_chain, 0),
+                                                  (din_of, member_chain, (0, fin(1)))],
+                         ids=["U", "V", "din"])
 def test_formation_answers_on_deep_chains_do_not_depend_on_order(check, chain, bottom, order):
     # the chain of 250 runs into the depth guard, the chain of 150 does not
     codes = {n: chain(bottom, n) for n in (150, 250)}
@@ -409,23 +414,39 @@ _SET_CODES = st.recursive(
     max_leaves=4)
 
 
-@given(st.tuples(st.just(check_in_U), _TYPE_CODES, st.just(type_chain))
-       | st.tuples(st.just(check_in_V), _SET_CODES, st.just(set_chain)),
-       st.integers(min_value=185, max_value=205))
-@settings(max_examples=60, deadline=None)
-def test_formation_answers_are_the_same_cold_warm_and_after_a_deeper_call(case, depth):
-    check, code, chain = case
-    # the deeper call meets the code near the depth guard
+def _answer(check, code):
+    """The answer of a check; a malformed type is an answer too."""
+    try:
+        return check(code, LOW)
+    except MalformedTypeError:
+        return MalformedTypeError
+
+
+# each case: a decider, a code, a chain that puts the code n levels down,
+# and a depth at which the deeper call meets the code near its own guard
+_NEAR_200 = st.integers(min_value=185, max_value=205)
+_NEAR_40 = st.integers(min_value=35, max_value=45)
+
+
+@given(st.tuples(st.just(check_in_U), _TYPE_CODES, st.just(type_chain), _NEAR_200)
+       | st.tuples(st.just(check_in_V), _SET_CODES, st.just(set_chain), _NEAR_200)
+       | st.tuples(st.just(din_of), st.tuples(st.sampled_from([0, 1, pair(0, 0), pair(1, 0)]),
+                                              _TYPE_CODES),
+                   st.just(member_chain), _NEAR_200)
+       | st.tuples(st.just(provably_empty), _TYPE_CODES, st.just(type_chain), _NEAR_40))
+@settings(max_examples=80, deadline=None)
+def test_formation_answers_are_the_same_cold_warm_and_after_a_deeper_call(case):
+    check, code, chain, depth = case
     deeper = chain(code, depth)
     clear_caches()
-    cold = check(code, LOW)
+    cold = _answer(check, code)
     clear_caches()
-    cold_deeper = check(deeper, LOW)
+    cold_deeper = _answer(check, deeper)
     clear_caches()
-    assert check(code, LOW) == cold
-    assert check(code, LOW) == cold  # warm
-    assert check(deeper, LOW) == cold_deeper
-    assert check(code, LOW) == cold
+    assert _answer(check, code) == cold
+    assert _answer(check, code) == cold  # warm
+    assert _answer(check, deeper) == cold_deeper
+    assert _answer(check, code) == cold
     clear_caches()
-    check(deeper, LOW)
-    assert check(code, LOW) == cold
+    _answer(check, deeper)
+    assert _answer(check, code) == cold

@@ -24,6 +24,7 @@ over hereditarily finite sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Mapping
 
 from . import romlib as rom
@@ -31,9 +32,9 @@ from .lworld import HFSet
 from .machine import (
     DivergedError, OutOfFuelError, apply_raw)
 from .pairing import Code, pair, unpair
-from .terms import mkapp, table_memo
+from .terms import mkapp
 from .universe import (
-    GUARD_HITS, MAX_FIN_INDEX, REALIZED, REFUTED, Truncation, Verdict,
+    MAX_FIN_INDEX, REALIZED, REFUTED, Truncation, Verdict, _depth_memo,
     check_in_V, din, enumerate_index, provably_empty, type_view, unknown,
 )
 from .vcodes import (
@@ -348,61 +349,40 @@ def _check_implies(e: Code, phi: Implies, env: dict, budget: CheckBudget) -> Ver
 # Witness synthesis
 
 
-_synth_memo: dict = table_memo()
-
-
+@_depth_memo(60, (None, False))
 def _synth_eq(a: Code, b: Code, tr: Truncation,
               depth: int) -> tuple[Code | None, bool]:
     """(witness, decisive) for a = b."""
-    key = ("eq", a, b, tr.key())
-    got = _synth_memo.get(key)
-    if got is not None:
-        return got
-    if depth > 60:
-        GUARD_HITS[0] += 1
-        return (None, False)
-    hits = GUARD_HITS[0]
     if din(rom.IOTA, eq_code(a, b), tr).realized:
-        res = (rom.IOTA, True)
-    elif provably_empty(eq_code(a, b), tr):
-        res = (None, True)
-    else:
-        w1, d1 = _synth_subeq(a, b, tr, depth + 1)
-        w2, d2 = _synth_subeq(b, a, tr, depth + 1)
-        if w1 is not None and w2 is not None:
-            res = (pair(w1, w2), True)
-        elif (w1 is None and d1) or (w2 is None and d2):
-            res = (None, True)
-        else:
-            res = (None, False)
-    if GUARD_HITS[0] == hits:
-        _synth_memo[key] = res
-    return res
+        return (rom.IOTA, True)
+    if provably_empty(eq_code(a, b), tr):
+        return (None, True)
+    w1, d1 = _synth_subeq(a, b, tr, depth + 1)
+    w2, d2 = _synth_subeq(b, a, tr, depth + 1)
+    if w1 is not None and w2 is not None:
+        return (pair(w1, w2), True)
+    if (w1 is None and d1) or (w2 is None and d2):
+        return (None, True)
+    return (None, False)
 
 
+@_depth_memo(inf, None)  # no guard of its own: _synth_eq's bounds it
 def _synth_subeq(a: Code, b: Code, tr: Truncation,
                  depth: int) -> tuple[Code | None, bool]:
     """A program sending members of a to equal members of b, as a table;
     (witness, decisive) as for _synth_eq."""
-    key = ("sub", a, b, tr.key())
-    got = _synth_memo.get(key)
-    if got is not None:
-        return got
     view_a = type_view(index_type_of(a))
     view_b = type_view(index_type_of(b))
     if (view_a.kind != "fin" or view_b.kind != "fin"
             or max(view_a.size, view_b.size) > MAX_FIN_INDEX):
         return (None, False)
-    hits = GUARD_HITS[0]
     table: list[Code] = []
     decisive = True
-    res: tuple[Code | None, bool] | None = None
     for k in range(view_a.size):
         try:
             ak = elem_of(a, k, tr.fuel)
         except (OutOfFuelError, DivergedError):
-            res = (None, False)
-            break
+            return (None, False)
         found = None
         for y in range(view_b.size):
             try:
@@ -416,15 +396,9 @@ def _synth_subeq(a: Code, b: Code, tr: Truncation,
                 break
             decisive = decisive and d
         if found is None:
-            res = (None, decisive)
-            break
+            return (None, decisive)
         table.append(found)
-    if res is None:
-        code = mkapp(rom.ELEMOF, seq_encode(table)) if table else 0
-        res = (code, True)
-    if GUARD_HITS[0] == hits:
-        _synth_memo[key] = res
-    return res
+    return (mkapp(rom.ELEMOF, seq_encode(table)) if table else 0, True)
 
 
 def find_realiser(phi: Formula, env: Mapping[str, VCode] | None = None,
@@ -443,7 +417,6 @@ def find_realiser(phi: Formula, env: Mapping[str, VCode] | None = None,
 def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Code | None, bool]:
     tr = budget.truncation
     if depth > 40:
-        GUARD_HITS[0] += 1
         return (None, False)
 
     if isinstance(phi, Eq):
@@ -576,7 +549,6 @@ def denote(v, tr: Truncation | None = None, _depth: int = 0) -> HFSet | None:
     """The hereditarily finite set a finite-indexed code stands for."""
     tr = tr or Truncation()
     if _depth > 40:
-        GUARD_HITS[0] += 1
         return None
     code = as_code(v)
     view = type_view(index_type_of(code))

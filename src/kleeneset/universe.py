@@ -20,21 +20,28 @@ families: an index type in U plus a family converging to a good member
 (a type, or a set) at every index.
 
 Every recursive decider here and in realizability stops at a depth guard
-and then answers as if undecided.  Such an answer depends on the depth of
-the call, so one rule keeps it out of the memos: each guard that fires
-bumps GUARD_HITS, and a memoized decider stores an answer only when the
-count did not move while it computed that answer.  check_in_U and
-check_in_V store with each answer its height, how far below its own depth
-the computation reached (a memo hit counts by its stored height), and
-reuse it at depth d only when d + height <= _MAX_DEPTH: each one's only
-depth-dependent children are calls of itself, so the guard then fires
-exactly where a cold run would fire it.
+and then answers as if undecided, so its answer can depend on the depth
+of the call.  The six memoized deciders (_din, provably_empty,
+check_in_U, check_in_V, and realizability's _synth_eq and _synth_subeq)
+share one guard and memo rule, _depth_memo.  Each answer, guarded or
+not, is stored with its depth window: the call depths at which a cold run
+takes the same side of every guard it meets, its own and those of the
+calls it makes at depth + 1, memo hits among them counting by their
+stored windows.  A hit is used only inside its window; outside it the
+decider recomputes, so a call answers as it does cold whatever ran
+before it.  A call at depth 0 is never a depth-dependent child, since
+children are called at depth + 1, so its window stays its own:
+check_in_V's check of its index type, _synth_eq's din and
+provably_empty, and enumerate_index (which is not memoized and keeps its
+own guard) all start there.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import wraps
+from math import inf
 from typing import Callable
 
 from .machine import (
@@ -172,9 +179,6 @@ def _family_at(e: Code, k: Code, tr: Truncation, on_realized_index: bool) -> Cod
         return None
 
 
-_din_memo: dict = table_memo()
-
-
 def din(k: Code, t: Code, tr: Truncation = DEFAULT_TRUNCATION) -> Verdict:
     """Membership of k in the type t, relative to the truncation."""
     return _din(k, t, tr, 0)
@@ -182,32 +186,66 @@ def din(k: Code, t: Code, tr: Truncation = DEFAULT_TRUNCATION) -> Verdict:
 
 _MAX_DEPTH = 200
 _DEPTH_NOTE = "recursion depth bound hit"
-# The count of depth-guard hits (see the module docstring), one element
-# so that realizability's guards bump the same count.
-GUARD_HITS = [0]
 
 # A finite index type with more members than this is not listed: the
 # rules that would walk its members answer unknown instead.
 MAX_FIN_INDEX = 1 << 16
 _TOO_LARGE_NOTE = f"finite index type of more than {MAX_FIN_INDEX} members not enumerated"
 
+# The depth window of the call in progress (see the module docstring): the
+# largest depth - limit over the guards it met that did not fire, and the
+# smallest over those that fired.
+_window_hi, _window_lo = -inf, inf
 
+
+def _depth_memo(limit: float, guarded):
+    """Guard a decider of (codes..., tr, depth), which answers guarded at
+    a depth past limit, and memoize it under the window rule of the module
+    docstring."""
+    def decorate(decide):
+        memo: dict = table_memo()
+        sig = inspect.signature(decide)
+        arity = len(sig.parameters)
+        defaults = decide.__defaults__ or ()
+
+        @wraps(decide)
+        def memoized(*args, **kwargs):
+            global _window_hi, _window_lo
+            if kwargs or len(args) + len(defaults) < arity:
+                bound = sig.bind(*args, **kwargs)  # raises on a bad call
+                bound.apply_defaults()
+                args = bound.args
+            elif len(args) < arity:
+                args += defaults[len(args) - arity:]
+            depth = args[-1]
+            if depth > limit:
+                v, hi, lo = guarded, -inf, depth - limit
+            else:
+                key = (*args[:-2], args[-2].key())
+                got = memo.get(key)
+                if got is not None and depth + got[1] <= 0 < depth + got[2]:
+                    v, hi, lo = got[0], depth + got[1], depth + got[2]
+                else:
+                    outer = _window_hi, _window_lo
+                    _window_hi, _window_lo = depth - limit, inf
+                    try:
+                        v = decide(*args)
+                    finally:
+                        hi, lo = _window_hi, _window_lo
+                        _window_hi, _window_lo = outer
+                    memo[key] = (v, hi - depth, lo - depth)
+            if depth:  # a depth-dependent child: its window bounds its caller's
+                if hi > _window_hi:
+                    _window_hi = hi
+                if lo < _window_lo:
+                    _window_lo = lo
+            return v
+        return memoized
+    return decorate
+
+
+@_depth_memo(_MAX_DEPTH, unknown(_DEPTH_NOTE))
 def _din(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
-    memo_key = (k, t, tr.key())
-    got = _din_memo.get(memo_key)
-    if got is not None:
-        return got
-    hits = GUARD_HITS[0]
-    v = _din_raw(k, t, tr, depth)
-    if GUARD_HITS[0] == hits:
-        _din_memo[memo_key] = v
-    return v
-
-
-def _din_raw(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
-    if depth > _MAX_DEPTH:
-        GUARD_HITS[0] += 1
-        return unknown(_DEPTH_NOTE)
     view = type_view(t)
     if view.kind == "invalid":
         raise MalformedTypeError(f"{t!r} is not a type code")
@@ -278,7 +316,6 @@ def enumerate_index(t: Code, tr: Truncation,
     finite type of more than MAX_FIN_INDEX members is in it and is not
     listed."""
     if _depth > _MAX_DEPTH:
-        GUARD_HITS[0] += 1
         return [], False
     view = type_view(t)
     if view.kind == "fin":
@@ -308,26 +345,9 @@ def enumerate_index(t: Code, tr: Truncation,
     return [], False
 
 
-_empty_memo: dict = table_memo()
-
-
+@_depth_memo(40, False)
 def provably_empty(t: Code, tr: Truncation, depth: int = 0) -> bool:
     """True only when no natural can be a member of t."""
-    key = (t, tr.key())
-    got = _empty_memo.get(key)
-    if got is not None:
-        return got
-    if depth > 40:
-        GUARD_HITS[0] += 1
-        return False
-    hits = GUARD_HITS[0]
-    result = _provably_empty_raw(t, tr, depth)
-    if GUARD_HITS[0] == hits:
-        _empty_memo[key] = result
-    return result
-
-
-def _provably_empty_raw(t: Code, tr: Truncation, depth: int) -> bool:
     view = type_view(t)
     if view.kind == "fin":
         return view.size == 0
@@ -386,34 +406,7 @@ def _family_walk(index: Code, family: Code, tr: Truncation, index_depth: int,
     return REALIZED
 
 
-def _depth_memo(decide):
-    """Guard and memoize a decider of (code, tr, depth) under the height
-    rule of the module docstring."""
-    memo: dict = table_memo()
-    reach = 0  # the deepest depth reached by the call in progress
-
-    @wraps(decide)
-    def memoized(c: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
-        nonlocal reach
-        if _depth > _MAX_DEPTH:
-            GUARD_HITS[0] += 1
-            return unknown(_DEPTH_NOTE)
-        key = (c, tr.key())
-        got = memo.get(key)
-        if got is not None and _depth + got[1] <= _MAX_DEPTH:
-            reach = max(reach, _depth + got[1])
-            return got[0]
-        outer, reach = reach, _depth
-        hits = GUARD_HITS[0]
-        v = decide(c, tr, _depth)
-        if GUARD_HITS[0] == hits:
-            memo[key] = (v, reach - _depth)
-        reach = max(outer, reach)
-        return v
-    return memoized
-
-
-@_depth_memo
+@_depth_memo(_MAX_DEPTH, unknown(_DEPTH_NOTE))
 def check_in_U(t: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
     """Is t a well-formed type code (member of the type universe)?"""
     view = type_view(t)
@@ -427,7 +420,7 @@ def check_in_U(t: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) ->
                         "index or family membership undecided")
 
 
-@_depth_memo
+@_depth_memo(_MAX_DEPTH, unknown(_DEPTH_NOTE))
 def check_in_V(a: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
     """Is a a well-formed set code (index type plus element map)?"""
     n, e = unpair(a)

@@ -434,7 +434,7 @@ _NEAR_40 = st.integers(min_value=35, max_value=45)
                                               _TYPE_CODES),
                    st.just(member_chain), _NEAR_200)
        | st.tuples(st.just(provably_empty), _TYPE_CODES, st.just(type_chain), _NEAR_40))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_formation_answers_are_the_same_cold_warm_and_after_a_deeper_call(case):
     check, code, chain, depth = case
     deeper = chain(code, depth)

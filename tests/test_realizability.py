@@ -303,10 +303,11 @@ def test_synthesis_after_a_deep_call_matches_a_cold_call():
 
 
 def test_equality_of_deep_singleton_chains_is_decided_in_time():
-    # two 17-deep singleton chains over two codes of the empty set; depth
-    # guards fire in the comparisons, and when their answers were not
-    # memoized each level recomputed its whole subtree and the query took
-    # 15 s; a two-second alarm stops the test if it ever does again
+    # two 17-deep singleton chains over two codes of the empty set;
+    # provably_empty's depth guard fires in the comparisons, and while no
+    # answer computed above a fired guard was memoized, each level
+    # recomputed its whole subtree and the query took 15 s; a two-second
+    # alarm stops the test if it ever does again
     def too_slow(signum, frame):
         raise TimeoutError("formula_status took more than 2 s")
 

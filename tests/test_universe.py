@@ -430,7 +430,7 @@ _NEAR_40 = st.integers(min_value=35, max_value=45)
 
 @given(st.tuples(st.just(check_in_U), _TYPE_CODES, st.just(type_chain), _NEAR_200)
        | st.tuples(st.just(check_in_V), _SET_CODES, st.just(set_chain), _NEAR_200)
-       | st.tuples(st.just(din_of), st.tuples(st.sampled_from([0, 1, pair(0, 0), pair(1, 0)]),
+       | st.tuples(st.just(din_of), st.tuples(st.sampled_from([0, 1, pair(0, 1), pair(1, 0)]),
                                               _TYPE_CODES),
                    st.just(member_chain), _NEAR_200)
        | st.tuples(st.just(provably_empty), _TYPE_CODES, st.just(type_chain), _NEAR_40))

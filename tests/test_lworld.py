@@ -1,5 +1,7 @@
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +56,141 @@ def test_transitivity_and_ordinals():
     assert not is_transitive(HFSet([hf_nat(1)]))
     assert ordinals_of([EMPTY, hf_nat(1), HFSet([hf_nat(1)])]) == {EMPTY, hf_nat(1)}
     assert ordinals_of([]) == set()
+
+
+# ---------------------------------------------------------------------------
+# The syntactic oracle: first-order formulas over the membership signature,
+# built as trees and evaluated one at a time
+
+
+@dataclass(frozen=True, slots=True)
+class FOVar:
+    name: str
+
+
+@dataclass(frozen=True, slots=True)
+class FOParam:
+    value: HFSet
+
+
+FOTerm = FOVar | FOParam
+
+
+@dataclass(frozen=True, slots=True)
+class FOFormula:
+    kind: str  # "in" | "eq" | "not" | "and" | "or" | "all" | "ex"
+    parts: tuple = ()
+
+
+def eval_fo(phi: FOFormula, domain: Sequence[HFSet], env: dict[str, HFSet]) -> bool:
+    """Truth in the structure (domain; membership), quantifiers bounded."""
+    k = phi.kind
+    if k in ("in", "eq"):
+        a, b = phi.parts
+        va = env[a.name] if isinstance(a, FOVar) else a.value
+        vb = env[b.name] if isinstance(b, FOVar) else b.value
+        return (va in vb.elems) if k == "in" else (va is vb)
+    if k == "not":
+        return not eval_fo(phi.parts[0], domain, env)
+    if k == "and":
+        return eval_fo(phi.parts[0], domain, env) and eval_fo(phi.parts[1], domain, env)
+    if k == "or":
+        return eval_fo(phi.parts[0], domain, env) or eval_fo(phi.parts[1], domain, env)
+    if k == "all":
+        v, body = phi.parts
+        return all(eval_fo(body, domain, {**env, v: d}) for d in domain)
+    if k == "ex":
+        v, body = phi.parts
+        return any(eval_fo(body, domain, {**env, v: d}) for d in domain)
+    raise ValueError(k)
+
+
+def enumerate_formulas(domain: Sequence[HFSet], max_size: int):
+    """All membership-signature formulas in the free variable x up to a size.
+
+    Terms are x, one quantified variable y, and parameters from the domain.
+    Size counts connective and atom nodes; every size holds the atoms.
+    """
+    terms_outer: list[FOTerm] = [FOVar("x")] + [FOParam(d) for d in domain]
+    terms_inner = terms_outer + [FOVar("y")]
+
+    def atoms(terms):
+        for a in terms:
+            for b in terms:
+                yield FOFormula("in", (a, b))
+                yield FOFormula("eq", (a, b))
+
+    by_size: dict[tuple[int, bool], list[FOFormula]] = {}
+
+    def formulas(size: int, inner: bool) -> list[FOFormula]:
+        key = (size, inner)
+        got = by_size.get(key)
+        if got is not None:
+            return got
+        out: list[FOFormula] = []
+        if size >= 1:
+            out.extend(atoms(terms_inner if inner else terms_outer))
+        if size >= 2:
+            for p in formulas(size - 1, inner):
+                out.append(FOFormula("not", (p,)))
+            if not inner:
+                for p in formulas(size - 1, True):
+                    out.append(FOFormula("all", ("y", p)))
+                    out.append(FOFormula("ex", ("y", p)))
+        if size >= 3:
+            for s1 in range(1, size - 1):
+                for p in formulas(s1, inner):
+                    for q in formulas(size - 1 - s1, inner):
+                        out.append(FOFormula("and", (p, q)))
+                        out.append(FOFormula("or", (p, q)))
+        by_size[key] = out
+        return out
+
+    for size in range(1, max_size + 1):
+        yield from formulas(size, False)
+
+
+def oracle_def_subsets(domain, max_size):
+    """The subsets the formulas up to max_size carve out, one formula at a time."""
+    dom = sorted(set(domain))
+    found = set()
+    for phi in enumerate_formulas(dom, max_size):
+        found.add(HFSet(a for a in dom if eval_fo(phi, dom, {"x": a})))
+        if len(found) == 2 ** len(dom):
+            break
+    return found
+
+
+L4 = sorted(l_stage(4))  # the sixteen sets of rank below four
+
+
+@given(st.lists(st.sampled_from(L4), max_size=3, unique=True),
+       st.integers(min_value=0, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_def_subsets_is_the_union_over_formulas(domain, max_size):
+    assert def_subsets(domain, route="formulas", max_size=max_size) == \
+        oracle_def_subsets(domain, max_size)
+
+
+@pytest.mark.parametrize("domain, max_size, count", [
+    ([], 0, 0),
+    ([], 1, 1),
+    ([hf_nat(0), hf_nat(1), hf_nat(2)], 0, 0),
+    ([hf_nat(0), hf_nat(1), hf_nat(2)], 1, 7),
+    ([hf_nat(0), hf_nat(1), hf_nat(2), hf_nat(3)], 2, 12),
+])
+def test_def_subsets_short_of_the_powerset(domain, max_size, count):
+    got = def_subsets(domain, route="formulas", max_size=max_size)
+    assert got == oracle_def_subsets(domain, max_size)
+    assert len(got) == count
+
+
+def test_def_subsets_of_the_first_three_naturals_by_atoms():
+    # no atom carves out {0, 2}: x = p, x in p and p in x give the
+    # singletons, {0}, {0, 1}, {1, 2}, {2}, everything and nothing
+    nat = [hf_nat(k) for k in range(3)]
+    powerset = def_subsets(nat, route="powerset")
+    assert def_subsets(nat, max_size=1) == powerset - {HFSet([nat[0], nat[2]])}
 
 
 def test_def_subsets_examples():
@@ -113,6 +250,27 @@ def test_encode_sigma_examples():
     sc = encode_sigma(s)
     assert sorted(sc.u) == [0, 1, 2]
     assert sorted(sc.sigma) == [3, 4, 7]
+
+
+hf_sets = st.recursive(st.just(EMPTY),
+                       lambda kids: st.frozensets(kids, max_size=3).map(HFSet),
+                       max_leaves=12)
+
+
+@pytest.mark.parametrize("repeats", [0, 3])
+@given(s=hf_sets, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_encode_sigma_is_the_quadratic_definition(repeats, s, data):
+    # an enumeration need only be onto the closure, so a set may have
+    # several indices, and each one carries the set's edges
+    closure = sorted(transitive_closure(s))
+    extra = data.draw(st.lists(st.sampled_from(closure), min_size=repeats,
+                               max_size=repeats))
+    order = [s] + data.draw(st.permutations([x for x in closure if x is not s] + extra))
+    sigma = {pair(i, j) for i, x in enumerate(order)
+             for j, y in enumerate(order) if x in y.elems}
+    assert encode_sigma(s, order) == SigmaCode(frozenset(range(len(order))),
+                                                frozenset(sigma), 0)
 
 
 def test_sigma_edge_count_matches_the_graph():

@@ -2,16 +2,17 @@
 
 Everything here is classical and finite: sets are interned so that
 extensional equality is object identity, definable subsets of a finite
-structure are computed both by brute-force formula enumeration and by
-the powerset shortcut, and a set is coded as the edge set of the
-membership digraph on its transitive closure, with decoding by
-well-founded recursion.
+structure are computed both by formula enumeration up to equal
+denotation and by the powerset shortcut, and a set is coded as the edge
+set of the membership digraph on its transitive closure, with decoding
+by well-founded recursion.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,7 +21,6 @@ from .pairing import pair, unpair
 __all__ = [
     "HFSet", "EMPTY", "hf", "hf_nat", "is_transitive", "is_ordinal",
     "parse_hf", "print_hf",
-    "FOTerm", "FOVar", "FOParam", "FOFormula", "eval_fo", "enumerate_formulas",
     "def_subsets", "l_stage", "ordinals_of", "alpha_star",
     "SigmaCode", "transitive_closure", "encode_sigma", "decode_sigma",
     "IllFoundedCodeError",
@@ -173,140 +173,77 @@ def parse_hf(text: str) -> HFSet:
 
 
 # ---------------------------------------------------------------------------
-# First-order formulas over the membership signature
+# Definable subsets: formulas counted by what they mean
+#
+# A formula in the free variable x denotes an n-bit mask over the domain
+# (bit i: it holds of dom[i]); one in x and the bound y denotes an n*n-bit
+# mask (bit i*n + j: it holds of x = dom[i], y = dom[j]).
 
 
-@dataclass(frozen=True, slots=True)
-class FOVar:
-    name: str
+def _atom_masks(terms: list[list[HFSet]]) -> set[int]:
+    """The masks of `a in b` and `a = b` for every pair of terms, each
+    term given by its value at every environment."""
+    out = set()
+    for a in terms:
+        for b in terms:
+            out.add(sum(1 << k for k, (u, v) in enumerate(zip(a, b)) if u in v.elems))
+            out.add(sum(1 << k for k, (u, v) in enumerate(zip(a, b)) if u is v))
+    return out
 
 
-@dataclass(frozen=True, slots=True)
-class FOParam:
-    value: HFSet
+def _connect(table: list[set[int]], atoms: set[int], full: int, size: int) -> set[int]:
+    """The masks of the formulas of exactly `size` nodes: the atoms, and
+    not, and, or over the smaller masks in table."""
+    out = set(atoms)
+    out.update(full ^ p for p in table[size - 1])
+    for s1 in range(1, size - 1):
+        for p in table[s1]:
+            for q in table[size - 1 - s1]:
+                out.add(p & q)
+                out.add(p | q)
+    return out
 
 
-FOTerm = FOVar | FOParam
-
-
-@dataclass(frozen=True, slots=True)
-class FOFormula:
-    kind: str  # "in" | "eq" | "not" | "and" | "or" | "all" | "ex"
-    parts: tuple = ()
-
-    def __repr__(self) -> str:  # compact; used in diagnostics only
-        return f"FO({self.kind}, {self.parts})"
-
-
-def fo_in(a: FOTerm, b: FOTerm) -> FOFormula:
-    return FOFormula("in", (a, b))
-
-
-def fo_eq(a: FOTerm, b: FOTerm) -> FOFormula:
-    return FOFormula("eq", (a, b))
-
-
-def fo_not(p: FOFormula) -> FOFormula:
-    return FOFormula("not", (p,))
-
-
-def fo_and(p: FOFormula, q: FOFormula) -> FOFormula:
-    return FOFormula("and", (p, q))
-
-
-def fo_or(p: FOFormula, q: FOFormula) -> FOFormula:
-    return FOFormula("or", (p, q))
-
-
-def fo_all(v: str, p: FOFormula) -> FOFormula:
-    return FOFormula("all", (v, p))
-
-
-def fo_ex(v: str, p: FOFormula) -> FOFormula:
-    return FOFormula("ex", (v, p))
-
-
-def eval_fo(phi: FOFormula, domain: Sequence[HFSet], env: dict[str, HFSet]) -> bool:
-    """Truth in the structure (domain; membership), quantifiers bounded."""
-    k = phi.kind
-    if k in ("in", "eq"):
-        a, b = phi.parts
-        va = env[a.name] if isinstance(a, FOVar) else a.value
-        vb = env[b.name] if isinstance(b, FOVar) else b.value
-        return (va in vb.elems) if k == "in" else (va is vb)
-    if k == "not":
-        return not eval_fo(phi.parts[0], domain, env)
-    if k == "and":
-        return eval_fo(phi.parts[0], domain, env) and eval_fo(phi.parts[1], domain, env)
-    if k == "or":
-        return eval_fo(phi.parts[0], domain, env) or eval_fo(phi.parts[1], domain, env)
-    if k == "all":
-        v, body = phi.parts
-        return all(eval_fo(body, domain, {**env, v: d}) for d in domain)
-    if k == "ex":
-        v, body = phi.parts
-        return any(eval_fo(body, domain, {**env, v: d}) for d in domain)
-    raise ValueError(k)
-
-
-def enumerate_formulas(domain: Sequence[HFSet], max_size: int,
-                       free_var: str = "x"):
-    """All membership-signature formulas in one free variable up to a size.
-
-    Terms are the free variable, one quantified variable, and parameters
-    from the domain.  Size counts connective and atom nodes.
-    """
-    terms_outer: list[FOTerm] = [FOVar(free_var)] + [FOParam(d) for d in domain]
-    terms_inner = terms_outer + [FOVar("y")]
-
-    def atoms(terms):
-        for a in terms:
-            for b in terms:
-                yield fo_in(a, b)
-                yield fo_eq(a, b)
-
-    by_size: dict[tuple[int, bool], list[FOFormula]] = {}
-
-    def formulas(size: int, inner: bool) -> list[FOFormula]:
-        key = (size, inner)
-        got = by_size.get(key)
-        if got is not None:
-            return got
-        out: list[FOFormula] = []
-        if size >= 1:
-            out.extend(atoms(terms_inner if inner else terms_outer))
-        if size >= 2:
-            for p in formulas(size - 1, inner):
-                out.append(fo_not(p))
-            if not inner:
-                for p in formulas(size - 1, True):
-                    out.append(fo_all("y", p))
-                    out.append(fo_ex("y", p))
-        if size >= 3:
-            for s1 in range(1, size - 1):
-                for p in formulas(s1, inner):
-                    for q in formulas(size - 1 - s1, inner):
-                        out.append(fo_and(p, q))
-                        out.append(fo_or(p, q))
-        by_size[key] = out
-        return out
-
-    seen = set()
+def _definable_masks(dom: list[HFSet], max_size: int) -> set[int]:
+    """The masks of the formulas in free x of 1 to max_size nodes, with
+    parameters from dom and quantifiers over dom binding y."""
+    n = len(dom)
+    row = (1 << n) - 1
+    outer_atoms = _atom_masks([dom] + [[p] * n for p in dom])
+    inner_atoms = _atom_masks([[x for x in dom for _ in dom], dom * n]
+                              + [[p] * (n * n) for p in dom])
+    outer: list[set[int]] = [set()]
+    inner: list[set[int]] = [set()]
     for size in range(1, max_size + 1):
-        for phi in formulas(size, False):
-            if phi not in seen:
-                seen.add(phi)
-                yield phi
+        masks = _connect(outer, outer_atoms, row, size)
+        for body in inner[size - 1]:  # all y / ex y
+            rows = [body >> (i * n) & row for i in range(n)]
+            masks.add(sum(1 << i for i, r in enumerate(rows) if r == row))
+            masks.add(sum(1 << i for i, r in enumerate(rows) if r))
+        outer.append(masks)
+        if size < max_size:
+            inner.append(_connect(inner, inner_atoms, (1 << (n * n)) - 1, size))
+    return set().union(*outer)
 
 
 def def_subsets(domain: Iterable[HFSet], route: str = "formulas",
                 max_size: int = 5, domain_bound: int = 6) -> set[HFSet]:
     """The definable subsets of a finite membership structure, as sets.
 
-    The formula route enumerates first-order formulas with parameters and
-    collects the subsets they carve out; the powerset route returns every
-    subset (each one is definable by a disjunction of equalities with
-    parameters, so the routes agree on finite structures).
+    The formula route enumerates the first-order formulas in x of 1 to
+    max_size nodes up to equal denotation.  A formula is an atom `a in b`
+    or `a = b` over x, y and parameters from the domain, or not, and, or
+    of formulas, or all y / ex y of a formula in x and y.  Its denotation
+    is the set of values of x (and y) at which it holds, kept as a bit
+    mask; for each size only the distinct denotations are kept, never a
+    formula.  The truth of a compound formula at a value depends only on
+    the truth of its parts there, so the denotations built from
+    denotations are exactly those of the formulas, and the subsets they
+    name are exactly the subsets the formulas carve out one at a time.
+
+    The powerset route returns every subset (each one is definable by a
+    disjunction of equalities with parameters, so the routes agree on
+    finite structures once max_size allows it).
     """
     dom = sorted(set(domain))
     if route == "powerset":
@@ -321,14 +258,8 @@ def def_subsets(domain: Iterable[HFSet], route: str = "formulas",
         raise ValueError(
             f"structure of size {len(dom)} exceeds the brute-force bound "
             f"{domain_bound}; use route='powerset'")
-    found: set[HFSet] = set()
-    full = 2 ** len(dom)
-    for phi in enumerate_formulas(dom, max_size):
-        subset = HFSet(a for a in dom if eval_fo(phi, dom, {"x": a}))
-        found.add(subset)
-        if len(found) == full:
-            break
-    return found
+    return {HFSet(d for i, d in enumerate(dom) if mask >> i & 1)
+            for mask in _definable_masks(dom, max_size)}
 
 
 def l_stage(n: int, stage_bound: int = 5) -> set[HFSet]:
@@ -413,9 +344,9 @@ def encode_sigma(s: HFSet, enumeration: Sequence[HFSet] | None = None) -> SigmaC
     if enumeration is None:
         order: list[HFSet] = []
         seen: set[HFSet] = set()
-        queue = [s]
+        queue = deque([s])
         while queue:
-            x = queue.pop(0)
+            x = queue.popleft()
             if x in seen:
                 continue
             seen.add(x)
@@ -427,10 +358,13 @@ def encode_sigma(s: HFSet, enumeration: Sequence[HFSet] | None = None) -> SigmaC
             raise ValueError("enumeration must map 0 to the coded set")
         if set(order) != closure:
             raise ValueError("enumeration must be onto the transitive closure")
-    sigma = set()
+    indices: dict[HFSet, list[int]] = {}  # a repeated set has several
     for i, x in enumerate(order):
-        for j, y in enumerate(order):
-            if x in y.elems:
+        indices.setdefault(x, []).append(i)
+    sigma = set()
+    for j, y in enumerate(order):
+        for x in y.elems:
+            for i in indices[x]:
                 code = pair(i, j)
                 assert isinstance(code, int)
                 sigma.add(code)

@@ -1,11 +1,16 @@
+import io
 import itertools
+import json
 import random
+import signal
+from contextlib import contextmanager, redirect_stdout
 from dataclasses import dataclass
 from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kleeneset.cli import main
 from kleeneset.lworld import (
     EMPTY, HFSet, IllFoundedCodeError, SigmaCode, alpha_star, decode_sigma,
     def_subsets, encode_sigma, hf_nat, hf_union, is_ordinal, is_transitive,
@@ -176,8 +181,10 @@ def test_def_subsets_is_the_union_over_formulas(domain, max_size):
     ([], 0, 0),
     ([], 1, 1),
     ([hf_nat(0), hf_nat(1), hf_nat(2)], 0, 0),
-    ([hf_nat(0), hf_nat(1), hf_nat(2)], 1, 7),
     ([hf_nat(0), hf_nat(1), hf_nat(2), hf_nat(3)], 2, 12),
+    # within two nodes, only ex y (x in y) and ex y (y in x) carve out
+    # {0, 1} and {1, {1}}
+    ([hf_nat(0), hf_nat(1), HFSet([hf_nat(1)]), HFSet([hf_nat(2)])], 2, 12),
 ])
 def test_def_subsets_short_of_the_powerset(domain, max_size, count):
     got = def_subsets(domain, route="formulas", max_size=max_size)
@@ -186,8 +193,8 @@ def test_def_subsets_short_of_the_powerset(domain, max_size, count):
 
 
 def test_def_subsets_of_the_first_three_naturals_by_atoms():
-    # no atom carves out {0, 2}: x = p, x in p and p in x give the
-    # singletons, {0}, {0, 1}, {1, 2}, {2}, everything and nothing
+    # no atom carves out {0, 2}: x = p gives the singletons, x in p gives
+    # {0} and {0, 1}, p in x gives {1, 2} and {2}, the rest all or nothing
     nat = [hf_nat(k) for k in range(3)]
     powerset = def_subsets(nat, route="powerset")
     assert def_subsets(nat, max_size=1) == powerset - {HFSet([nat[0], nat[2]])}
@@ -198,13 +205,41 @@ def test_def_subsets_examples():
     assert def_subsets([EMPTY]) == {EMPTY, hf_nat(1)}
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 3])
+@pytest.mark.parametrize("size", range(7))
 def test_def_subsets_routes_agree(size):
-    domain = [EMPTY, hf_nat(1), hf_nat(2)][:size]
+    domain = [hf_nat(k) for k in range(size)]
     formulas = def_subsets(domain, route="formulas")
     powerset = def_subsets(domain, route="powerset")
     assert formulas == powerset
     assert len(powerset) == 2 ** size
+
+
+@contextmanager
+def within_two_seconds(what):
+    # formula by formula, six elements took about a minute
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} took more than 2 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(2)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_six_elements_are_defined_in_time():
+    domain = [hf_nat(k) for k in range(6)]
+    with within_two_seconds("def_subsets"):
+        assert len(def_subsets(domain, route="formulas")) == 64
+    with within_two_seconds("lworld defsub"):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            rc = main(["lworld", "defsub", "--route", "formulas", "--json",
+                       *(print_hf(x) for x in domain)])
+    assert rc == 0
+    assert json.loads(buf.getvalue())["size"] == 64
 
 
 def test_def_subsets_bound():

@@ -394,3 +394,92 @@ def test_hf_nat_is_ordinal(n):
 def test_l_stage_bound():
     with pytest.raises(ValueError):
         l_stage(6)
+
+
+# ---------------------------------------------------------------------------
+# Contracts of the interned stages: what the powerset route builds, the
+# rank each set carries and the ordinal test, against definitions kept here
+
+
+_RANKS: dict = {}  # interned sets live as long as the process, so may these
+_ORDINALS: dict = {}
+
+
+def rank_by_definition(x):
+    """0 for the empty set, else one more than the largest member rank."""
+    memo = _RANKS
+    todo = [x]
+    while todo:
+        y = todo[-1]
+        pending = [e for e in y.elems if e not in memo]
+        if pending:
+            todo += pending
+        else:
+            memo[todo.pop()] = 1 + max((memo[e] for e in y.elems), default=-1)
+    return memo[x]
+
+
+def ordinal_by_definition(x):
+    """Hereditarily transitive, walked member by member with no rank shortcut."""
+    if x not in _ORDINALS:
+        _ORDINALS[x] = (all(e.elems <= x.elems for e in x.elems)
+                        and all(ordinal_by_definition(e) for e in x.elems))
+    return _ORDINALS[x]
+
+
+def powerset_by_combinations(domain):
+    dom = list(set(domain))
+    return {HFSet(c) for k in range(len(dom) + 1) for c in itertools.combinations(dom, k)}
+
+
+def _same_objects(got, want):
+    return {id(x) for x in got} == {id(x) for x in want}
+
+
+@pytest.mark.parametrize("domain", [
+    [],
+    [hf_nat(2), HFSet([hf_nat(1)]), hf_nat(2)],  # equal ranks, a repeat
+    [hf_nat(3), EMPTY, HFSet([hf_nat(2)]), hf_nat(1), EMPTY, hf_nat(3)],  # mixed
+    L4[:2:-1] + L4[3:6],  # thirteen members of L_4, reversed, three repeated
+])
+def test_powerset_route_returns_the_interned_combinations(domain):
+    got = def_subsets(domain, route="powerset")
+    assert _same_objects(got, powerset_by_combinations(domain))
+    assert all(x.rank == rank_by_definition(x) for x in got)
+
+
+@given(st.lists(hf_sets, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_powerset_route_on_drawn_domains(domain):
+    # the route may be the first to build these subsets, so their ranks are
+    # checked before the test builds the same subsets itself
+    got = def_subsets(domain, route="powerset")
+    assert all(x.rank == rank_by_definition(x) for x in got)
+    assert _same_objects(got, powerset_by_combinations(domain))
+
+
+def test_every_member_of_l5_has_its_rank():
+    for x in l_stage(5):
+        assert x.rank == rank_by_definition(x)
+
+
+def test_is_ordinal_agrees_with_the_definition_on_l5():
+    stage = l_stage(5)
+    assert len(stage) == 2 ** 16
+    for x in stage:
+        assert is_ordinal(x) == ordinal_by_definition(x)
+
+
+@st.composite
+def near_ordinals(draw):
+    """An ordinal with one member swapped for a drawn set: often as many
+    members as its rank, and an ordinal only by accident."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    dropped = hf_nat(draw(st.integers(min_value=0, max_value=n - 1)))
+    return HFSet((hf_nat(n).elems - {dropped}) | {draw(hf_sets)})
+
+
+@given(st.one_of(hf_sets, near_ordinals(), st.integers(0, 10).map(hf_nat)))
+@settings(max_examples=120, deadline=None)
+def test_is_ordinal_agrees_with_the_definition(x):
+    assert is_ordinal(x) == ordinal_by_definition(x)

@@ -44,12 +44,7 @@ class HFSet:
         got = cls._intern.get(fs)
         if got is not None:
             return got
-        self = cls._intern[fs] = object.__new__(cls)
-        self.elems = fs
-        self._rank = 0 if not fs else 1 + max(e._rank for e in fs)
-        self._sorted = None
-        self._ordinal = None
-        return self
+        return _interned(fs, 1 + max([e._rank for e in fs]) if fs else 0)
 
     def sorted_children(self) -> tuple["HFSet", ...]:
         if self._sorted is None:
@@ -78,6 +73,19 @@ class HFSet:
         return self._rank
 
 
+def _interned(fs: frozenset, rank: int) -> HFSet:
+    """The set with members fs, made only if it is not interned yet.  The
+    caller vouches for rank; it is stored on a miss and never recomputed."""
+    got = HFSet._intern.get(fs)
+    if got is None:
+        got = HFSet._intern[fs] = object.__new__(HFSet)
+        got.elems = fs
+        got._rank = rank
+        got._sorted = None
+        got._ordinal = None
+    return got
+
+
 def _cmp(a: "HFSet", b: "HFSet") -> int:
     while a is not b:
         if a._rank != b._rank:
@@ -104,6 +112,8 @@ def hf(*elems: HFSet) -> HFSet:
 
 
 def hf_nat(n: int) -> HFSet:
+    if n < 0:
+        raise ValueError(f"no natural {n}")
     out = EMPTY
     for _ in range(n):
         out = HFSet(out.elems | {out})
@@ -115,7 +125,13 @@ def is_transitive(x: HFSet) -> bool:
 
 
 def is_ordinal(x: HFSet) -> bool:
-    """Hereditarily transitive (the classical finite reading)."""
+    """Hereditarily transitive (the classical finite reading).
+
+    The finite ordinal n has exactly the members 0, ..., n - 1, so its
+    rank equals its size, n; a set whose size differs from its rank is
+    rejected before its members are walked."""
+    if len(x.elems) != x._rank:
+        return False
     if x._ordinal is None:
         x._ordinal = is_transitive(x) and all(is_ordinal(e) for e in x.elems)
     return x._ordinal
@@ -243,14 +259,16 @@ def def_subsets(domain: Iterable[HFSet], route: str = "formulas",
 
     The powerset route returns every subset (each one is definable by a
     disjunction of equalities with parameters, so the routes agree on
-    finite structures once max_size allows it).
+    finite structures once max_size allows it).  The domain is sorted
+    canonically, rank first, so the last member of each combination has
+    the largest rank, and the subset's rank is one more than that.
     """
     dom = sorted(set(domain))
     if route == "powerset":
-        out = set()
-        for k in range(len(dom) + 1):
+        out = {EMPTY}
+        for k in range(1, len(dom) + 1):
             for combo in itertools.combinations(dom, k):
-                out.add(HFSet(combo))
+                out.add(_interned(frozenset(combo), combo[-1]._rank + 1))
         return out
     if route != "formulas":
         raise ValueError(route)
@@ -268,6 +286,8 @@ def l_stage(n: int, stage_bound: int = 5) -> set[HFSet]:
 
     Stage five already holds 2**16 sets and the growth is a tower, so
     the bound is not negotiable in practice."""
+    if n < 0:
+        raise ValueError(f"no stage {n}")
     if n > stage_bound:
         raise ValueError(f"stage {n} exceeds the bound {stage_bound}")
     stages: list[set[HFSet]] = [set()]

@@ -231,6 +231,10 @@ def _cmd_diagonal(args) -> int:
         catalogue = tuple(machines)
     else:
         catalogue = diag.default_catalogue()
+    if args.stages < 0:
+        raise ValueError(f"--stages must not be negative, got {args.stages}")
+    if args.fuel <= 0:  # the default catalogue declares its step bounds
+        raise ValueError("fuel must be positive")
     h, log = diag.build_h(catalogue, args.stages, args.fuel)
     payload = {
         "components": list(h.components),

@@ -176,6 +176,11 @@ class CheckBudget:
     implication_bound: int = 8
     witness_family: tuple[VCode, ...] = ()
 
+    def __post_init__(self):
+        if self.implication_bound < 0:
+            raise ValueError(
+                f"implication_bound must not be negative, got {self.implication_bound}")
+
 
 def _join(*vs: Verdict) -> Verdict:
     note = None

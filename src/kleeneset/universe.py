@@ -110,6 +110,12 @@ class MalformedTypeError(ValueError):
     """A family diverged on an index it must cover, or a non-type was used."""
 
 
+# A finite index type with more members than this is not listed: the
+# rules that would walk its members answer unknown instead.  The naturals
+# are listed up to nat_bound, so it caps nat_bound too.
+MAX_FIN_INDEX = 1 << 16
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Finite bounds under which infinite base types are approximated.
@@ -120,13 +126,23 @@ class Truncation:
     type: a built path prefix (`diagonal.SeqCode`) that answers
     `membership(c)`, lists `member_codes(segment_bound)`, gives the code
     of each segment by `segment_code(length)`, and names its contents by
-    a `cache_token`, which the verdict caches key on.
+    a `cache_token`, which the verdict caches key on.  A negative bound,
+    a nat_bound above MAX_FIN_INDEX or a fuel below 1 is a ValueError.
     """
 
     segment_bound: int = 16
     nat_bound: int = 12
     fuel: int = DEFAULT_FUEL
     distinguished: object = None
+
+    def __post_init__(self):
+        for name in ("segment_bound", "nat_bound"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+        if self.nat_bound > MAX_FIN_INDEX:
+            raise ValueError(f"nat_bound {self.nat_bound} exceeds {MAX_FIN_INDEX}")
+        if self.fuel <= 0:
+            raise ValueError("fuel must be positive")
 
     def key(self) -> tuple:
         token = None if self.distinguished is None else self.distinguished.cache_token
@@ -187,9 +203,6 @@ def din(k: Code, t: Code, tr: Truncation = DEFAULT_TRUNCATION) -> Verdict:
 _MAX_DEPTH = 200
 _DEPTH_NOTE = "recursion depth bound hit"
 
-# A finite index type with more members than this is not listed: the
-# rules that would walk its members answer unknown instead.
-MAX_FIN_INDEX = 1 << 16
 _TOO_LARGE_NOTE = f"finite index type of more than {MAX_FIN_INDEX} members not enumerated"
 
 # The depth window of the call in progress (see the module docstring): the

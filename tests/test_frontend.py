@@ -1,8 +1,12 @@
 import io
 import json
+import os
 import random
+import resource
 import shlex
 import signal
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -269,13 +273,48 @@ HOSTILE_INPUTS = {
         "--fuel", "1000"),
     "term nested 3000 deep": lambda d: ("pca", "eval", "(app " * 3000 + "k" + " 1)" * 3000),
     "set literal nested 3000 deep": lambda d: ("lworld", "encode", "{" * 3000 + "}" * 3000),
+    "negative stage": lambda d: ("lworld", "lstage", "-3"),
+    "stage minus one": lambda d: ("lworld", "lstage", "-1"),
+    "alpha star of a negative natural": lambda d: ("lworld", "alphastar", "-2"),
+    "negative nat bound": lambda d: ("universe", "check-u", "5", "--nat-bound", "-4"),
+    "negative segment bound": lambda d: (
+        "universe", "din", "3", "25", "--segment-bound", "-3"),
+    "negative implication bound": lambda d: (
+        "check", "0", "(= omega omega)", "--implication-bound", "-5"),
+    "negative stage count": lambda d: ("diagonal", "build", "--stages", "-1"),
+    "zero fuel": lambda d: ("universe", "check-u", "5", "--fuel", "0"),
+    "zero fuel for a build": lambda d: ("diagonal", "build", "--stages", "2", "--fuel", "0"),
+    # a pi over NAT: unchecked, it lists a billion naturals
+    "nat bound past MAX_FIN_INDEX": lambda d: (
+        "universe", "check-u", "2562485644", "--nat-bound", "1000000000"),
 }
+
+# run in a child process under a memory limit, so that a missing check
+# ends in a MemoryError there and not in the test process
+RUN_APART = {"nat bound past MAX_FIN_INDEX"}
+CHILD_MEMORY = 3 << 29  # 1.5 GiB of address space
+
+
+def _run_apart(argv):
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    src = str(Path(lw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "kleeneset.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit_memory)
+    return proc.returncode, proc.stderr
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
 def test_cli_hostile_input_is_one_line_and_exit_2(case, tmp_path, capsys):
-    rc = main(list(HOSTILE_INPUTS[case](tmp_path)))
-    err = capsys.readouterr().err
+    argv = list(HOSTILE_INPUTS[case](tmp_path))
+    if case in RUN_APART:
+        rc, err = _run_apart(argv)
+    else:
+        rc, err = main(argv), capsys.readouterr().err
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err

@@ -396,6 +396,13 @@ def test_l_stage_bound():
         l_stage(6)
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_l_stage_is_the_union_of_the_powersets_of_the_earlier_stages(n):
+    # the defining union, kept here as the oracle for the stage builder
+    want = set().union(*(def_subsets(l_stage(m), route="powerset") for m in range(n)))
+    assert _same_objects(l_stage(n), want)
+
+
 # ---------------------------------------------------------------------------
 # Contracts of the interned stages: what the powerset route builds, the
 # rank each set carries and the ordinal test, against definitions kept here

@@ -6,13 +6,13 @@ import pytest
 
 from kleeneset import romlib as rom
 from kleeneset.lworld import EMPTY, HFSet, hf_nat
-from kleeneset.machine import apply_chain, clear_caches
+from kleeneset.machine import apply_chain, clear_caches, fixpoint
 from kleeneset.pairing import pair
 from kleeneset.realizability import (
     All, And, BAll, BEx, CheckBudget, Eq, Ex, Implies, In, Not, Or, Val, Var, check, denote, find_realiser, formula_status,
     incomparability_formula, incomparability_statement_realiser, native_truth,
     subcountability_formula, subcountability_witness)
-from kleeneset.terms import L, V, compile_lambda
+from kleeneset.terms import A, L, V, compile_lambda, mkapp
 from kleeneset.universe import Truncation, fin
 from kleeneset.vcodes import (
     VCode, alpha0, v_finite, v_numeral, v_omega, v_opair, v_upair,
@@ -334,3 +334,55 @@ def test_sets_indexed_past_the_cap_are_out_of_reach():
     assert denote(a) is None
     assert find_realiser(Eq(Val(a), Val(N1)), {}, B) == (None, False)
     assert formula_status(Eq(Val(a), Val(N1)), {}, B).unknown
+
+
+# ---------------------------------------------------------------------------
+# Sets whose element map does not converge on an index: the clauses answer
+# unknown, the synthesizer is not decisive and the finite reading is None
+
+
+LOW = CheckBudget(truncation=Truncation(segment_bound=6, nat_bound=6, fuel=2000))
+
+
+def _no_element_sets():
+    # e k = e k never converges and the machine cannot prove it, so every
+    # application runs out of fuel; the code 15 provably diverges
+    loop = fixpoint(compile_lambda(L("e", "k", A(V("e"), V("k")))))
+    return [VCode(pair(fin(2), loop)), VCode(pair(fin(2), 15))]
+
+
+@pytest.mark.parametrize("s", _no_element_sets())
+def test_clauses_answer_unknown_on_an_element_map_that_does_not_converge(s):
+    v = check(pair(0, rom.IOTA), In(Val(N0), Val(s)), {}, LOW)
+    assert (v.status, v.note) == ("unknown", "element map did not converge on the index")
+    v = check(pair(1, 0), BEx("x", Val(s), TRUE_ATOM), {}, LOW)
+    assert (v.status, v.note) == (
+        "unknown", "element map did not converge on the witness index")
+    v = check(mkapp(rom.K, 0), BAll("x", Val(s), TRUE_ATOM), {}, LOW)
+    assert (v.status, v.note) == ("unknown", "some instances undecided")
+    # an index outside the bound is refuted before the map is run
+    assert check(pair(2, rom.IOTA), In(Val(N0), Val(s)), {}, LOW).refuted
+
+
+@pytest.mark.parametrize("s", _no_element_sets())
+def test_no_decisive_search_over_an_element_map_that_does_not_converge(s):
+    for phi in (In(Val(N0), Val(s)), BEx("x", Val(s), TRUE_ATOM),
+                BAll("x", Val(s), TRUE_ATOM)):
+        assert find_realiser(phi, {}, LOW) == (None, False), phi
+    assert formula_status(BAll("x", Val(s), TRUE_ATOM), {}, LOW).unknown
+
+
+def test_no_decisive_equality_with_an_element_map_out_of_fuel():
+    s = _no_element_sets()[0]  # the diverging map makes the equality type malformed
+    assert find_realiser(Eq(Val(s), Val(N2)), {}, LOW) == (None, False)
+    assert find_realiser(Eq(Val(N2), Val(s)), {}, LOW) == (None, False)
+
+
+@pytest.mark.parametrize("s", _no_element_sets())
+def test_no_finite_reading_of_an_element_map_that_does_not_converge(s):
+    tr = LOW.truncation
+    assert denote(s, tr) is None
+    assert denote(v_finite([N1, s]), tr) is None
+    for phi in (In(Val(N0), Val(s)), BAll("x", Val(s), TRUE_ATOM),
+                BEx("x", Val(s), TRUE_ATOM)):
+        assert native_truth(phi, {}, tr) is None, phi

@@ -258,18 +258,18 @@ def _cmd_diagonal(args) -> int:
 def _cmd_lworld(args) -> int:
     if args.op == "lstage":
         stage = sorted(lw.l_stage(args.n))
-        names = [lw.print_hf(x) for x in stage]
+        names = lw.print_hfs(stage)
         _emit(args, {"size": len(stage), "elements": names},
               "\n".join(names) if names else "(empty stage)")
     elif args.op == "defsub":
         domain = [lw.parse_hf(s) for s in args.sets]
         subs = sorted(lw.def_subsets(domain, route=args.route))
-        names = [lw.print_hf(x) for x in subs]
+        names = lw.print_hfs(subs)
         _emit(args, {"size": len(subs), "subsets": names}, "\n".join(names))
     elif args.op == "ordinals":
         domain = [lw.parse_hf(s) for s in args.sets]
         ords = sorted(lw.ordinals_of(domain))
-        names = [lw.print_hf(x) for x in ords]
+        names = lw.print_hfs(ords)
         _emit(args, {"ordinals": names}, "\n".join(names) if names else "(none)")
     elif args.op == "alphastar":
         a = lw.hf_nat(args.n)

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 from .pairing import pair, unpair
 
 __all__ = [
-    "HFSet", "EMPTY", "hf", "hf_nat", "is_transitive", "is_ordinal",
-    "parse_hf", "print_hf",
+    "HFSet", "EMPTY", "hf_nat", "is_transitive", "is_ordinal",
+    "parse_hf", "print_hf", "print_hfs",
     "def_subsets", "l_stage", "ordinals_of", "alpha_star",
     "SigmaCode", "transitive_closure", "encode_sigma", "decode_sigma",
     "IllFoundedCodeError",
@@ -107,10 +107,6 @@ _cmp_key = functools.cmp_to_key(_cmp)
 EMPTY = HFSet()
 
 
-def hf(*elems: HFSet) -> HFSet:
-    return HFSet(elems)
-
-
 def hf_nat(n: int) -> HFSet:
     if n < 0:
         raise ValueError(f"no natural {n}")
@@ -138,10 +134,15 @@ def is_ordinal(x: HFSet) -> bool:
 
 
 def print_hf(x: HFSet) -> str:
-    """The set literal, children in canonical order.  Each distinct
-    subset is printed once, bottom-up, so no depth exhausts the stack."""
+    """The set literal, children in canonical order."""
+    return print_hfs([x])[0]
+
+
+def print_hfs(xs: Sequence[HFSet]) -> list[str]:
+    """The set literals of xs, in order.  Each distinct subset is printed
+    once for the whole list, bottom-up, so no depth exhausts the stack."""
     text: dict[HFSet, str] = {}
-    todo = [x]
+    todo = list(xs)
     while todo:
         y = todo.pop()
         if y in text:
@@ -151,7 +152,7 @@ def print_hf(x: HFSet) -> str:
             todo += [y] + pending
         else:
             text[y] = "{" + ",".join(text[e] for e in y) + "}"
-    return text[x]
+    return [text[x] for x in xs]
 
 
 _MAX_NESTING = 100  # the s-expression reader's bound
@@ -242,8 +243,11 @@ def _definable_masks(dom: list[HFSet], max_size: int) -> set[int]:
     return set().union(*outer)
 
 
+_DOMAIN_BOUND = 6  # the formula route's largest domain
+
+
 def def_subsets(domain: Iterable[HFSet], route: str = "formulas",
-                max_size: int = 5, domain_bound: int = 6) -> set[HFSet]:
+                max_size: int = 5) -> set[HFSet]:
     """The definable subsets of a finite membership structure, as sets.
 
     The formula route enumerates the first-order formulas in x of 1 to
@@ -272,31 +276,37 @@ def def_subsets(domain: Iterable[HFSet], route: str = "formulas",
         return out
     if route != "formulas":
         raise ValueError(route)
-    if len(dom) > domain_bound:
+    if len(dom) > _DOMAIN_BOUND:
         raise ValueError(
             f"structure of size {len(dom)} exceeds the brute-force bound "
-            f"{domain_bound}; use route='powerset'")
+            f"{_DOMAIN_BOUND}; use route='powerset'")
     return {HFSet(d for i, d in enumerate(dom) if mask >> i & 1)
             for mask in _definable_masks(dom, max_size)}
 
 
-def l_stage(n: int, stage_bound: int = 5) -> set[HFSet]:
+_STAGE_BOUND = 5
+
+
+def l_stage(n: int) -> set[HFSet]:
     """The n-th stage: union over m < n of the definable subsets of
     stage m (powerset route; the routes are compared in the tests).
+
+    Each stage is transitive, so its members are subsets of it and lie
+    in the next stage: the stages grow.  The powerset of an earlier
+    stage therefore lies inside the powerset of the last one, so the
+    union is that powerset alone, and each stage is built from the
+    stage before it.
 
     Stage five already holds 2**16 sets and the growth is a tower, so
     the bound is not negotiable in practice."""
     if n < 0:
         raise ValueError(f"no stage {n}")
-    if n > stage_bound:
-        raise ValueError(f"stage {n} exceeds the bound {stage_bound}")
-    stages: list[set[HFSet]] = [set()]
-    for m in range(n):
-        nxt: set[HFSet] = set()
-        for k in range(m + 1):
-            nxt |= def_subsets(stages[k], route="powerset")
-        stages.append(nxt)
-    return stages[n]
+    if n > _STAGE_BOUND:
+        raise ValueError(f"stage {n} exceeds the bound {_STAGE_BOUND}")
+    stage: set[HFSet] = set()
+    for _ in range(n):
+        stage = def_subsets(stage, route="powerset")
+    return stage
 
 
 def ordinals_of(s: Iterable[HFSet]) -> set[HFSet]:
@@ -360,7 +370,6 @@ def encode_sigma(s: HFSet, enumeration: Sequence[HFSet] | None = None) -> SigmaC
     The default enumeration is breadth-first from s in canonical order;
     a caller-supplied one must be surjective and send 0 to s.
     """
-    closure = transitive_closure(s)
     if enumeration is None:
         order: list[HFSet] = []
         seen: set[HFSet] = set()
@@ -376,7 +385,7 @@ def encode_sigma(s: HFSet, enumeration: Sequence[HFSet] | None = None) -> SigmaC
         order = list(enumeration)
         if not order or order[0] is not s:
             raise ValueError("enumeration must map 0 to the coded set")
-        if set(order) != closure:
+        if set(order) != transitive_closure(s):
             raise ValueError("enumeration must be onto the transitive closure")
     indices: dict[HFSet, list[int]] = {}  # a repeated set has several
     for i, x in enumerate(order):

@@ -31,15 +31,16 @@ from . import romlib as rom
 from .lworld import HFSet
 from .machine import (
     DivergedError, OutOfFuelError, apply_raw)
-from .pairing import Code, pair, unpair
+from .pairing import Code, pair, unpair, unpair1
 from .terms import mkapp
 from .universe import (
     MAX_FIN_INDEX, REALIZED, REFUTED, Truncation, Verdict, _depth_memo,
-    check_in_V, din, enumerate_index, provably_empty, type_view, unknown,
+    _family_at, check_in_V, din, enumerate_index, provably_empty, type_view,
+    unknown,
 )
 from .vcodes import (
-    VCode, as_code, elem_of, eq_code, f0_vcode, index_type_of, seq_encode,
-    v_omega, v_opair)
+    VCode, as_code, eq_code, f0_vcode, index_type_of, seq_encode, v_omega,
+    v_opair)
 
 __all__ = [
     "Var", "Val", "OPairT", "F0T", "FTerm",
@@ -221,9 +222,8 @@ def _check(e: Code, phi: Formula, env: dict, budget: CheckBudget) -> Verdict:
         v_idx = din(k0, b.index_type, tr)
         if v_idx.refuted:
             return REFUTED
-        try:
-            elem = elem_of(b, k0, tr.fuel)
-        except (OutOfFuelError, DivergedError):
+        elem = _family_at(b.elem_map, k0, tr, False)
+        if elem is None:
             return unknown("element map did not converge on the index")
         v_eq = din(u, eq_code(a.code, elem), tr)
         return _join(v_idx, v_eq)
@@ -264,9 +264,8 @@ def _check(e: Code, phi: Formula, env: dict, budget: CheckBudget) -> Verdict:
                 continue
             except DivergedError:
                 return REFUTED  # the clause demands convergence on every index
-            try:
-                elem = elem_of(bound, i, tr.fuel)
-            except (OutOfFuelError, DivergedError):
+            elem = _family_at(bound.elem_map, i, tr, False)
+            if elem is None:
                 saw_unknown = True
                 continue
             v = _check(ei, phi.body, {**env, phi.var: VCode(elem)}, budget)
@@ -286,9 +285,8 @@ def _check(e: Code, phi: Formula, env: dict, budget: CheckBudget) -> Verdict:
         v_idx = din(k0, bound.index_type, tr)
         if v_idx.refuted:
             return REFUTED
-        try:
-            elem = elem_of(bound, k0, tr.fuel)
-        except (OutOfFuelError, DivergedError):
+        elem = _family_at(bound.elem_map, k0, tr, False)
+        if elem is None:
             return unknown("element map did not converge on the witness index")
         v = _check(u, phi.body, {**env, phi.var: VCode(elem)}, budget)
         return _join(v_idx, v)
@@ -384,15 +382,13 @@ def _synth_subeq(a: Code, b: Code, tr: Truncation,
     table: list[Code] = []
     decisive = True
     for k in range(view_a.size):
-        try:
-            ak = elem_of(a, k, tr.fuel)
-        except (OutOfFuelError, DivergedError):
+        ak = _family_at(unpair1(a), k, tr, False)
+        if ak is None:
             return (None, False)
         found = None
         for y in range(view_b.size):
-            try:
-                by = elem_of(b, y, tr.fuel)
-            except (OutOfFuelError, DivergedError):
+            by = _family_at(unpair1(b), y, tr, False)
+            if by is None:
                 decisive = False
                 continue
             w, d = _synth_eq(ak, by, tr, depth + 1)
@@ -435,9 +431,8 @@ def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Cod
         members, complete = enumerate_index(b.index_type, tr)
         decisive = bool(complete)
         for k in members:
-            try:
-                elem = elem_of(b, k, tr.fuel)
-            except (OutOfFuelError, DivergedError):
+            elem = _family_at(b.elem_map, k, tr, False)
+            if elem is None:
                 decisive = False
                 continue
             w, d = _synth_eq(a.code, elem, tr, depth + 1)
@@ -490,9 +485,8 @@ def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Cod
             return (None, False)
         table: list[Code] = []
         for i in members:
-            try:
-                elem = elem_of(bound, i, tr.fuel)
-            except (OutOfFuelError, DivergedError):
+            elem = _family_at(bound.elem_map, i, tr, False)
+            if elem is None:
                 return (None, False)
             w, d = _find(phi.body, {**env, phi.var: VCode(elem)}, budget, depth + 1)
             if w is None:
@@ -505,9 +499,8 @@ def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Cod
         members, complete = enumerate_index(bound.index_type, tr)
         decisive = bool(complete)
         for i in members:
-            try:
-                elem = elem_of(bound, i, tr.fuel)
-            except (OutOfFuelError, DivergedError):
+            elem = _family_at(bound.elem_map, i, tr, False)
+            if elem is None:
                 decisive = False
                 continue
             w, d = _find(phi.body, {**env, phi.var: VCode(elem)}, budget, depth + 1)
@@ -561,9 +554,8 @@ def denote(v, tr: Truncation | None = None, _depth: int = 0) -> HFSet | None:
         return None
     out = []
     for k in range(view.size):
-        try:
-            ek = elem_of(code, k, tr.fuel)
-        except (OutOfFuelError, DivergedError):
+        ek = _family_at(unpair1(code), k, tr, False)
+        if ek is None:
             return None
         d = denote(ek, tr, _depth + 1)
         if d is None:
@@ -624,9 +616,8 @@ def _truth(phi: Formula, env: dict, tr: Truncation) -> bool | None:
             return None
         results = []
         for k in members:
-            try:
-                elem = elem_of(bound, k, tr.fuel)
-            except (OutOfFuelError, DivergedError):
+            elem = _family_at(bound.elem_map, k, tr, False)
+            if elem is None:
                 return None
             results.append(_truth(phi.body, {**env, phi.var: VCode(elem)}, tr))
         if isinstance(phi, BAll):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from .machine import fixpoint
 from .pairing import pair
 from .terms import A, L, Lam, N, Prim, V, compile_lambda, prim_code
+from .universe import DIST, NAT, fin
 
 __all__ = [
     "K", "S", "SN", "PN", "D", "P", "P0", "P1", "FIX",
@@ -32,7 +33,6 @@ __all__ = [
     "M_COPY", "M_EMPTY", "M_TRUNC1", "M_TRUNC2", "M_HEAD1",
     "M_SNOC0", "M_SNOC1", "M_SNOC00", "M_ZEROS_SAME", "M_ZEROS_PLUS1",
     "M_CONST101",
-    "NAT_CODE", "DIST_CODE", "fin_code",
 ]
 
 _k, _s, _sN, _pN, _d, _p, _p0, _p1, _fix = (Prim(n) for n in
@@ -47,15 +47,6 @@ P = prim_code("p")
 P0 = prim_code("p0")
 P1 = prim_code("p1")
 FIX = prim_code("fix")
-
-NAT_CODE = pair(1, 0)
-DIST_CODE = pair(1, 1)
-
-
-def fin_code(n: int) -> int:
-    """The finite type with n elements."""
-    return pair(0, n)
-
 
 def _ifz(n, zero, other):
     return A(_d, Lam("_", zero), Lam("_", other), n, N(0), N(0))
@@ -173,7 +164,7 @@ LSFAM = _c(L("t", A(N(NUMMAP), A(_p0, V("t")))), "length_as_numeral")
 UPAIRFAM = _c(L("a", "b", "x", A(_d, V("a"), V("b"), V("x"), N(0))), "upair_select")
 
 UPAIR_PROG = _c(L("a", "b",
-    A(_p, N(fin_code(2)),
+    A(_p, N(fin(2)),
       A(_p, N(0), A(_p, A(_p, N(0), A(_p, N(UPAIRFAM), V("a"))), V("b"))))), "upair")
 
 OPAIR_PROG = _c(L("a", "b",
@@ -284,7 +275,7 @@ EX2F = _c(L("i", "k", "r", "t",
 
 EX1F = _c(L("i", "k", "r",
     A(_p, N(2),
-      A(_p, N(DIST_CODE),
+      A(_p, N(DIST),
         A(_p, N(0),
           A(_p, A(_p, N(0),
                   A(_p, A(_p, N(0), A(_p, N(EX2F), V("i"))), V("k"))),
@@ -292,7 +283,7 @@ EX1F = _c(L("i", "k", "r",
 
 ANTT = _c(L("i", "k",
     A(_p, N(2),
-      A(_p, N(NAT_CODE),
+      A(_p, N(NAT),
         A(_p, N(0),
           A(_p, A(_p, N(0), A(_p, N(EX1F), V("i"))), V("k")))))), "pair_membership_type")
 

@@ -54,13 +54,12 @@ __all__ = [
     "Verdict", "REALIZED", "REFUTED", "Truncation", "MalformedTypeError",
     "TypeView", "type_view", "din", "check_in_U", "check_in_V",
     "enumerate_index", "provably_empty", "MAX_FIN_INDEX",
-    "FIN0", "NAT", "DIST", "fin", "sigma_code", "pi_code",
+    "NAT", "DIST", "fin", "sigma_code", "pi_code",
 ]
 
 
 NAT = pair(1, 0)
 DIST = pair(1, 1)
-FIN0 = pair(0, 0)
 
 
 def fin(n: int) -> Code:

@@ -126,14 +126,17 @@ def seq_encode(xs: Iterable) -> Code:
     return pair(len(xs), _tree(padded))
 
 
-def seq_decode(c: Code, max_length: int = 1_000_000) -> list[Code] | None:
+_MAX_SEQ_LENGTH = 1_000_000
+
+
+def seq_decode(c: Code) -> list[Code] | None:
     """Components of a canonical sequence code, or None if not canonical.
 
     Codes claiming an absurd length are rejected rather than walked;
     every sequence this library builds is far below the cap.
     """
     length, payload = unpair(c)
-    if not isinstance(length, int) or length > max_length:
+    if not isinstance(length, int) or length > _MAX_SEQ_LENGTH:
         return None
     if length == 0:
         return [] if payload == 0 else None

@@ -14,7 +14,7 @@ from kleeneset.cli import main
 from kleeneset.lworld import (
     EMPTY, HFSet, IllFoundedCodeError, SigmaCode, alpha_star, decode_sigma,
     def_subsets, encode_sigma, hf_nat, hf_union, is_ordinal, is_transitive,
-    l_stage, ordinals_of, parse_hf, print_hf, transitive_closure,
+    l_stage, ordinals_of, parse_hf, print_hf, print_hfs, transitive_closure,
 )
 from kleeneset.pairing import pair
 
@@ -337,6 +337,16 @@ def test_print_hf_keeps_the_canonical_child_order():
     sets = all_hf_up_to_rank(3) + [random_hf(rng, 6) for _ in range(30)]
     for x in sets:
         assert print_hf(x) == _print_recursively(x)
+
+
+@given(st.lists(hf_sets, max_size=8).flatmap(
+    lambda xs: st.lists(st.sampled_from(xs + [HFSet(xs)] + [x for y in xs for x in y]),
+                        max_size=12)))
+@settings(max_examples=80, deadline=None)
+def test_print_hfs_prints_each_member_as_print_hf_does(xs):
+    # the list draws its members from a few sets, their members and their
+    # set, so they share subsets and repeat
+    assert print_hfs(xs) == [print_hf(x) for x in xs]
 
 
 def test_deep_sets_code_decode_and_print():

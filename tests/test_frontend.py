@@ -15,13 +15,16 @@ import pytest
 from kleeneset import lworld as lw, romlib as rom
 from kleeneset.cli import build_parser, main
 from kleeneset.machine import fixpoint
-from kleeneset.pairing import code_value, pair
-from kleeneset.realizability import BAll, Eq, In, Val, Var
+from kleeneset.pairing import code_bits, code_value, pair
+from kleeneset.realizability import BAll, Eq, F0T, In, Val, Var
 from kleeneset.sexpr import (
     ParseError, parse_formula, parse_term, print_formula, print_term,
 )
-from kleeneset.terms import App, Lam, Lit, Prim, Var as TVar, mkapp, mkapps
+from kleeneset.terms import (
+    App, Lam, Lit, Prim, RomRef, Var as TVar, compile_lambda, mkapp, mkapps,
+)
 from kleeneset.universe import fin, sigma_code
+from kleeneset.vcodes import internal_pair_fn, v_numeral, v_opair
 
 
 def run_cli(*argv):
@@ -106,6 +109,9 @@ def test_term_roundtrip_generated():
     for _ in range(500):
         t = random_term(rng)
         assert parse_term(print_term(t)) == t
+    for t in (RomRef(3), App(RomRef(0), Lam("x", RomRef(12)))):  # (const N)
+        assert parse_term(print_term(t)) == t
+    assert print_term(RomRef(3)) == "(const 3)"
 
 
 def test_formula_roundtrip_generated():
@@ -113,6 +119,9 @@ def test_formula_roundtrip_generated():
     for _ in range(500):
         phi = random_formula(rng)
         assert parse_formula(print_formula(phi)) == phi
+    phi = BAll("n", F0T(Var("i")), In(Var("n"), F0T(F0T(Val(v_numeral(2))))))
+    assert print_formula(phi) == "(all n (f0 i) (in n (f0 (f0 (numeral 2)))))"
+    assert parse_formula(print_formula(phi)) == phi
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +210,21 @@ def test_cli_catalogue_file(tmp_path):
     assert all(s["resolved"] for s in payload["stages"])
 
 
-def test_cli_remaining_verbs():
+def test_cli_remaining_verbs(capsys):
     rc, out = run_cli("pca", "unpair", "5")
     assert out.strip() == "2 1"
     rc, out = run_cli("pca", "apply", "7", "4")   # 7 is the successor program
     assert out.strip() == "5"
+    omega = str(compile_lambda(parse_term("(lam x (app x x))")))
+    rc, out = run_cli("pca", "apply", omega, omega, "--fuel", "50", "--json")
+    assert (rc, json.loads(out)) == (1, {"outcome": "out_of_fuel"})
+    rc, out = run_cli("pca", "eval", f"(app {omega} {omega})", "--fuel", "50", "--json")
+    assert (rc, json.loads(out)) == (1, {"outcome": "out_of_fuel"})
+    capsys.readouterr()
+    rc, out = run_cli("pca", "eval", "x")
+    err = capsys.readouterr().err
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: unbound variable")
     rc, out = run_cli("pca", "fixpoint", "3", "--json")
     assert json.loads(out)["code"].isdigit()
     rc, out = run_cli("pca", "decode", "3")
@@ -218,6 +237,23 @@ def test_cli_remaining_verbs():
     assert "code" in json.loads(out)
     rc, out = run_cli("vcode", "omega")
     assert out.strip().isdigit()
+    rc, out = run_cli("vcode", "opair", "numeral:1", "numeral:2")
+    assert out.strip() == f"~2^{code_bits(v_opair(v_numeral(1), v_numeral(2)).code)}"
+    rc, out = run_cli("vcode", "pbar", "--json")
+    assert json.loads(out)["code"] == str(internal_pair_fn().code)
+    # --bind takes numeral:N, omega and raw codes (0 is the empty set)
+    for realiser, a, b, verdict in (("(app (app p 0) iota)", "numeral:0", "numeral:1", "realized"),
+                                    ("(app (app p 1) iota)", "numeral:0", "numeral:1", "refuted"),
+                                    ("(app (app p 0) iota)", "0", "omega", "realized")):
+        rc, out = run_cli("check", realiser, "(in a b)", "--bind", f"a={a}",
+                          "--bind", f"b={b}", "--json")
+        assert (rc, json.loads(out)) == (int(verdict == "refuted"), {"verdict": verdict})
+    rc, out = run_cli("lworld", "alphastar", "3")
+    assert out.strip() == "{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}}}"
+    rc, out = run_cli("lworld", "decode", "{0,1,2}", "{3,4,7}")
+    assert out.strip() == "{{},{{}}}"
+    rc, out = run_cli("lworld", "decode", "{0}", "{0}")  # index 0 below itself
+    assert rc == 1 and out.startswith("error:")
     rc, out = run_cli("lworld", "encode", "{{},{{}}}", "--json")
     payload = json.loads(out)
     assert payload["u"] == [0, 1, 2] and payload["sigma"] == [3, 4, 7]

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -310,6 +312,29 @@ def test_formation_rule_answers_are_pinned(name, check, build, tr, status, note)
     assert (v.status, v.note) == (status, note)
 
 
+def _frame_depth():
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+@pytest.mark.parametrize("name", ["U self-referential", "V self-member"])
+def test_the_depth_guard_fires_within_a_frame_budget(name):
+    # each U or V level takes three frames (the memo wrapper, the decider,
+    # _family_walk), so the guard at depth 200 fires some 600 frames down
+    _, check, build, tr, status, note = next(c for c in FORMATION_CASES if c[0] == name)
+    code = build()
+    clear_caches()
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 700)
+    try:
+        v = check(code, tr)
+    finally:
+        sys.setrecursionlimit(old)
+    assert (v.status, v.note) == (status, note)
+
+
 def test_formation_rule_answers_hold_warm():
     # all cases in one process, forwards and then backwards, so that each
     # is asked after every other one has filled the memo tables
@@ -450,3 +475,6 @@ def test_formation_answers_are_the_same_cold_warm_and_after_a_deeper_call(case):
     clear_caches()
     _answer(check, deeper)
     assert _answer(check, code) == cold
+    if check is din_of:  # no din clause puts a note on a realized verdict
+        for v in (cold, cold_deeper):
+            assert v is MalformedTypeError or not v.realized or v.note is None

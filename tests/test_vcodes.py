@@ -9,7 +9,7 @@ from kleeneset.pairing import pair, unpair0, unpair1
 from kleeneset.universe import Truncation, din, fin, type_view
 from kleeneset.vcodes import (
     alpha0, elem_of, eq_code, eq_code_via_machine, eq_type,
-    f0_membership_realiser, internal_pair_fn, pair_graph_elem, seq_decode,
+    f0_membership_realiser, f0_membership_type, internal_pair_fn, pair_graph_elem, seq_decode,
     seq_encode, subeq_code, subeq_code_via_machine, v_finite, v_numeral,
     v_omega, v_opair, v_upair)
 
@@ -214,6 +214,15 @@ def test_f0_membership_checker_accepts(path_view):
                          OPairT(Val(v_opair(v_numeral(i), v_numeral(k))),
                                 Var("n")))))
         assert check(e, phi, budget=budget).realized
+
+
+def test_f0_membership_type_holds_its_realiser(path_view):
+    # path_view is a 30-stage path prefix
+    tr = Truncation(segment_bound=6, nat_bound=6, distinguished=path_view)
+    for i, k in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1)):
+        t = f0_membership_type(i, k)
+        assert din(f0_membership_realiser(i, k, tr), t, tr).realized
+        assert din(5, t, tr).refuted
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from . import diagonal as diag
 from . import lworld as lw
 from . import realizability as rz
 from . import sexpr
-from .machine import DEFAULT_FUEL, DivergedError, OutOfFuelError, apply_raw, fixpoint
+from .machine import DivergedError, OutOfFuelError, apply_raw, fixpoint
 from .pairing import Code, canon, code_bits, incomparable_witness, is_big, pair, unpair
 from .terms import Lam, Lit, Prim, RomRef, Term, App, Var, compile_lambda, decode, encode
-from .universe import Truncation, check_in_U, check_in_V, din
+from .universe import DEFAULT_TRUNCATION, Truncation, check_in_U, check_in_V, din
 from .vcodes import (
     VCode, alpha0, eq_code, internal_pair_fn, v_numeral, v_omega, v_opair, v_upair)
 
@@ -295,9 +295,9 @@ def _cmd_lworld(args) -> int:
 # the budget flags; all four build a Truncation, and each command takes
 # only those it reads
 _FLAGS = {
-    "--fuel": dict(type=int, default=DEFAULT_FUEL),
-    "--segment-bound": dict(type=int, default=16),
-    "--nat-bound": dict(type=int, default=12),
+    "--fuel": dict(type=int, default=DEFAULT_TRUNCATION.fuel),
+    "--segment-bound": dict(type=int, default=DEFAULT_TRUNCATION.segment_bound),
+    "--nat-bound": dict(type=int, default=DEFAULT_TRUNCATION.nat_bound),
     "--h-prefix": dict(default=None, help="JSON file with the built path prefix"),
 }
 
@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("realiser")
     p.add_argument("formula")
     p.add_argument("--bind", action="append", metavar="NAME=SPEC")
-    p.add_argument("--implication-bound", type=int, default=8)
+    p.add_argument("--implication-bound", type=int,
+                   default=rz.CheckBudget.implication_bound)
     _add_flags(p, *_FLAGS)
     p.set_defaults(fn=_cmd_check)
 

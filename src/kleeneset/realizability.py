@@ -24,7 +24,6 @@ over hereditarily finite sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from typing import Mapping
 
 from . import romlib as rom
@@ -369,7 +368,7 @@ def _synth_eq(a: Code, b: Code, tr: Truncation,
     return (None, False)
 
 
-@_depth_memo(inf, None)  # no guard of its own: _synth_eq's bounds it
+# no guard of its own: _synth_eq's bounds it
 def _synth_subeq(a: Code, b: Code, tr: Truncation,
                  depth: int) -> tuple[Code | None, bool]:
     """A program sending members of a to equal members of b, as a table;

@@ -21,19 +21,21 @@ families: an index type in U plus a family converging to a good member
 
 Every recursive decider here and in realizability stops at a depth guard
 and then answers as if undecided, so its answer can depend on the depth
-of the call.  The six memoized deciders (_din, provably_empty,
-check_in_U, check_in_V, and realizability's _synth_eq and _synth_subeq)
-share one guard and memo rule, _depth_memo.  Each answer, guarded or
-not, is stored with its depth window: the call depths at which a cold run
-takes the same side of every guard it meets, its own and those of the
-calls it makes at depth + 1, memo hits among them counting by their
-stored windows.  A hit is used only inside its window; outside it the
-decider recomputes, so a call answers as it does cold whatever ran
-before it.  A call at depth 0 is never a depth-dependent child, since
-children are called at depth + 1, so its window stays its own:
-check_in_V's check of its index type, _synth_eq's din and
-provably_empty, and enumerate_index (which is not memoized and keeps its
-own guard) all start there.
+of the call.  The five memoized deciders (_din, provably_empty,
+check_in_U, check_in_V, and realizability's _synth_eq) share one guard
+and memo rule, _depth_memo.  Each answer, guarded or not, is stored with
+its depth window: the call depths at which a cold run takes the same
+side of every guard it meets, its own and those of the calls it makes at
+depth + 1, memo hits among them counting by their stored windows.  A hit
+is used only inside its window; outside it the decider recomputes, so a
+call answers as it does cold whatever ran before it.  A call at depth 0
+is never a depth-dependent child, since children are called at
+depth + 1, so its window stays its own: check_in_V's check of its index
+type, _synth_eq's din and provably_empty, and enumerate_index (which is
+not memoized and keeps its own guard) all start there.
+
+A U or V level takes three Python frames (the memo wrapper, the decider,
+_family_walk), so the guard at depth 200 fires some 600 frames down.
 """
 
 from __future__ import annotations
@@ -90,11 +92,6 @@ class Verdict:
     @property
     def unknown(self) -> bool:
         return self.status == "unknown"
-
-    def qualified(self, note: str) -> "Verdict":
-        if self.status == "realized" and self.note is None:
-            return Verdict("realized", note)
-        return self
 
 
 REALIZED = Verdict("realized")
@@ -210,7 +207,7 @@ _TOO_LARGE_NOTE = f"finite index type of more than {MAX_FIN_INDEX} members not e
 _window_hi, _window_lo = -inf, inf
 
 
-def _depth_memo(limit: float, guarded):
+def _depth_memo(limit: int, guarded):
     """Guard a decider of (codes..., tr, depth), which answers guarded at
     a depth past limit, and memoize it under the window rule of the module
     docstring."""
@@ -287,8 +284,7 @@ def _din(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
         if v1.refuted:
             return REFUTED  # second disjunct, sound whatever v0 is
         if v0.realized and v1.realized:
-            return v1.qualified("component verdict relative to truncation") \
-                if v1.note or v0.note else REALIZED
+            return REALIZED
         return unknown("component membership undecided")
     # pi
     members, complete = enumerate_index(view.index, tr)
@@ -387,11 +383,12 @@ def provably_empty(t: Code, tr: Truncation, depth: int = 0) -> bool:
 
 
 def _family_walk(index: Code, family: Code, tr: Truncation, index_depth: int,
-                 member_check: Callable[[Code], Verdict],
-                 truncated_note: str, undecided_note: str) -> Verdict:
+                 member_check: Callable[[Code, Truncation, int], Verdict],
+                 member_depth: int, truncated_note: str, undecided_note: str) -> Verdict:
     """The formation rule U and V share: the index type is in U, and the
-    family converges on every enumerated index to a good member.  Only a
-    truncated enumeration qualifies a realized answer with a note."""
+    family converges on every enumerated index to a good member by
+    member_check at member_depth.  Only a truncated enumeration qualifies
+    a realized answer with a note."""
     v_index = check_in_U(index, tr, index_depth)
     if v_index.refuted:
         return REFUTED
@@ -405,7 +402,7 @@ def _family_walk(index: Code, family: Code, tr: Truncation, index_depth: int,
             continue
         except DivergedError:
             return REFUTED  # the rule needs the family to converge here
-        v = member_check(ek)
+        v = member_check(ek, tr, member_depth)
         if v.refuted:
             return REFUTED
         decided = decided and v.realized
@@ -426,8 +423,7 @@ def check_in_U(t: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) ->
         return REFUTED  # no formation rule concludes an unknown tag
     if view.kind in ("fin", "nat", "dist"):
         return REALIZED
-    return _family_walk(view.index, view.family, tr, _depth + 1,
-                        lambda e: check_in_U(e, tr, _depth + 1),
+    return _family_walk(view.index, view.family, tr, _depth + 1, check_in_U, _depth + 1,
                         "family checked up to the truncation",
                         "index or family membership undecided")
 
@@ -436,6 +432,6 @@ def check_in_U(t: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) ->
 def check_in_V(a: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
     """Is a a well-formed set code (index type plus element map)?"""
     n, e = unpair(a)
-    return _family_walk(n, e, tr, 0, lambda c: check_in_V(c, tr, _depth + 1),
+    return _family_walk(n, e, tr, 0, check_in_V, _depth + 1,
                         "element map checked up to the truncation",
                         "index or element map undecided")

@@ -16,15 +16,15 @@ from kleeneset import lworld as lw, romlib as rom
 from kleeneset.cli import build_parser, main
 from kleeneset.machine import fixpoint
 from kleeneset.pairing import code_bits, code_value, pair
-from kleeneset.realizability import BAll, Eq, F0T, In, Val, Var
+from kleeneset.realizability import All, BAll, BEx, Eq, F0T, In, Val, Var
 from kleeneset.sexpr import (
     ParseError, parse_formula, parse_term, print_formula, print_term,
 )
 from kleeneset.terms import (
-    App, Lam, Lit, Prim, RomRef, Var as TVar, compile_lambda, mkapp, mkapps,
+    App, Junk, Lam, Lit, Prim, RomRef, Var as TVar, compile_lambda, encode, mkapp, mkapps,
 )
 from kleeneset.universe import fin, sigma_code
-from kleeneset.vcodes import internal_pair_fn, v_numeral, v_opair
+from kleeneset.vcodes import VCode, internal_pair_fn, v_numeral, v_omega, v_opair
 
 
 def run_cli(*argv):
@@ -60,6 +60,42 @@ def test_parse_errors_carry_positions():
         parse_term("(app k 3) extra")
     with pytest.raises(ParseError):
         parse_formula("(= a)")
+
+
+# one case for each way a parse can fail: (parser, input, message, position)
+PARSE_ERRORS = [
+    (parse_term, "(foo 1 2)", "unknown program form 'foo'", 1),
+    (parse_term, "()", "unknown program form ')'", 1),
+    (parse_term, ")", "unexpected ')'", 0),
+    (parse_term, "(lam 3 x)", "bad binder '3'", 5),
+    (parse_term, "(const x)", "const needs a table index", 7),
+    (parse_term, "#", "unrecognized token '#'", 0),
+    (parse_term, "(app k 3 4)", "expected ')', found '4'", 9),
+    (parse_term, "(const 3 4)", "expected ')', found '4'", 9),
+    (parse_term, "(app k", "unexpected end of input", 6),
+    (parse_term, "(app k 3) extra", "trailing input 'extra'", 10),
+    (parse_term, "(app " * 101 + "k 1" + ")" * 101, "nested deeper than 100", 500),
+    (parse_formula, "", "unexpected end of input", 0),
+    (parse_formula, "x", "expected '(', found 'x'", 0),
+    (parse_formula, "(foo a b)", "unknown formula form 'foo'", 1),
+    (parse_formula, "((= a a))", "unknown formula form '('", 1),
+    (parse_formula, "(in (foo 1) a)", "unknown term form 'foo'", 5),
+    (parse_formula, "(in (numeral x) a)", "numeral needs a natural", 13),
+    (parse_formula, "(in (numeral 2 3) a)", "expected ')', found '3'", 15),
+    (parse_formula, "(= # a)", "unrecognized term '#'", 3),
+    (parse_formula, "(= a)", "unrecognized term ')'", 4),
+    (parse_formula, "(not (= a a) (= a a))", "expected ')', found '('", 13),
+    (parse_formula, "(all x omega (= x x)", "unexpected end of input", 20),
+    (parse_formula, "(= a b) c", "trailing input 'c'", 8),
+]
+
+
+@pytest.mark.parametrize("parser, text, message, position", PARSE_ERRORS)
+def test_parse_error_message_and_position(parser, text, message, position):
+    with pytest.raises(ParseError) as err:
+        parser(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
 
 
 def random_term(rng, depth=3):
@@ -111,7 +147,11 @@ def test_term_roundtrip_generated():
         assert parse_term(print_term(t)) == t
     for t in (RomRef(3), App(RomRef(0), Lam("x", RomRef(12)))):  # (const N)
         assert parse_term(print_term(t)) == t
+    assert print_term(Lit(rom.IOTA)) == "iota" and parse_term("iota") == Lit(rom.IOTA)
     assert print_term(RomRef(3)) == "(const 3)"
+    for code in (0, 1, 13):  # Junk prints as its code, which reads back as that code
+        assert print_term(Junk(code)) == str(code)
+        assert encode(parse_term(print_term(Junk(code)))) == code
 
 
 def test_formula_roundtrip_generated():
@@ -121,6 +161,10 @@ def test_formula_roundtrip_generated():
         assert parse_formula(print_formula(phi)) == phi
     phi = BAll("n", F0T(Var("i")), In(Var("n"), F0T(F0T(Val(v_numeral(2))))))
     assert print_formula(phi) == "(all n (f0 i) (in n (f0 (f0 (numeral 2)))))"
+    assert parse_formula(print_formula(phi)) == phi
+    # the forms random_formula never makes: ex, ALL, omega and a raw code
+    phi = BEx("y", Val(v_omega()), All("z", Eq(Var("y"), Val(VCode(5)))))
+    assert print_formula(phi) == "(ex y omega (ALL z (= y 5)))"
     assert parse_formula(print_formula(phi)) == phi
 
 
@@ -187,6 +231,18 @@ def test_cli_check_relative_verdict(tmp_path):
     payload = json.loads(out)
     assert payload["verdict"] in ("unknown", "realized")
     assert payload["verdict"] != "refuted"
+
+
+def test_cli_check_keeps_a_conjunct_note_on_either_side():
+    # the bounded conjunct is realized relative to the enumeration bound, the
+    # other outright; the conjunction keeps the note whichever side it is on
+    relative = "(all x omega (= x x))"
+    outright = "(= (numeral 1) (numeral 1))"
+    for realiser, formula in (("(app (app p (lam i iota)) iota)", f"(and {relative} {outright})"),
+                              ("(app (app p iota) (lam i iota))", f"(and {outright} {relative})")):
+        rc, out = run_cli("check", realiser, formula, "--nat-bound", "3", "--json")
+        assert (rc, out) == (0, '{"note":"relative to the index enumeration bound",'
+                                '"verdict":"realized"}\n')
 
 
 def test_cli_check_concrete_membership():

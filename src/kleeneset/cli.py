@@ -144,11 +144,7 @@ def _cmd_pca(args) -> int:
             _emit(args, {"outcome": "out_of_fuel"}, "out of fuel")
             return 1
     elif args.op == "encode":
-        term = sexpr.parse_term(args.term)
-        if isinstance(term, Lam):
-            c = compile_lambda(term)
-        else:
-            c = encode(term)
+        c = compile_lambda(sexpr.parse_term(args.term))
         _emit(args, {"code": _code_str(c)}, _code_str(c))
     elif args.op == "decode":
         t = decode(_parse_code(args.code))
@@ -224,8 +220,7 @@ def _cmd_diagonal(args) -> int:
             raise ValueError(f"{args.catalogue} is not a list of machines with a term each")
         machines = []
         for item in spec:
-            term = sexpr.parse_term(item["term"])
-            code = compile_lambda(term) if isinstance(term, Lam) else encode(term)
+            code = compile_lambda(sexpr.parse_term(item["term"]))
             machines.append(diag.CatalogueMachine(
                 item.get("name", item["term"]), code, item.get("step_bound")))
         catalogue = tuple(machines)

@@ -1,11 +1,18 @@
 """Surface syntax: s-expressions for programs and formulas.
 
-Programs:   (app f a)   (lam x body)   k s sN pN d p p0 p1 fix
+Programs:   (app f a)   (lam x body)   (const N)   k s sN pN d p p0 p1 fix
             numeric literals, named library constants (iota, delta, ...)
 Formulas:   (= t u)  (in t u)  (not p)  (and p q)  (or p q)  (-> p q)
             (all x bound p)  (ex x bound p)  (ALL x p)  (EX x p)
 Terms in formulas: variable names, (numeral N), omega, (opair t u),
             (f0 t), or a raw code literal.
+
+Each compound form is one entry of a table, one table per category
+(programs, formulas, formula terms): the head word maps to the
+constructor and the kinds of its arguments in the order of its fields.
+One reader parses `(head args...)` from the table and one printer writes
+it back from the same entry; only the atoms have code of their own.
+Every binder, of lam, all, ex, ALL and EX alike, must be an identifier.
 
 parse(print(x)) is the identity on well-formed input; syntax errors
 carry the offending position.  Input nested deeper than _MAX_NESTING
@@ -15,13 +22,14 @@ parsed tree can exhaust the host stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import realizability as rz
 from . import romlib as rom
 from .terms import (
     App, Junk, Lam, Lit, Prim, PRIM_ORDER, RomRef, Term, Var,
 )
+from .universe import type_view
 from .vcodes import VCode, v_numeral, v_omega
 
 __all__ = [
@@ -115,7 +123,28 @@ class _Reader:
 
 
 # ---------------------------------------------------------------------------
-# Programs
+# The forms
+
+
+def _numeral(n: int) -> rz.Val:
+    return rz.Val(v_numeral(n))
+
+
+# head word -> (constructor, argument kinds in the order of its fields):
+# p a program, f a formula, t a formula term, v a binder, n a natural
+_PROGRAM_FORMS = {"app": (App, "pp"), "lam": (Lam, "vp"), "const": (RomRef, "n")}
+_FORMULA_FORMS = {
+    "=": (rz.Eq, "tt"), "in": (rz.In, "tt"), "not": (rz.Not, "f"),
+    "and": (rz.And, "ff"), "or": (rz.Or, "ff"), "->": (rz.Implies, "ff"),
+    "all": (rz.BAll, "vtf"), "ex": (rz.BEx, "vtf"), "ALL": (rz.All, "vf"), "EX": (rz.Ex, "vf"),
+}
+_TERM_FORMS = {"numeral": (_numeral, "n"), "opair": (rz.OPairT, "tt"), "f0": (rz.F0T, "t")}
+# what the natural of each form with one stands for, for its error message
+_NATURAL_IS = {"const": "a table index", "numeral": "a natural"}
+
+
+# ---------------------------------------------------------------------------
+# Parsing
 
 
 def parse_term(text: str) -> Term:
@@ -125,29 +154,42 @@ def parse_term(text: str) -> Term:
     return t
 
 
+def parse_formula(text: str):
+    r = _Reader(text)
+    phi = _parse_formula(r)
+    r.done()
+    return phi
+
+
+def _parse_form(r: _Reader, forms: dict, category: str):
+    """The rest of (head args...) after its '(', read by head's entry in forms."""
+    head = r.next()
+    if head.text not in forms:
+        raise ParseError(f"unknown {category} form {head.text!r}", head.pos)
+    ctor, kinds = forms[head.text]
+    args = [_natural(r, head.text) if kind == "n" else _READ[kind](r) for kind in kinds]
+    r.expect(")")
+    return ctor(*args)
+
+
+def _binder(r: _Reader) -> str:
+    tok = r.next()
+    if not tok.text.isidentifier():
+        raise ParseError(f"bad binder {tok.text!r}", tok.pos)
+    return tok.text
+
+
+def _natural(r: _Reader, head: str) -> int:
+    tok = r.next()
+    if not tok.text.isdigit():
+        raise ParseError(f"{head} needs {_NATURAL_IS[head]}", tok.pos)
+    return int(tok.text)
+
+
 def _parse_term(r: _Reader) -> Term:
     tok = r.next()
     if tok.text == "(":
-        head = r.next()
-        if head.text == "app":
-            f = _parse_term(r)
-            a = _parse_term(r)
-            r.expect(")")
-            return App(f, a)
-        if head.text == "lam":
-            var = r.next()
-            if not var.text.isidentifier():
-                raise ParseError(f"bad binder {var.text!r}", var.pos)
-            body = _parse_term(r)
-            r.expect(")")
-            return Lam(var.text, body)
-        if head.text == "const":
-            idx = r.next()
-            if not idx.text.isdigit():
-                raise ParseError("const needs a table index", idx.pos)
-            r.expect(")")
-            return RomRef(int(idx.text))
-        raise ParseError(f"unknown program form {head.text!r}", head.pos)
+        return _parse_form(r, _PROGRAM_FORMS, "program")
     if tok.text == ")":
         raise ParseError("unexpected ')'", tok.pos)
     if tok.text.isdigit():
@@ -161,99 +203,17 @@ def _parse_term(r: _Reader) -> Term:
     raise ParseError(f"unrecognized token {tok.text!r}", tok.pos)
 
 
-_NAME_OF_CODE = {code: name for name, code in NAMED_CODES.items()}
-
-
-def print_term(t: Term) -> str:
-    if isinstance(t, Prim):
-        return t.name
-    if isinstance(t, Lit):
-        name = _NAME_OF_CODE.get(t.value)
-        if name is not None:
-            return name
-        return str(t.value)
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, App):
-        return f"(app {print_term(t.fn)} {print_term(t.arg)})"
-    if isinstance(t, Lam):
-        return f"(lam {t.var} {print_term(t.body)})"
-    if isinstance(t, RomRef):
-        return f"(const {t.index})"
-    if isinstance(t, Junk):
-        return str(t.code)
-    raise TypeError(t)
-
-
-# ---------------------------------------------------------------------------
-# Formulas
-
-
-def parse_formula(text: str):
-    r = _Reader(text)
-    phi = _parse_formula(r)
-    r.done()
-    return phi
-
-
-_BINARY = {"=": rz.Eq, "in": rz.In, "and": rz.And, "or": rz.Or, "->": rz.Implies}
-
-
 def _parse_formula(r: _Reader):
     tok = r.next()
     if tok.text != "(":
         raise ParseError(f"expected '(', found {tok.text!r}", tok.pos)
-    head = r.next()
-    if head.text in ("=", "in"):
-        x = _parse_fterm(r)
-        y = _parse_fterm(r)
-        r.expect(")")
-        return _BINARY[head.text](x, y)
-    if head.text == "not":
-        body = _parse_formula(r)
-        r.expect(")")
-        return rz.Not(body)
-    if head.text in ("and", "or", "->"):
-        p = _parse_formula(r)
-        q = _parse_formula(r)
-        r.expect(")")
-        return _BINARY[head.text](p, q)
-    if head.text in ("all", "ex"):
-        var = r.next()
-        bound = _parse_fterm(r)
-        body = _parse_formula(r)
-        r.expect(")")
-        ctor = rz.BAll if head.text == "all" else rz.BEx
-        return ctor(var.text, bound, body)
-    if head.text in ("ALL", "EX"):
-        var = r.next()
-        body = _parse_formula(r)
-        r.expect(")")
-        ctor = rz.All if head.text == "ALL" else rz.Ex
-        return ctor(var.text, body)
-    raise ParseError(f"unknown formula form {head.text!r}", head.pos)
+    return _parse_form(r, _FORMULA_FORMS, "formula")
 
 
 def _parse_fterm(r: _Reader):
     tok = r.next()
     if tok.text == "(":
-        head = r.next()
-        if head.text == "numeral":
-            n = r.next()
-            if not n.text.isdigit():
-                raise ParseError("numeral needs a natural", n.pos)
-            r.expect(")")
-            return rz.Val(v_numeral(int(n.text)))
-        if head.text == "opair":
-            a = _parse_fterm(r)
-            b = _parse_fterm(r)
-            r.expect(")")
-            return rz.OPairT(a, b)
-        if head.text == "f0":
-            a = _parse_fterm(r)
-            r.expect(")")
-            return rz.F0T(a)
-        raise ParseError(f"unknown term form {head.text!r}", head.pos)
+        return _parse_form(r, _TERM_FORMS, "term")
     if tok.text == "omega":
         return rz.Val(v_omega())
     if tok.text.isdigit():
@@ -263,44 +223,47 @@ def _parse_fterm(r: _Reader):
     raise ParseError(f"unrecognized term {tok.text!r}", tok.pos)
 
 
-def print_fterm(t) -> str:
-    if isinstance(t, rz.Var):
-        return t.name
-    if isinstance(t, rz.Val):
-        code = t.value.code
-        if code == v_omega().code:
+_READ = {"p": _parse_term, "f": _parse_formula, "t": _parse_fterm, "v": _binder}
+
+
+# ---------------------------------------------------------------------------
+# Printing
+
+# a numeral reads to a Val, which prints as an atom
+_FORM_OF = {ctor: (head, kinds)
+            for forms in (_PROGRAM_FORMS, _FORMULA_FORMS, _TERM_FORMS)
+            for head, (ctor, kinds) in forms.items()}
+_NAME_OF_CODE = {code: name for name, code in NAMED_CODES.items()}
+
+
+def _print(x) -> str:
+    """One printer for programs, formulas and formula terms."""
+    form = _FORM_OF.get(type(x))
+    if form is None:
+        return _print_atom(x)
+    head, kinds = form
+    parts = [head]
+    for field, kind in zip(fields(x), kinds):
+        arg = getattr(x, field.name)
+        parts.append(str(arg) if kind in "vn" else _print(arg))
+    return f"({' '.join(parts)})"
+
+
+print_term = print_formula = _print
+
+
+def _print_atom(x) -> str:
+    if isinstance(x, (Prim, Var, rz.Var)):
+        return x.name
+    if isinstance(x, Lit):
+        return _NAME_OF_CODE.get(x.value, str(x.value))
+    if isinstance(x, Junk):
+        return str(x.code)
+    if isinstance(x, rz.Val):
+        if x.value.code == v_omega().code:
             return "omega"
-        from .universe import type_view
-        view = type_view(t.value.index_type)
-        if view.kind == "fin" and t.value.elem_map == rom.NUMMAP:
+        view = type_view(x.value.index_type)
+        if view.kind == "fin" and x.value.elem_map == rom.NUMMAP:
             return f"(numeral {view.size})"
-        return str(code)
-    if isinstance(t, rz.OPairT):
-        return f"(opair {print_fterm(t.fst)} {print_fterm(t.snd)})"
-    if isinstance(t, rz.F0T):
-        return f"(f0 {print_fterm(t.index)})"
-    raise TypeError(t)
-
-
-def print_formula(phi) -> str:
-    if isinstance(phi, rz.Eq):
-        return f"(= {print_fterm(phi.x)} {print_fterm(phi.y)})"
-    if isinstance(phi, rz.In):
-        return f"(in {print_fterm(phi.x)} {print_fterm(phi.y)})"
-    if isinstance(phi, rz.Not):
-        return f"(not {print_formula(phi.body)})"
-    if isinstance(phi, rz.And):
-        return f"(and {print_formula(phi.lhs)} {print_formula(phi.rhs)})"
-    if isinstance(phi, rz.Or):
-        return f"(or {print_formula(phi.lhs)} {print_formula(phi.rhs)})"
-    if isinstance(phi, rz.Implies):
-        return f"(-> {print_formula(phi.lhs)} {print_formula(phi.rhs)})"
-    if isinstance(phi, rz.BAll):
-        return f"(all {phi.var} {print_fterm(phi.bound)} {print_formula(phi.body)})"
-    if isinstance(phi, rz.BEx):
-        return f"(ex {phi.var} {print_fterm(phi.bound)} {print_formula(phi.body)})"
-    if isinstance(phi, rz.All):
-        return f"(ALL {phi.var} {print_formula(phi.body)})"
-    if isinstance(phi, rz.Ex):
-        return f"(EX {phi.var} {print_formula(phi.body)})"
-    raise TypeError(phi)
+        return str(x.value.code)
+    raise TypeError(x)

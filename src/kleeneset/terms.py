@@ -198,7 +198,11 @@ def register_combinator(term: Term, name: str = "") -> int:
 
     Returns its code.  The body is bracket-abstracted; the combinator
     fires only when it has collected one argument per lambda binder.
+    The machine tells the primitives apart by name, so a combinator may
+    not take the name of one.
     """
+    if name in PRIM_ORDER:
+        raise ValueError(f"a combinator may not be named like the primitive {name!r}")
     params: list[str] = []
     body = term
     while isinstance(body, Lam):

@@ -87,6 +87,9 @@ PARSE_ERRORS = [
     (parse_formula, "(not (= a a) (= a a))", "expected ')', found '('", 13),
     (parse_formula, "(all x omega (= x x)", "unexpected end of input", 20),
     (parse_formula, "(= a b) c", "trailing input 'c'", 8),
+    (parse_formula, "(all ) omega (= a a))", "bad binder ')'", 5),
+    (parse_formula, "(ex 3 omega (= a a))", "bad binder '3'", 4),
+    (parse_formula, "(ALL (= a a))", "bad binder '('", 5),
 ]
 
 
@@ -266,6 +269,20 @@ def test_cli_catalogue_file(tmp_path):
     assert all(s["resolved"] for s in payload["stages"])
 
 
+def test_cli_encodes_any_closed_term(tmp_path):
+    # one encoder: lambda-free terms keep the code encode gives them
+    for text in ("(app k 3)", "(app (app s k) k)", "(app iota 5)", "7", "sN", "(const 4)"):
+        rc, out = run_cli("pca", "encode", text)
+        assert (rc, out.strip()) == (0, str(encode(parse_term(text))))
+    rc, out = run_cli("pca", "encode", "(app (lam x x) 7)")  # 7 is the successor program
+    assert rc == 0 and run_cli("pca", "apply", out.strip(), "5")[1].strip() == "6"
+    spec = [{"term": "(app (lam x (lam s x)) 0)", "step_bound": 20000, "name": "empty"},
+            {"term": "(app k 0)", "step_bound": 20000, "name": "also empty"}]
+    rc, out = run_cli("diagonal", "build", "--catalogue", _write(tmp_path / "cat.json", spec),
+                      "--stages", "2", "--json")
+    assert rc == 0 and len(json.loads(out)["stages"]) == 2
+
+
 def test_cli_remaining_verbs(capsys):
     rc, out = run_cli("pca", "unpair", "5")
     assert out.strip() == "2 1"
@@ -364,6 +381,10 @@ HOSTILE_INPUTS = {
         "check", "(app (lam x (app x x)) (lam x (app x x)))", "(= omega omega)",
         "--fuel", "1000"),
     "term nested 3000 deep": lambda d: ("pca", "eval", "(app " * 3000 + "k" + " 1)" * 3000),
+    # a ')' taken as a binder would undo the '(' before it in the nesting count
+    "quantifier binders that are ')' 3000 deep": lambda d: (
+        "check", "0", "(ALL ) " * 3000 + "(= a a)" + ")" * 3000),
+    "quantifier binder that is ')'": lambda d: ("check", "0", "(all ) omega (= a a))"),
     "set literal nested 3000 deep": lambda d: ("lworld", "encode", "{" * 3000 + "}" * 3000),
     "negative stage": lambda d: ("lworld", "lstage", "-3"),
     "stage minus one": lambda d: ("lworld", "lstage", "-1"),

@@ -34,6 +34,16 @@ def test_basic_combinator_examples():
     assert apply_raw(rom.P1, 5) == 1
 
 
+def test_a_combinator_may_not_take_a_primitive_name():
+    # the machine tells heads apart by name: a combinator named "k" fired as k
+    size = rom_size()
+    for name in PRIM_ORDER:
+        with pytest.raises(ValueError, match="primitive"):
+            compile_lambda(L("x", "y", V("y")), name)
+    assert rom_size() == size
+    assert apply_chain(compile_lambda(L("x", "y", V("y")), "second"), 3, 4) == 4
+
+
 def _total_pool(rng):
     """Programs that converge on any argument, for law instances."""
     x = rng.randrange(100)

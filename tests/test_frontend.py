@@ -189,6 +189,15 @@ def test_cli_eval_term():
     assert out.strip() == "7"
 
 
+@pytest.mark.parametrize("term, code", [
+    ("7", "7"), ("k", "3"), ("(const 4)", "22"), ("(lam x x)", "833571"),
+    ("iota", "15590439522856080192796427078550956106717791042"),
+])
+def test_cli_eval_of_a_leaf_is_its_code(term, code):
+    assert run_cli("pca", "eval", term, "--json") == (
+        0, json.dumps({"outcome": "value", "result": code}, separators=(",", ":")) + "\n")
+
+
 def test_cli_witness():
     rc, out = run_cli("pca", "witness", "0", "1", "1")
     assert out.strip() == "3"

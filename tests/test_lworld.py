@@ -500,3 +500,16 @@ def near_ordinals(draw):
 @settings(max_examples=120, deadline=None)
 def test_is_ordinal_agrees_with_the_definition(x):
     assert is_ordinal(x) == ordinal_by_definition(x)
+
+
+def _closure_depth_first(s):
+    below = {s}
+    for x in s.elems:
+        below |= _closure_depth_first(x)
+    return below
+
+
+@given(hf_sets)
+@settings(max_examples=80, deadline=None)
+def test_transitive_closure_is_everything_below(s):
+    assert transitive_closure(s) == _closure_depth_first(s)

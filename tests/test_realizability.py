@@ -386,3 +386,60 @@ def test_no_finite_reading_of_an_element_map_that_does_not_converge(s):
     for phi in (In(Val(N0), Val(s)), BAll("x", Val(s), TRUE_ATOM),
                 BEx("x", Val(s), TRUE_ATOM)):
         assert native_truth(phi, {}, tr) is None, phi
+
+
+# ---------------------------------------------------------------------------
+# Pinned answers on clauses the tests above do not reach
+
+FAMILY = CheckBudget(truncation=LOW.truncation, witness_family=(N0, N1))
+UNDECIDED = In(Val(N0), Val(_no_element_sets()[0]))  # its element map runs out of fuel
+
+
+def test_unbounded_universal_over_a_family_it_cannot_run_on():
+    loop = _no_element_sets()[0].elem_map  # runs out of fuel on every argument
+    v = check(loop, All("x", TRUE_ATOM), {}, FAMILY)
+    assert (v.status, v.note) == (
+        "unknown", "unbounded universal: checked relative to the witness family only")
+    assert check(15, All("x", TRUE_ATOM), {}, FAMILY).refuted  # 15 provably diverges
+    assert find_realiser(All("x", TRUE_ATOM), {}, FAMILY) == (None, False)
+
+
+def test_unbounded_existential_over_a_code_that_is_not_a_set():
+    assert check(pair(2, 0), Ex("x", TRUE_ATOM), {}, FAMILY).refuted  # 2 is no set code
+    budget = CheckBudget(truncation=TR, witness_family=(N0,))
+    assert find_realiser(Ex("x", In(Val(N1), Var("x"))), {}, budget) == (None, False)
+    assert find_realiser(Ex("x", TRUE_ATOM), {}, CheckBudget(truncation=TR)) == (None, False)
+
+
+def test_implication_with_an_undecided_consequent():
+    phi = Implies(TRUE_ATOM, BAll("x", Val(_no_element_sets()[0]), TRUE_ATOM))
+    loop = _no_element_sets()[0].elem_map
+    for e in (mkapp(rom.K, mkapp(rom.K, 0)), loop):  # undecided, and out of fuel
+        v = check(e, phi, {}, LOW)
+        assert (v.status, v.note) == (
+            "unknown", "consequent checks undecided on some antecedent realisers")
+
+
+def test_search_past_its_depth_guard_and_undecided_implications():
+    answers = []
+    for k in range(38, 44):
+        phi = TRUE_ATOM
+        for _ in range(k):
+            phi = Not(phi)
+        answers.append(find_realiser(phi, {}, LOW))
+    # the guard stops the search 41 negations down
+    assert answers == [(0, True), (None, True), (0, True),
+                       (None, False), (None, False), (None, False)]
+    assert find_realiser(Implies(UNDECIDED, UNDECIDED), {}, LOW) == (None, False)
+    assert find_realiser(Implies(TRUE_ATOM, UNDECIDED), {}, LOW) == (None, False)
+
+
+@pytest.mark.parametrize("phi, truth", [
+    (And(TRUE_ATOM, UNDECIDED), None), (And(UNDECIDED, FALSE_ATOM), False),
+    (Or(UNDECIDED, TRUE_ATOM), True), (Or(FALSE_ATOM, UNDECIDED), None),
+    (Implies(UNDECIDED, TRUE_ATOM), True), (Implies(FALSE_ATOM, UNDECIDED), True),
+    (Implies(TRUE_ATOM, UNDECIDED), None), (Implies(UNDECIDED, FALSE_ATOM), None),
+    (BAll("x", Val(v_omega()), TRUE_ATOM), None), (BEx("x", Val(v_omega()), TRUE_ATOM), None),
+])
+def test_truth_with_an_undecided_part(phi, truth):
+    assert native_truth(phi, {}, LOW.truncation) is truth

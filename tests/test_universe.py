@@ -478,3 +478,32 @@ def test_formation_answers_are_the_same_cold_warm_and_after_a_deeper_call(case):
     if check is din_of:  # no din clause puts a note on a realized verdict
         for v in (cold, cold_deeper):
             assert v is MalformedTypeError or not v.realized or v.note is None
+
+
+KEYWORD_CASES = [fin(3), NAT, DIST, 2, sigma_code(fin(0), 0),
+                 sigma_code(fin(2), mkapp(rom.K, fin(1))), pi_code(NAT, mkapp(rom.K, fin(0)))]
+
+
+@pytest.mark.parametrize("t", KEYWORD_CASES)
+def test_keyword_calls_answer_as_positional_calls(t):
+    # the memo wrapper binds keyword and short calls to the decider's
+    # signature; each answers as the positional call does, cold or warm
+    def answers(calls):
+        clear_caches()
+        return [(v.status, v.note) if hasattr(v, "status") else v for v in
+                (call() for call in calls)]
+
+    positional = answers([lambda: check_in_U(t, TR, 0), lambda: check_in_V(pair(t, 0), TR, 0),
+                          lambda: provably_empty(t, TR, 0)])
+    keyword = answers([lambda: check_in_U(t, tr=TR), lambda: check_in_V(pair(t, 0), tr=TR),
+                       lambda: provably_empty(t, tr=TR)])
+    mixed = answers([lambda: check_in_U(t, TR, _depth=0), lambda: check_in_V(a=pair(t, 0), tr=TR),
+                     lambda: provably_empty(t, TR, depth=0)])
+    assert keyword == positional == mixed
+    assert answers([lambda: check_in_U(t), lambda: check_in_V(pair(t, 0))]) == answers(
+        [lambda: check_in_U(t, Truncation(), 0), lambda: check_in_V(pair(t, 0), Truncation(), 0)])
+    # a bad call fails as it would on the undecorated decider
+    with pytest.raises(TypeError):
+        provably_empty(t)
+    with pytest.raises(TypeError):
+        check_in_U(t, fuel=5)

@@ -20,7 +20,7 @@ from . import realizability as rz
 from . import sexpr
 from .machine import DivergedError, OutOfFuelError, apply_raw, fixpoint
 from .pairing import Code, canon, code_bits, incomparable_witness, is_big, pair, unpair
-from .terms import Lam, Lit, Prim, RomRef, Term, App, Var, compile_lambda, decode, encode
+from .terms import App, Term, Var, compile_lambda, decode
 from .universe import DEFAULT_TRUNCATION, Truncation, check_in_U, check_in_V, din
 from .vcodes import (
     VCode, alpha0, eq_code, internal_pair_fn, v_numeral, v_omega, v_opair, v_upair)
@@ -42,18 +42,13 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _eval_term(t: Term, fuel: int) -> Code:
-    """Call-by-value evaluation of a surface program term."""
-    if isinstance(t, Lit):
-        return t.value
-    if isinstance(t, (Prim, RomRef)):
-        return encode(t)
-    if isinstance(t, Lam):
-        return compile_lambda(t)
+    """Call-by-value evaluation of a surface program term; any other
+    term is its own code."""
     if isinstance(t, App):
         return apply_raw(_eval_term(t.fn, fuel), _eval_term(t.arg, fuel), fuel)
     if isinstance(t, Var):
         raise sexpr.ParseError(f"unbound variable {t.name!r}", 0)
-    raise TypeError(t)
+    return compile_lambda(t)
 
 
 def _read_json(path: str):

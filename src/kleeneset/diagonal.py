@@ -16,6 +16,7 @@ pair(j, n) making the last component disagree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -64,11 +65,6 @@ class SeqCode:
     @property
     def code(self) -> Code:
         return self.segment_code(len(self.components))
-
-    @property
-    def cache_token(self) -> Code:
-        # equal sequences are equal paths, so verdict caches may share entries
-        return self.code
 
     def segment_code(self, length: int) -> Code | None:
         if not 0 <= length <= len(self.components):
@@ -173,8 +169,6 @@ def requirement_satisfied(t: SeqCode, r: Requirement,
     for n in range(max(r.i, r.j) + 1, math.isqrt(length) + 2):
         pin = pair(r.i, n)
         pjn = pair(r.j, n)
-        if not (isinstance(pin, int) and isinstance(pjn, int)):
-            break
         if pin > length or pjn > length:
             continue
         status, out = _run_machine(r.machine, t.segment_code(pin), fuel)
@@ -225,20 +219,11 @@ def extend_for_requirement(t: SeqCode, r: Requirement,
 
 def enumerate_requirements(catalogue: Catalogue):
     """Fair order: blocks by max(i, j, machine index), then (i, j, index)."""
-    m = 0
-    while True:
-        block = []
-        for i in range(m + 1):
-            for j in range(m + 1):
-                if i == j:
-                    continue
-                for c in range(min(m + 1, len(catalogue))):
-                    if max(i, j, c) == m:
-                        block.append((i, j, c))
-        block.sort()
-        for i, j, c in block:
-            yield Requirement(i, j, catalogue[c])
-        m += 1
+    for m in itertools.count():
+        indices = range(m + 1)
+        for i, j, c in itertools.product(indices, indices, range(min(m + 1, len(catalogue)))):
+            if i != j and max(i, j, c) == m:
+                yield Requirement(i, j, catalogue[c])
 
 
 def build_h(catalogue: Catalogue, stages: int,
@@ -296,19 +281,16 @@ def impostor_report(catalogue: Catalogue, h: SeqCode, index_bound: int,
     """
     rows = []
     for m in catalogue:
-        for i in range(index_bound + 1):
-            for j in range(index_bound + 1):
-                if i == j:
-                    continue
-                g = extract_g(m.code, i, j)
-                status = requirement_satisfied(
-                    h, Requirement(i, j, CatalogueMachine(
-                        f"extracted({m.name},{i},{j})", g, None)), fuel)
-                rows.append({
-                    "machine": m.name, "i": i, "j": j,
-                    "defeated": status.outcome == "yes",
-                    "witness": status.witness,
-                })
+        for i, j in itertools.permutations(range(index_bound + 1), 2):
+            g = extract_g(m.code, i, j)
+            status = requirement_satisfied(
+                h, Requirement(i, j, CatalogueMachine(
+                    f"extracted({m.name},{i},{j})", g, None)), fuel)
+            rows.append({
+                "machine": m.name, "i": i, "j": j,
+                "defeated": status.outcome == "yes",
+                "witness": status.witness,
+            })
     return rows
 
 

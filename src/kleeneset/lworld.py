@@ -338,29 +338,36 @@ def hf_union(a: HFSet) -> HFSet:
 
 @dataclass(frozen=True, slots=True)
 class SigmaCode:
-    """Edge-set coding of a set: u enumerates the transitive closure,
-    sigma holds pair(member-index, container-index) for every edge."""
+    """Edge-set coding of a set: u enumerates the transitive closure with
+    index 0 naming the coded set itself, and sigma holds
+    pair(member-index, container-index) for every edge."""
 
     u: frozenset[int]
     sigma: frozenset[int]
-    root: int = 0
 
 
 class IllFoundedCodeError(ValueError):
     """The induced membership digraph has a cycle."""
 
 
-def transitive_closure(s: HFSet) -> set[HFSet]:
-    """trcl({s}): s together with everything reachable below it."""
+def _closure_order(s: HFSet) -> list[HFSet]:
+    """trcl({s}) breadth-first from s, children in canonical order."""
+    order: list[HFSet] = []
     seen: set[HFSet] = set()
-    queue = [s]
+    queue = deque([s])
     while queue:
-        x = queue.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        queue.extend(x.elems)
-    return seen
+        x = queue.popleft()
+        if x not in seen:
+            seen.add(x)
+            order.append(x)
+            queue.extend(x)
+    return order
+
+
+def transitive_closure(s: HFSet) -> set[HFSet]:
+    """trcl({s}): s together with everything reachable below it, the
+    members of the breadth-first walk that encode_sigma enumerates."""
+    return set(_closure_order(s))
 
 
 def encode_sigma(s: HFSet, enumeration: Sequence[HFSet] | None = None) -> SigmaCode:
@@ -371,16 +378,7 @@ def encode_sigma(s: HFSet, enumeration: Sequence[HFSet] | None = None) -> SigmaC
     a caller-supplied one must be surjective and send 0 to s.
     """
     if enumeration is None:
-        order: list[HFSet] = []
-        seen: set[HFSet] = set()
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            if x in seen:
-                continue
-            seen.add(x)
-            order.append(x)
-            queue.extend(iter(x))
+        order = _closure_order(s)
     else:
         order = list(enumeration)
         if not order or order[0] is not s:
@@ -397,7 +395,7 @@ def encode_sigma(s: HFSet, enumeration: Sequence[HFSet] | None = None) -> SigmaC
                 code = pair(i, j)
                 assert isinstance(code, int)
                 sigma.add(code)
-    return SigmaCode(frozenset(range(len(order))), frozenset(sigma), 0)
+    return SigmaCode(frozenset(range(len(order))), frozenset(sigma))
 
 
 def decode_sigma(code: SigmaCode) -> HFSet:
@@ -412,11 +410,11 @@ def decode_sigma(code: SigmaCode) -> HFSet:
         if m not in code.u or n not in code.u:
             raise ValueError(f"edge {edge} leaves the index set")
         members[n].append(m)
-    if code.root not in code.u:
+    if 0 not in code.u:
         raise ValueError("root index outside the index set")
     done: dict[int, HFSet] = {}
-    on_stack = {code.root}
-    frames = [(code.root, iter(members[code.root]))]
+    on_stack = {0}
+    frames = [(0, iter(members[0]))]
     while frames:
         n, rest = frames[-1]
         for m in rest:
@@ -431,4 +429,4 @@ def decode_sigma(code: SigmaCode) -> HFSet:
             frames.pop()
             on_stack.remove(n)
             done[n] = HFSet(done[m] for m in members[n])
-    return done[code.root]
+    return done[0]

@@ -211,9 +211,9 @@ def register_combinator(term: Term, name: str = "") -> int:
     if not params:
         raise ValueError("register_combinator expects at least one lambda")
     body = lambda_lift(body)
-    fv = free_vars(body)
-    if not fv.issubset(params):
-        raise UnboundVariableError(sorted(fv - set(params)))
+    extra = [v for v in free_vars(body) if v not in params]
+    if extra:
+        raise UnboundVariableError(sorted(extra))
     for v in reversed(params):
         body = _bracket(v, body)
     body_code = _intern_term(body)
@@ -305,14 +305,22 @@ def decode(code: Code) -> Term:
     return Junk(code)
 
 
-def free_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, App):
-        return free_vars(t.fn) | free_vars(t.arg)
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.var}
-    return set()
+def free_vars(t: Term) -> list[str]:
+    """The free variables of t, each once, in order of first occurrence."""
+    out: list[str] = []
+
+    def walk(t: Term, bound: frozenset[str]) -> None:
+        if isinstance(t, Var):
+            if t.name not in bound and t.name not in out:
+                out.append(t.name)
+        elif isinstance(t, App):
+            walk(t.fn, bound)
+            walk(t.arg, bound)
+        elif isinstance(t, Lam):
+            walk(t.body, bound | {t.var})
+
+    walk(t, frozenset())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +334,6 @@ def _occurs(v: str, t: Term) -> bool:
         return t.name == v
     if isinstance(t, App):
         return _occurs(v, t.fn) or _occurs(v, t.arg)
-    if isinstance(t, Lam):
-        return t.var != v and _occurs(v, t.body)
     return False
 
 
@@ -343,17 +349,6 @@ def _bracket(v: str, t: Term) -> Term:
     return A(Prim("s"), _bracket(v, t.fn), _bracket(v, t.arg))
 
 
-def _first_occurrence_order(t: Term, out: list[str], bound: set[str]) -> None:
-    if isinstance(t, Var):
-        if t.name not in bound and t.name not in out:
-            out.append(t.name)
-    elif isinstance(t, App):
-        _first_occurrence_order(t.fn, out, bound)
-        _first_occurrence_order(t.arg, out, bound)
-    elif isinstance(t, Lam):
-        _first_occurrence_order(t.body, out, bound | {t.var})
-
-
 def lambda_lift(t: Term) -> Term:
     """Replace every lambda by a derived-combinator closure spine.
 
@@ -366,8 +361,7 @@ def lambda_lift(t: Term) -> Term:
         return App(lambda_lift(t.fn), lambda_lift(t.arg))
     if not isinstance(t, Lam):
         return t
-    fvs: list[str] = []
-    _first_occurrence_order(t, fvs, set())
+    fvs = free_vars(t)
     inner = t
     names: list[str] = []
     while isinstance(inner, Lam):
@@ -385,7 +379,7 @@ def bracket_abstract(body: Term, var: str) -> Term:
     term in which var no longer occurs.
     """
     lifted = lambda_lift(body)
-    extra = free_vars(lifted) - {var}
+    extra = [v for v in free_vars(lifted) if v != var]
     if extra:
         raise UnboundVariableError(sorted(extra))
     return _bracket(var, lifted)

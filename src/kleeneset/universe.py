@@ -120,9 +120,9 @@ class Truncation:
     enumerated; nat_bound caps enumeration of the naturals; fuel bounds
     every program run.  distinguished, when set, is the distinguished
     type: a built path prefix (`diagonal.SeqCode`) that answers
-    `membership(c)`, lists `member_codes(segment_bound)`, gives the code
-    of each segment by `segment_code(length)`, and names its contents by
-    a `cache_token`, which the verdict caches key on.  A negative bound,
+    `membership(c)`, lists `member_codes(segment_bound)` and gives the
+    code of each segment by `segment_code(length)`; the verdict caches
+    key on its `code`, the code of the whole prefix.  A negative bound,
     a nat_bound above MAX_FIN_INDEX or a fuel below 1 is a ValueError.
     """
 
@@ -141,8 +141,8 @@ class Truncation:
             raise ValueError("fuel must be positive")
 
     def key(self) -> tuple:
-        token = None if self.distinguished is None else self.distinguished.cache_token
-        return (self.segment_bound, self.nat_bound, self.fuel, token)
+        path = None if self.distinguished is None else self.distinguished.code
+        return (self.segment_bound, self.nat_bound, self.fuel, path)
 
 
 DEFAULT_TRUNCATION = Truncation()

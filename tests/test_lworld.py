@@ -305,7 +305,7 @@ def test_encode_sigma_is_the_quadratic_definition(repeats, s, data):
     sigma = {pair(i, j) for i, x in enumerate(order)
              for j, y in enumerate(order) if x in y.elems}
     assert encode_sigma(s, order) == SigmaCode(frozenset(range(len(order))),
-                                                frozenset(sigma), 0)
+                                                frozenset(sigma))
 
 
 def test_sigma_edge_count_matches_the_graph():

@@ -78,7 +78,7 @@ def _truncation(args) -> Truncation:
 
 
 def _parse_code(text: str) -> Code:
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"expected a natural number, got {text!r}")
     return canon(int(text))  # huge inputs go to the canonical symbolic form
 

@@ -97,11 +97,19 @@ PathView = SeqCode  # the older name, kept only because bench/workloads.py build
 
 @dataclass(frozen=True, slots=True)
 class CatalogueMachine:
-    """A sequence predictor; step_bound marks it declared-total."""
+    """A sequence predictor; step_bound, a positive int, marks it
+    declared-total."""
 
     name: str
     code: Code
     step_bound: int | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"a machine name is a string, got {self.name!r}")
+        bound = self.step_bound
+        if bound is not None and (type(bound) is not int or bound < 1):
+            raise ValueError(f"a step bound is a positive integer or null, got {bound!r}")
 
 
 Catalogue = tuple[CatalogueMachine, ...]
@@ -232,10 +240,13 @@ def build_h(catalogue: Catalogue, stages: int,
 
     Unresolved requirements (undeclared machines hitting fuel) are
     retried once against the final prefix and stay marked in the log if
-    still open.
+    still open.  An empty catalogue poses no requirement, so it is a
+    ValueError unless stages < 1.
     """
     if stages < 1:
         return SeqCode(()), []
+    if not catalogue:
+        raise ValueError("an empty catalogue poses no requirements")
     gen = enumerate_requirements(catalogue)
     seq = SeqCode(())
     log: list[Stage] = []

@@ -49,7 +49,7 @@ steps charged, cold and warm, on a fixed corpus.
 
 from __future__ import annotations
 
-from .pairing import Code, canon, pair, unpair
+from .pairing import _THRESHOLD_BITS, Code, canon, code_value, pair, unpair
 from .terms import HEADS, app_view, clear_caches, mkapp, prim_code, table_memo
 
 __all__ = [
@@ -88,6 +88,9 @@ def _code_of(v) -> Code:
 
 
 _DIVERGED = object()
+
+# the largest natural kept an int: its successor is the least Big code
+_LAST_INT = (1 << _THRESHOLD_BITS) - 1
 
 _apply_memo: dict[tuple, object] = table_memo()
 
@@ -226,7 +229,8 @@ def _machine(start_apply: tuple | None, start_eval: Code | None,
                     val = pair(_code_of(args[0]), _code_of(a))
                 elif name == "sN":
                     a = _code_of(a)
-                    val = a + 1 if isinstance(a, int) else canon(a.value() + 1)
+                    val = (a + 1 if isinstance(a, int) and a != _LAST_INT
+                           else canon(code_value(a) + 1))
                 elif name == "pN":
                     a = _code_of(a)
                     if not isinstance(a, int):

@@ -14,6 +14,8 @@ One reader parses `(head args...)` from the table and one printer writes
 it back from the same entry; only the atoms have code of their own.
 Every binder, of lam, all, ex, ALL and EX alike, must be an identifier.
 
+Numerals are ASCII digits, and a numeric atom is read as the canonical
+code of its natural (pairing.canon), as every computed code is.
 parse(print(x)) is the identity on well-formed input; syntax errors
 carry the offending position.  Input nested deeper than _MAX_NESTING
 parentheses is a syntax error, so that no later recursion over the
@@ -26,6 +28,7 @@ from dataclasses import dataclass, fields
 
 from . import realizability as rz
 from . import romlib as rom
+from .pairing import canon
 from .terms import (
     App, Junk, Lam, Lit, Prim, PRIM_ORDER, RomRef, Term, Var,
 )
@@ -179,9 +182,13 @@ def _binder(r: _Reader) -> str:
     return tok.text
 
 
+def _is_natural(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def _natural(r: _Reader, head: str) -> int:
     tok = r.next()
-    if not tok.text.isdigit():
+    if not _is_natural(tok.text):
         raise ParseError(f"{head} needs {_NATURAL_IS[head]}", tok.pos)
     return int(tok.text)
 
@@ -192,8 +199,8 @@ def _parse_term(r: _Reader) -> Term:
         return _parse_form(r, _PROGRAM_FORMS, "program")
     if tok.text == ")":
         raise ParseError("unexpected ')'", tok.pos)
-    if tok.text.isdigit():
-        return Lit(int(tok.text))
+    if _is_natural(tok.text):
+        return Lit(canon(int(tok.text)))
     if tok.text in _PRIMS:
         return Prim(tok.text)
     if tok.text in NAMED_CODES:
@@ -216,8 +223,8 @@ def _parse_fterm(r: _Reader):
         return _parse_form(r, _TERM_FORMS, "term")
     if tok.text == "omega":
         return rz.Val(v_omega())
-    if tok.text.isdigit():
-        return rz.Val(VCode(int(tok.text)))
+    if _is_natural(tok.text):
+        return rz.Val(VCode(canon(int(tok.text))))
     if tok.text.isidentifier():
         return rz.Var(tok.text)
     raise ParseError(f"unrecognized term {tok.text!r}", tok.pos)

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +106,32 @@ def test_build_h_prefix_chain(catalogue):
 def test_build_h_zero_stages(catalogue):
     h, log = build_h(catalogue, 0)
     assert len(h) == 0 and log == []
+
+
+def test_build_h_refuses_an_empty_catalogue():
+    # no machine means no requirement: the search for the next one never
+    # ended, so an alarm stops the test if it ever hangs again
+    def too_slow(signum, frame):
+        raise TimeoutError("build_h on an empty catalogue took more than 2 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(2)
+    try:
+        with pytest.raises(ValueError, match="empty catalogue"):
+            build_h((), 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert build_h((), 0) == (SeqCode(()), [])
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("copy", 0), ("copy", -1), ("copy", 1.5), ("copy", True), ("copy", "x"), ("copy", [1]),
+    (5, 20_000), (None, None),
+])
+def test_catalogue_machines_take_a_string_name_and_a_positive_bound(name, bound):
+    with pytest.raises(ValueError):
+        CatalogueMachine(name, rom.M_COPY, bound)
 
 
 def test_declared_step_bounds_are_honored(built_path, catalogue):

@@ -15,7 +15,7 @@ import pytest
 from kleeneset import lworld as lw, romlib as rom
 from kleeneset.cli import build_parser, main
 from kleeneset.machine import fixpoint
-from kleeneset.pairing import code_bits, code_value, pair
+from kleeneset.pairing import canon, code_bits, code_value, is_big, pair
 from kleeneset.realizability import All, BAll, BEx, Eq, F0T, In, Val, Var
 from kleeneset.sexpr import (
     ParseError, parse_formula, parse_term, print_formula, print_term,
@@ -90,6 +90,12 @@ PARSE_ERRORS = [
     (parse_formula, "(all ) omega (= a a))", "bad binder ')'", 5),
     (parse_formula, "(ex 3 omega (= a a))", "bad binder '3'", 4),
     (parse_formula, "(ALL (= a a))", "bad binder '('", 5),
+    # numerals are ASCII digits: int() would reject the first and accept the second
+    (parse_term, "\u00b2", "unrecognized token '\u00b2'", 0),
+    (parse_term, "\u0663", "unrecognized token '\u0663'", 0),
+    (parse_term, "(const \u00b2)", "const needs a table index", 7),
+    (parse_formula, "(in (numeral \u0663) a)", "numeral needs a natural", 13),
+    (parse_formula, "(= \u00b2 a)", "unrecognized term '\u00b2'", 3),
 ]
 
 
@@ -196,6 +202,24 @@ def test_cli_eval_term():
 def test_cli_eval_of_a_leaf_is_its_code(term, code):
     assert run_cli("pca", "eval", term, "--json") == (
         0, json.dumps({"outcome": "value", "result": code}, separators=(",", ":")) + "\n")
+
+
+def test_numeric_atoms_are_canonical_codes():
+    huge = 2 ** 3000
+    assert parse_term(str(huge)) == Lit(canon(huge)) and is_big(parse_term(str(huge)).value)
+    assert parse_formula(f"(= {huge} 0)").x == Val(VCode(canon(huge)))
+    digest = f"~2^{code_bits(canon(huge))}"
+    for argv in (("pca", "eval", str(huge)), ("pca", "encode", str(huge)),
+                 ("pca", "eval", f"(app (app k {huge}) 0)")):
+        assert run_cli(*argv) == (0, digest + "\n"), argv
+
+
+def test_cli_names_a_non_ascii_digit_in_its_own_words(capsys):
+    for argv, err in ((("pca", "unpair", "\u00b2"), "expected a natural number, got '\u00b2'"),
+                      (("pca", "eval", "\u00b2"), "unrecognized token '\u00b2' (at position 0)"),
+                      (("pca", "eval", "(app sN \u0663)"), "unrecognized token '\u0663' (at position 8)")):
+        assert main(list(argv)) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_cli_witness():
@@ -406,14 +430,32 @@ HOSTILE_INPUTS = {
     "negative stage count": lambda d: ("diagonal", "build", "--stages", "-1"),
     "zero fuel": lambda d: ("universe", "check-u", "5", "--fuel", "0"),
     "zero fuel for a build": lambda d: ("diagonal", "build", "--stages", "2", "--fuel", "0"),
+    "catalogue step bound that is a string": lambda d: (
+        "diagonal", "build", "--stages", "2", "--catalogue",
+        _write(d / "cat.json", [{"term": "(lam s s)", "step_bound": "x"}])),
+    "catalogue step bound that is a list": lambda d: (
+        "diagonal", "build", "--stages", "2", "--catalogue",
+        _write(d / "cat.json", [{"term": "(lam s s)", "step_bound": [1]}])),
+    "catalogue step bound of 1.5": lambda d: (
+        "diagonal", "build", "--stages", "2", "--catalogue",
+        _write(d / "cat.json", [{"term": "(lam s s)", "step_bound": 1.5}])),
+    "catalogue step bound that is true": lambda d: (
+        "diagonal", "build", "--stages", "2", "--catalogue",
+        _write(d / "cat.json", [{"term": "(lam s s)", "step_bound": True}])),
+    "catalogue machine named 5": lambda d: (
+        "diagonal", "build", "--stages", "2", "--catalogue",
+        _write(d / "cat.json", [{"term": "(lam s s)", "step_bound": 20000, "name": 5}])),
+    # no machine, no requirement: the search for the first one never ended
+    "empty catalogue": lambda d: ("diagonal", "build", "--catalogue", _write(d / "cat.json", [])),
     # a pi over NAT: unchecked, it lists a billion naturals
     "nat bound past MAX_FIN_INDEX": lambda d: (
         "universe", "check-u", "2562485644", "--nat-bound", "1000000000"),
 }
 
-# run in a child process under a memory limit, so that a missing check
-# ends in a MemoryError there and not in the test process
-RUN_APART = {"nat bound past MAX_FIN_INDEX"}
+# run in a child process under a memory limit and a timeout, so that a
+# missing check ends in a MemoryError or a timeout there and not in the
+# test process
+RUN_APART = {"nat bound past MAX_FIN_INDEX", "empty catalogue"}
 CHILD_MEMORY = 3 << 29  # 1.5 GiB of address space
 
 

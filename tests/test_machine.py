@@ -13,7 +13,7 @@ from kleeneset.machine import (
     DivergedError, OutOfFuelError, apply_chain, apply_raw, clear_caches,
     fixpoint, run_code,
 )
-from kleeneset.pairing import pair, unpair, unpair0, unpair1
+from kleeneset.pairing import canon, code_value, pair, unpair, unpair0, unpair1
 from kleeneset.terms import (
     A, L, Lam, Lit, N, PRIM_ARITY, PRIM_ORDER, Prim, V, app_view,
     bracket_abstract, compile_lambda, decode, encode, mkapp, mkapps,
@@ -77,6 +77,18 @@ def test_succ_pred_laws_randomized():
         a = rng.randrange(10 ** 9)
         assert apply_raw(rom.SN, a) == a + 1
         assert apply_raw(rom.PN, a) == max(a - 1, 0)
+
+
+def test_successor_codes_are_canonical_at_the_int_boundary():
+    # the successor of the largest int code is a Big, as canon makes it,
+    # so a dict keyed by canonical codes finds it
+    last = (1 << 2048) - 1
+    for a in (last - 1, last, canon(1 << 2048), canon((1 << 2048) + 5)):
+        got = apply_raw(rom.SN, a)
+        assert got is canon(code_value(a) + 1) or got == canon(code_value(a) + 1) == code_value(a) + 1
+        assert type(got) is type(canon(code_value(a) + 1))
+        assert {canon(code_value(a) + 1): True}.get(got)
+        assert apply_raw(rom.PN, got) == a and type(apply_raw(rom.PN, got)) is type(a)
 
 
 def test_d_law_randomized():

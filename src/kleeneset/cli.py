@@ -262,6 +262,9 @@ def _cmd_lworld(args) -> int:
         names = lw.print_hfs(ords)
         _emit(args, {"ordinals": names}, "\n".join(names) if names else "(none)")
     elif args.op == "alphastar":
+        if args.n > 21:  # the answer is the ordinal n + 1, printed in about 5 * 2**n characters
+            raise ValueError(f"alphastar takes n up to 21, whose answer prints within "
+                             f"{lw.MAX_TEXT} characters; got {args.n}")
         a = lw.hf_nat(args.n)
         r = lw.alpha_star(a)
         _emit(args, {"result": lw.print_hf(r)}, lw.print_hf(r))

@@ -138,9 +138,14 @@ def print_hf(x: HFSet) -> str:
     return print_hfs([x])[0]
 
 
+MAX_TEXT = 1 << 24  # the longest set literal print_hfs writes
+
+
 def print_hfs(xs: Sequence[HFSet]) -> list[str]:
     """The set literals of xs, in order.  Each distinct subset is printed
-    once for the whole list, bottom-up, so no depth exhausts the stack."""
+    once for the whole list, bottom-up, so no depth exhausts the stack.
+    A literal longer than MAX_TEXT characters is a ValueError: sharing
+    lets a set of n subsets print in 2**n characters."""
     text: dict[HFSet, str] = {}
     todo = list(xs)
     while todo:
@@ -150,6 +155,8 @@ def print_hfs(xs: Sequence[HFSet]) -> list[str]:
         pending = [e for e in y.elems if e not in text]
         if pending:
             todo += [y] + pending
+        elif sum(len(text[e]) + 1 for e in y.elems) + 1 > MAX_TEXT:
+            raise ValueError(f"a set literal longer than {MAX_TEXT} characters is not printed")
         else:
             text[y] = "{" + ",".join(text[e] for e in y) + "}"
     return [text[x] for x in xs]

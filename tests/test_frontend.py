@@ -7,10 +7,11 @@ import shlex
 import signal
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kleeneset import lworld as lw, romlib as rom
 from kleeneset.cli import build_parser, main
@@ -445,6 +446,9 @@ HOSTILE_INPUTS = {
     "catalogue machine named 5": lambda d: (
         "diagonal", "build", "--stages", "2", "--catalogue",
         _write(d / "cat.json", [{"term": "(lam s s)", "step_bound": 20000, "name": 5}])),
+    # a printed answer of 2**n characters: ordinals, and a code sharing its subsets
+    "alpha star past the printable bound": lambda d: ("lworld", "alphastar", "100000000"),
+    "decoded set too long to print": lambda d: ("lworld", "decode", *_sigma_texts(lw.hf_nat(40))),
     # no machine, no requirement: the search for the first one never ended
     "empty catalogue": lambda d: ("diagonal", "build", "--catalogue", _write(d / "cat.json", [])),
     # a pi over NAT: unchecked, it lists a billion naturals
@@ -455,7 +459,8 @@ HOSTILE_INPUTS = {
 # run in a child process under a memory limit and a timeout, so that a
 # missing check ends in a MemoryError or a timeout there and not in the
 # test process
-RUN_APART = {"nat bound past MAX_FIN_INDEX", "empty catalogue"}
+RUN_APART = {"nat bound past MAX_FIN_INDEX", "empty catalogue",
+             "alpha star past the printable bound", "decoded set too long to print"}
 CHILD_MEMORY = 3 << 29  # 1.5 GiB of address space
 
 
@@ -569,3 +574,222 @@ def test_cli_flags_sit_only_on_the_verbs_that_read_them():
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(argv)
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the command line: every subcommand, on drawn arguments, files and
+# flag placements, ends with exit 0, 1 or 2 and no traceback.  Drawn budgets
+# stay small (fuel <= 2000, nat bound <= 12, stages <= 40), so a well-formed
+# command ends well inside the alarm; the arguments that make a command
+# allocate without bound are drawn only for the child process.
+
+HUGE = 2 ** 3000
+FUZZ_ALARM_S = 5
+
+naturals = st.one_of(st.integers(0, 40), st.integers(0, 2 ** 80),
+                     st.sampled_from([HUGE, 2 ** 2048 - 1, 2 ** 2048]))
+code_texts = st.one_of(
+    naturals.map(str), naturals.map(str), naturals.map(str), st.integers(-50, -1).map(str),
+    st.sampled_from(["²", "٣", "1_000", " 7", "0x10", "", "abc", "+3", "1e3", "-0"]))
+
+
+def _mangled(texts):
+    """Mostly the text itself, else the text with one character dropped or doubled."""
+    def mangle(args):
+        text, k, double = args
+        k %= max(len(text), 1)
+        return text[:k] + text[k:k + 1] * double + text[k + 1:]
+    return st.one_of(texts, texts, texts,
+                     st.tuples(texts, st.integers(0, 200), st.integers(0, 2)).map(mangle))
+
+
+program_atoms = st.one_of(
+    st.sampled_from(["k", "s", "sN", "pN", "d", "p", "p0", "p1", "fix", "iota", "delta", "eq",
+                     "snoc", "0", "7", "(const 4)", "(lam x x)", "(lam x (app x x))"]),
+    st.sampled_from(["x", str(HUGE), "²", "#", "(const 99999)", "(const x)", "(lam ) x)"]))
+program_texts = _mangled(st.recursive(program_atoms, lambda kids: st.one_of(
+    st.tuples(kids, kids).map(lambda t: f"(app {t[0]} {t[1]})"),
+    st.tuples(st.sampled_from(["x", "y"]), kids).map(lambda t: f"(lam {t[0]} {t[1]})"),
+), max_leaves=5))
+fterm_texts = st.recursive(
+    st.sampled_from(["a", "b", "omega", "0", "5", str(HUGE), "(numeral 0)", "(numeral 2)",
+                     "(numeral 70000)", f"(numeral {HUGE})", "²"]),
+    lambda kids: st.one_of(st.tuples(kids, kids).map(lambda t: f"(opair {t[0]} {t[1]})"),
+                           kids.map(lambda t: f"(f0 {t})")), max_leaves=3)
+binders = st.sampled_from(["a", "b", "a", "b", ")", "3"])
+formula_texts = _mangled(st.recursive(
+    st.tuples(st.sampled_from(["=", "in"]), fterm_texts, fterm_texts).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    lambda kids: st.one_of(
+        kids.map(lambda t: f"(not {t})"),
+        st.tuples(st.sampled_from(["and", "or", "->"]), kids, kids).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["all", "ex"]), binders, fterm_texts, kids).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]} {t[3]})"),
+        st.tuples(st.sampled_from(["ALL", "EX"]), binders, kids).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})")),
+    max_leaves=3))
+hf_texts = st.recursive(
+    st.just("{}"), lambda kids: st.lists(kids, max_size=3).map(lambda xs: "{" + ",".join(xs) + "}"),
+    max_leaves=6)
+set_texts = _mangled(hf_texts)
+vcode_specs = st.one_of(code_texts, st.just("omega"),
+                        st.one_of(st.integers(-2, 5), st.just(HUGE)).map(lambda n: f"numeral:{n}"),
+                        st.just("numeral:x"))
+json_values = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.just(HUGE),
+                        st.just(1.5), st.text(max_size=3))
+machines = st.fixed_dictionaries({"term": st.one_of(program_texts, program_texts, json_values)},
+                                 optional={"step_bound": st.one_of(st.integers(1, 20_000), json_values,
+                                                                   st.just([1])),
+                                           "name": st.one_of(st.text(max_size=5), json_values)})
+catalogues = st.one_of(st.lists(machines, max_size=3), json_values, st.just({"term": "k"}))
+prefixes = st.one_of(
+    st.lists(st.integers(0, 5), max_size=30), st.lists(st.integers(0, 5), max_size=30),
+    st.lists(st.one_of(st.integers(0, 5), json_values), max_size=12),
+    st.lists(st.integers(0, 3), max_size=30).map(lambda xs: {"components": xs}),
+    json_values, st.just({"stages": []}))
+
+
+@st.composite
+def _files(draw, directory, payloads):
+    """A JSON file under directory holding a drawn payload; now and then
+    invalid JSON or no file at all."""
+    kind = draw(st.sampled_from(["json", "json", "json", "not json", "missing"]))
+    path = directory / f"{kind}.json"
+    if kind == "missing":
+        path.unlink(missing_ok=True)
+    elif kind == "not json":
+        path.write_text(draw(st.sampled_from(["", "[", "{\"components\": [0,", "²"])),
+                        encoding="utf-8")
+    else:
+        path.write_text(json.dumps(draw(payloads)), encoding="utf-8")
+    return str(path)
+
+
+@st.composite
+def _flags(draw, directory, *flags):
+    """Some of the flags, each with a small drawn value."""
+    values = {"--fuel": st.integers(-2, 2000), "--segment-bound": st.integers(-1, 12),
+              "--nat-bound": st.integers(-1, 12), "--implication-bound": st.integers(-1, 8),
+              "--stages": st.integers(-1, 40), "--h-prefix": _files(directory, prefixes),
+              "--catalogue": _files(directory, catalogues),
+              "--out": st.just(str(directory / "out.json")),
+              "--route": st.sampled_from(["formulas", "powerset", "powerset", "formulas", "other"]),
+              "--bind": st.tuples(binders, vcode_specs).map(lambda t: f"{t[0]}={t[1]}")}
+    out = []
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3)) if flags else ():
+        out += [flag, str(draw(values[flag]))]
+    return out
+
+
+BUDGET = ("--fuel", "--segment-bound", "--nat-bound", "--h-prefix")
+
+
+@st.composite
+def cli_argvs(draw, directory):
+    """An argv for a drawn subcommand, with a flag misplaced now and then."""
+    code = lambda: draw(code_texts)
+    flags = lambda *names: draw(_flags(directory, *names))
+    verb = draw(st.sampled_from(["pca", "universe", "vcode", "check", "diagonal", "lworld"]))
+    if verb == "pca":
+        op = draw(st.sampled_from(["pair", "unpair", "apply", "eval", "encode", "decode",
+                                   "fixpoint", "witness"]))
+        args = {"pair": lambda: [code(), code()], "unpair": lambda: [code()],
+                "apply": lambda: [code(), code()], "eval": lambda: [draw(program_texts)],
+                "encode": lambda: [draw(program_texts)], "decode": lambda: [code()],
+                "fixpoint": lambda: [code()], "witness": lambda: [code(), code(), code()]}[op]()
+        fuel = ["--fuel", "2000"] if op in ("apply", "eval") else []
+        argv = ["pca", op, *args, *fuel, *flags(*fuel[:1])]
+    elif verb == "universe":
+        op = draw(st.sampled_from(["check-u", "check-v", "din"]))
+        argv = ["universe", op, code(), *([code()] if op == "din" else []),
+                "--fuel", "2000", *flags(*BUDGET)]
+    elif verb == "vcode":
+        op = draw(st.sampled_from(["numeral", "omega", "upair", "opair", "eq", "pbar", "alpha0"]))
+        args = {"numeral": [code()], "upair": [draw(vcode_specs), draw(vcode_specs)],
+                "opair": [draw(vcode_specs), draw(vcode_specs)],
+                "eq": [draw(vcode_specs), draw(vcode_specs)]}.get(op, [])
+        argv = ["vcode", op, *args, *(flags("--h-prefix") if op == "alpha0" else [])]
+    elif verb == "check":
+        binds = [f"--bind={v}={draw(vcode_specs)}" for v in "ab" if draw(st.integers(0, 3))]
+        argv = ["check", draw(program_texts), draw(formula_texts), *binds, "--fuel", "2000",
+                "--nat-bound", "3", *flags(*BUDGET, "--implication-bound", "--bind")]
+    elif verb == "diagonal":
+        argv = ["diagonal", "build", "--stages", "8", "--fuel", "2000",
+                *flags("--stages", "--fuel", "--catalogue", "--out")]
+    else:
+        op = draw(st.sampled_from(["lstage", "defsub", "ordinals", "alphastar", "encode", "decode"]))
+        sets = lambda: draw(st.lists(set_texts, max_size=7))
+        # lstage 5 is well-formed but takes over a second: not drawn
+        args = {"lstage": lambda: [draw(st.sampled_from(["-2", "-1", "0", "1", "3", "4", "6",
+                                                         str(HUGE), "x"]))],
+                "defsub": sets, "ordinals": sets,
+                "alphastar": lambda: [str(draw(st.integers(-3, 12)))],
+                "encode": lambda: [draw(set_texts)],
+                "decode": lambda: draw(st.one_of(
+                    hf_texts.map(lambda t: _sigma_texts(lw.parse_hf(t))),
+                    st.lists(st.one_of(set_texts, st.lists(st.integers(-1, 20)).map(json.dumps)),
+                             min_size=2, max_size=2)))}[op]()
+        argv = ["lworld", op, *args, *(flags("--route") if op == "defsub" else [])]
+    if draw(st.integers(0, 7)) == 0:  # a flag where it does not belong
+        flag = draw(st.sampled_from(["--json", "--fuel", "--nat-bound", "--stages", "--bind", "-h"]))
+        argv.insert(draw(st.integers(0, len(argv))), flag)
+    elif draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def _sigma_texts(s):
+    """The arguments of `lworld decode` for the set s."""
+    code = lw.encode_sigma(s)
+    return [json.dumps(sorted(code.u)), json.dumps(sorted(code.sigma))]
+
+
+class _Alarm(Exception):
+    pass
+
+
+def _run_in_process(argv):
+    """Exit code and stderr of main(argv), stopped by an alarm."""
+    def ring(signum, frame):
+        raise _Alarm(f"{argv} ran for more than {FUZZ_ALARM_S} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, FUZZ_ALARM_S)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage errors and -h
+                rc = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return rc, err.getvalue()
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_cli_fuzz_in_process(data, tmp_path):
+    argv = data.draw(cli_argvs(tmp_path), label="argv")
+    rc, err = _run_in_process(argv)
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err, (argv, err)
+
+
+# what would allocate without bound if a check were missing: huge ordinals,
+# and codes whose decoded set prints in exponentially many characters
+apart_argvs = st.one_of(
+    st.integers(21, 10 ** 12).map(lambda n: ["lworld", "alphastar", str(n)]),
+    st.integers(30, 60).map(lambda n: ["lworld", "decode", *_sigma_texts(lw.hf_nat(n))]),
+)
+
+
+@given(argv=apart_argvs)
+@settings(max_examples=3, deadline=None)
+def test_cli_fuzz_apart(argv):
+    rc, err = _run_apart(argv)
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err, (argv, err)

@@ -14,7 +14,7 @@ from kleeneset.cli import main
 from kleeneset.lworld import (
     EMPTY, HFSet, IllFoundedCodeError, SigmaCode, alpha_star, decode_sigma,
     def_subsets, encode_sigma, hf_nat, hf_union, is_ordinal, is_transitive,
-    l_stage, ordinals_of, parse_hf, print_hf, print_hfs, transitive_closure,
+    MAX_TEXT, l_stage, ordinals_of, parse_hf, print_hf, print_hfs, transitive_closure,
 )
 from kleeneset.pairing import pair
 
@@ -513,3 +513,12 @@ def _closure_depth_first(s):
 @settings(max_examples=80, deadline=None)
 def test_transitive_closure_is_everything_below(s):
     assert transitive_closure(s) == _closure_depth_first(s)
+
+
+def test_literals_past_the_text_bound_are_not_printed():
+    # hf_nat(n) shares its subsets and prints in about 2.5 * 2**n characters
+    assert len(print_hf(hf_nat(20))) < MAX_TEXT
+    with pytest.raises(ValueError, match="not printed"):
+        print_hf(hf_nat(23))
+    with pytest.raises(ValueError, match="not printed"):
+        print_hfs([EMPTY, hf_nat(40)])

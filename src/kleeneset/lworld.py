@@ -406,8 +406,8 @@ def encode_sigma(s: HFSet, enumeration: Sequence[HFSet] | None = None) -> SigmaC
 
 
 def decode_sigma(code: SigmaCode) -> HFSet:
-    """Rebuild the coded set by well-founded recursion along the
-    membership digraph, run on an explicit stack of (index, members
+    """Rebuild the set coded at index 0 by well-founded recursion along
+    the membership digraph, run on an explicit stack of (index, members
     still to visit), so no depth exhausts the host stack."""
     members: dict[int, list[int]] = {n: [] for n in code.u}
     for edge in code.sigma:

@@ -231,6 +231,8 @@ def test_cli_witness():
 def test_cli_decode_worked_example():
     rc, out = run_cli("lworld", "decode", "[0,1,2]", "[3,4,7]")
     assert out.strip() == "{{},{{}}}"
+    rc, out = run_cli("lworld", "decode", "{0}", "{}")
+    assert (rc, out.strip()) == (0, "{}")
 
 
 def test_cli_lstage():
@@ -383,6 +385,28 @@ def test_cli_din_over_the_path_set(tmp_path):
     assert json.loads(out)["verdict"] == "unknown"
 
 
+UNIVERSE_ANSWERS = [  # argv, stdout, exit code: 1 is a negative answer
+    (("check-u", "31475006110386586987366", "--nat-bound", "2"), "refuted", 1),
+    (("check-u", "31475006110386586987366", "--nat-bound", "1"),
+     "realized (family checked up to the truncation)", 0),
+    (("check-v", "1295"), "refuted", 1),
+    (("check-v", "0"), "realized", 0),
+    (("din", "5", "8"), "refuted", 1),
+    (("din", "1", "8"), "realized", 0),
+    (("din", "0", "2"), "unknown (no distinguished set configured)", 0),
+]
+
+
+@pytest.mark.parametrize("argv,text,code", UNIVERSE_ANSWERS,
+                         ids=[" ".join(row[0][:2]) + f" {row[1][:8]}" for row in UNIVERSE_ANSWERS])
+def test_universe_verbs_exit_1_on_a_refuted_answer(argv, text, code):
+    assert run_cli("universe", *argv) == (code, text + "\n")
+    status, _, note = text.partition(" (")
+    payload = {"verdict": status, **({"note": note[:-1]} if note else {})}
+    rc, out = run_cli("universe", *argv, "--json")
+    assert (rc, json.loads(out)) == (code, payload)
+
+
 def test_cli_reports_malformed_bounds_cleanly(capsys):
     rc, out = run_cli("check", "0", "(in (numeral 1) 8100)")
     assert rc == 2
@@ -454,6 +478,10 @@ HOSTILE_INPUTS = {
     # a pi over NAT: unchecked, it lists a billion naturals
     "nat bound past MAX_FIN_INDEX": lambda d: (
         "universe", "check-u", "2562485644", "--nat-bound", "1000000000"),
+    # an index of a set code is an ASCII numeral, as every code argument is
+    "decode index of 1.5": lambda d: ("lworld", "decode", "[0,1.5]", "[]"),
+    "decode index that is true": lambda d: ("lworld", "decode", "[0,true]", "[]"),
+    "decode index that is an Arabic-Indic digit": lambda d: ("lworld", "decode", "{0,\u0663}", "{}"),
 }
 
 # run in a child process under a memory limit and a timeout, so that a

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 import subprocess
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from kleeneset import romlib as rom
 from kleeneset import terms
 from kleeneset.machine import (
-    DivergedError, OutOfFuelError, apply_chain, apply_raw, clear_caches,
-    fixpoint, run_code,
+    DEFAULT_FUEL, DivergedError, OutOfFuelError, apply_chain, apply_raw,
+    clear_caches, fixpoint, run_code,
 )
 from kleeneset.pairing import canon, code_value, pair, unpair, unpair0, unpair1
 from kleeneset.terms import (
@@ -20,6 +21,12 @@ from kleeneset.terms import (
     prim_code, rom_size, UnboundVariableError)
 from kleeneset.universe import NAT, check_in_U, din, fin, pi_code, sigma_code
 from kleeneset.vcodes import seq_encode, v_numeral
+
+# the helper that measures the steps a run is charged, as step_trace.json pins them
+_spec = importlib.util.spec_from_file_location(
+    "step_trace", Path(__file__).parent / "data" / "step_trace.py")
+step_trace = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(step_trace)
 
 
 def test_basic_combinator_examples():
@@ -324,6 +331,55 @@ def test_cold_minimum_fuel_is_pinned(name, args, fuel):
     clear_caches()
     with pytest.raises(OutOfFuelError):
         apply_chain(f, *args, fuel=fuel - 1)
+
+
+# A run starts on the code's own spine, then applies the value to each
+# operand in turn.  Each shape below is (k sN) once its own spine is run.
+# A data head with operands is left out: it diverges at 0 steps whatever
+# the fuel, and step_trace.json pins that cold and warm.
+_K, _SN = prim_code("k"), prim_code("sN")
+_KSN = mkapp(_K, _SN)
+START_SHAPES = {
+    "data head": mkapp(pair(3, 0), 7),
+    "under-applied": _KSN,
+    "redex": mkapps(_K, _KSN, 9),
+    "one-argument redex": mkapp(prim_code("p0"), pair(_KSN, 0)),
+    "over-applied": mkapps(_K, _K, 9, _SN),
+}
+START_RUNS = [  # shape, operands, value, steps charged cold, and warm
+    ("data head", (), START_SHAPES["data head"], 0, 0),
+    ("under-applied", (), _KSN, 0, 0),
+    ("under-applied", (9,), _SN, 1, 0),
+    ("under-applied", (9, 4), 5, 2, 0),
+    ("redex", (), _KSN, 2, 2),
+    ("redex", (9,), _SN, 3, 2),
+    ("redex", (9, 4), 5, 4, 2),
+    ("one-argument redex", (), _KSN, 2, 2),
+    ("over-applied", (), _KSN, 2, 2),
+    ("over-applied", (9,), _SN, 3, 3),
+    ("over-applied", (9, 4), 5, 4, 3),
+]
+
+
+def _start(code, operands, fuel, warm):
+    """Outcome and steps of one run from a clearing; warm, after the same
+    run once at the default fuel."""
+    clear_caches()
+    if warm:
+        step_trace.run(code, operands, DEFAULT_FUEL)
+    return step_trace.run(code, operands, fuel)
+
+
+@pytest.mark.parametrize("shape,operands,value,cold,warm", START_RUNS,
+                         ids=[f"{row[0]} on {len(row[1])}" for row in START_RUNS])
+def test_a_run_starts_on_the_code_then_takes_each_operand(shape, operands, value, cold, warm):
+    code = START_SHAPES[shape]
+    for is_warm, steps in ((False, cold), (True, warm)):
+        exact = max(steps, 1)  # the least fuel that reaches the value
+        assert _start(code, operands, exact, is_warm) == {"outcome": value, "steps": steps}
+        if exact > 1:  # one step less runs out, and is charged every step it had
+            assert _start(code, operands, exact - 1, is_warm) == {
+                "outcome": "out_of_fuel", "steps": exact}
 
 
 def _read_head(code):

@@ -507,3 +507,25 @@ def test_keyword_calls_answer_as_positional_calls(t):
         provably_empty(t)
     with pytest.raises(TypeError):
         check_in_U(t, fuel=5)
+
+
+def test_a_call_with_too_many_arguments_fails_as_on_the_decider():
+    # the positional fast path once read the argument before the last as
+    # the truncation: check_in_U(5, Truncation(), 0, 1) raised AttributeError
+    for call in (lambda: check_in_U(5, Truncation(), 0, 1),
+                 lambda: check_in_V(0, Truncation(), 0, 1),
+                 lambda: provably_empty(5, Truncation(), 0, 1)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_a_noted_realized_answer_is_relative_to_its_budget():
+    # the family's value is a type code at indices 0 and 1 and not at 2,
+    # so the walk up to nat_bound=1 finds no bad index and the walk up to 2
+    # finds one: only an unnoted answer is stable as the budget grows
+    t = sigma_code(NAT, rom.LSFAM)
+    assert t == 31475006110386586987366
+    at_one = check_in_U(t, Truncation(nat_bound=1))
+    assert (at_one.status, at_one.note) == ("realized", "family checked up to the truncation")
+    at_two = check_in_U(t, Truncation(nat_bound=2))
+    assert (at_two.status, at_two.note) == ("refuted", None)

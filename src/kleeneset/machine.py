@@ -17,33 +17,34 @@ value is materialized to its code exactly when a number-consuming
 primitive (sN pN d p p0 p1) or the caller looks at it, at which point
 it is the plain application-spine code pair(0, pair(f, a))-nested.
 
+A run is a code and the operands it is applied to: the machine runs the
+code's own spine, then applies the value to each operand in turn.
 Reduction is iterative, with no host recursion: a stack of frames, each
 either an operand to apply the returned value to or a tuple tagged by a
-small int (the two halves of an s-fire and a memo write).  Fuel is
-part of the specification: one unit per redex dispatch when a run
-starts on a code whose own spine is a redex, and one per combinator
-fire; nothing else costs fuel.  The budget is counted down in a local
-and written back to the _Budget when the run ends, however it ends, so
-a budget shared by apply_chain sees every step.  Running out of fuel
-means "not converged within budget", never "diverges".  The machine
-does notice some certainly-stuck states (applying a code with no
-program reading, the self-application spine of 0); those raise
-DivergedError so callers like the membership checker can treat provable
-non-termination specially.
+small int (the two halves of an s-fire and a memo write).  Fuel is part
+of the specification: one unit per redex dispatch when a run starts on a
+code whose own spine is a redex, and one per combinator fire; nothing
+else costs fuel.  The budget is counted down in a local and written back
+to the _Budget when the run ends, however it ends, so the steps charged
+can be read after a raise.  Running out of fuel means "not converged
+within budget", never "diverges".  The machine does notice some
+certainly-stuck states (applying a code with no program reading, the
+self-application spine of 0); those raise DivergedError so callers like
+the membership checker can treat provable non-termination specially.
 
-What a head code does is one lookup in terms.HEADS, made when a spine
-is first peeled (the peel memo keeps it) and carried by the symbolic
-spines built on it; a code not in it is data.  Value results are memoized per application of a
-code to a code.  The memo is read before anything else is done with the
-application (a key is only ever written for an application that fires
-or is stuck, so a hit skips nothing a miss would do), written when the
-application returns a value, and marked diverged for every application
-still open when DivergedError is raised; running out of fuel leaves the
-open applications unrecorded.  A shared cache only ever turns
-out-of-fuel answers into values, never changes a value: Value outcomes
-are unique per (f, a) and stable under fuel increase, and the memos are
-cleared whenever the library table grows, since that gives a stuck
-tag-2 code a program reading.  tests/data/step_trace.json pins the
+What a head code does is one lookup in terms.HEADS, made when a spine is
+first peeled (the peel memo keeps it) and carried by the symbolic spines
+built on it; a code not in it is data.  Value results are memoized per
+application of a code to a code.  The memo is read before anything else
+is done with the application (a key is only ever written for an
+application that fires or is stuck, so a hit skips nothing a miss would
+do), written when the application returns a value, and marked diverged
+for every application still open when DivergedError is raised; running
+out of fuel leaves the open applications unrecorded.  A shared cache only
+ever turns out-of-fuel answers into values, never changes a value: Value
+outcomes are unique per (f, a) and stable under fuel increase, and the
+memos are cleared whenever the library table grows, since that gives a
+stuck tag-2 code a program reading.  tests/data/step_trace.json pins the
 steps charged, cold and warm, on a fixed corpus.
 """
 
@@ -54,7 +55,7 @@ from .terms import HEADS, app_view, clear_caches, mkapp, prim_code, table_memo
 
 __all__ = [
     "Fuel", "DEFAULT_FUEL", "OutOfFuelError", "DivergedError",
-    "apply_raw", "apply_chain", "run_code", "fixpoint",
+    "apply_raw", "apply_chain", "fixpoint",
     "clear_caches",
 ]
 
@@ -134,18 +135,20 @@ def _peel(code: Code) -> tuple[Code, tuple, tuple | None]:
 _MEMO, _SA, _SB = 0, 1, 2
 
 
-def _machine(start_apply: tuple | None, start_eval: Code | None,
-             budget: _Budget):
-    """Run to a value (int or _Spine).
+def _machine(code: Code, operands: tuple, budget: _Budget):
+    """Run code's own spine, then apply the value to each operand in
+    turn; return the last value (int or _Spine).
 
-    Starts either by applying a value to a value (start_apply) or by
-    dispatching on a code's own spine (start_eval).  Frames:
+    The operands go on the stack before the first step, the first on top.
+    A code whose own spine is a redex is charged its dispatch step, its
+    arguments are pushed above the operands, and the value starts as the
+    bare head spine; any other code is its own value.  Frames:
         x             an operand: apply the returned value to x
         (_SA, b, c)   s a b c fired, a*c is running: next b*c
         (_SB, t)      t = a*c, b*c is running: next t*(b*c)
         (_MEMO, key)  record the value returned for the application key
     """
-    stack: list = []
+    stack: list = list(reversed(operands))
     push = stack.append
     pop = stack.pop
     memo = _apply_memo
@@ -153,21 +156,33 @@ def _machine(start_apply: tuple | None, start_eval: Code | None,
     peel_get = _peel_memo.get
     left = budget.left
     try:
-        if start_apply is None:
-            head, args, entry = _peel(start_eval)
-            if entry is None or len(args) < entry[2]:
-                return start_eval  # data or an under-applied spine: a value as written
-            arity = entry[2]
-            left -= 1  # the dispatch; the fire is charged below
+        head, args, entry = _peel(code)
+        if entry is None or len(args) < entry[2]:
+            val = code  # data or an under-applied spine: a value as written
+        else:
+            left -= 1  # the dispatch; the fire is charged when the arguments are in
             if left < 0:
                 raise OutOfFuelError
-            for extra in reversed(args[arity:]):
-                push(extra)
-            f = _Spine((head, args[:arity - 1], entry))
-            a = args[arity - 1]
-        else:
-            f, a = start_apply
+            stack.extend(reversed(args))
+            val = _Spine((head, (), entry))
         while True:
+            # return val to the frames below
+            while True:
+                if not stack:
+                    return val
+                frame = pop()
+                if type(frame) is not tuple:
+                    f, a = val, frame
+                    break
+                tag = frame[0]
+                if tag == _SA:
+                    push((_SB, val))
+                    f, a = frame[1], frame[2]
+                    break
+                if tag == _SB:
+                    f, a = frame[1], val
+                    break
+                memo[frame[1]] = val
             while True:  # apply f to a until a value is in val
                 if type(f) is _Spine:
                     head, args, entry = f
@@ -197,8 +212,7 @@ def _machine(start_apply: tuple | None, start_eval: Code | None,
                     push((_MEMO, key))
                 if n > arity:  # over-applied code: stack the extra operands
                     full = args + (a,)
-                    for extra in reversed(full[arity:]):
-                        push(extra)
+                    stack.extend(reversed(full[arity:]))
                     args = full[:arity - 1]
                     a = full[arity - 1]
                     f = _Spine((head, args, entry))
@@ -214,8 +228,7 @@ def _machine(start_apply: tuple | None, start_eval: Code | None,
                 elif kind == "sc":
                     if args:
                         push(a)
-                        for extra in args[:0:-1]:
-                            push(extra)
+                        stack.extend(args[:0:-1])
                         a = args[0]
                     f = body
                     continue
@@ -242,23 +255,6 @@ def _machine(start_apply: tuple | None, start_eval: Code | None,
                 else:  # p1
                     val = unpair(_code_of(a))[1]
                 break
-            # return val to the frames below
-            while True:
-                if not stack:
-                    return val
-                frame = pop()
-                if type(frame) is not tuple:
-                    f, a = val, frame
-                    break
-                tag = frame[0]
-                if tag == _SA:
-                    push((_SB, val))
-                    f, a = frame[1], frame[2]
-                    break
-                if tag == _SB:
-                    f, a = frame[1], val
-                    break
-                memo[frame[1]] = val
     except DivergedError:
         for frame in stack:
             if type(frame) is tuple and frame[0] == _MEMO:
@@ -268,28 +264,15 @@ def _machine(start_apply: tuple | None, start_eval: Code | None,
         budget.left = left
 
 
-def run_code(code: Code, fuel: Fuel = DEFAULT_FUEL) -> Code:
-    """Rewrite a code's program spine to a value code; data comes back as is.
-
-    Raises OutOfFuelError / DivergedError; library-internal entry point.
-    """
-    return _code_of(_machine(None, code, _Budget(fuel)))
-
-
 def apply_raw(f: Code, a: Code, fuel: Fuel = DEFAULT_FUEL) -> Code:
     """Apply program f to the inert argument a; raises on non-convergence."""
-    budget = _Budget(fuel)
-    vf = _machine(None, f, budget)
-    return _code_of(_machine((vf, a), None, budget))
+    return _code_of(_machine(f, (a,), _Budget(fuel)))
 
 
 def apply_chain(f: Code, *args: Code, fuel: Fuel = DEFAULT_FUEL) -> Code:
-    """apply_raw folded left over several arguments, one shared budget."""
-    budget = _Budget(fuel)
-    v = _machine(None, f, budget)
-    for a in args:
-        v = _machine((v, a), None, budget)
-    return _code_of(v)
+    """Run f's own spine, then apply the value to each argument in turn,
+    on one budget; with no arguments, f's spine rewritten to a value."""
+    return _code_of(_machine(f, args, _Budget(fuel)))
 
 
 def fixpoint(f: Code) -> Code:

@@ -87,10 +87,7 @@ def run(f, args, fuel: int) -> dict:
     """Outcome and steps charged of apply_chain(f, *args, fuel=fuel)."""
     budget = machine._Budget(fuel)
     try:
-        v = machine._machine(None, f, budget)
-        for a in args:
-            v = machine._machine((v, a), None, budget)
-        outcome = digest(machine._code_of(v))
+        outcome = digest(machine._code_of(machine._machine(f, tuple(args), budget)))
     except OutOfFuelError:
         outcome = "out_of_fuel"
     except DivergedError:

@@ -12,7 +12,7 @@ from kleeneset import romlib as rom
 from kleeneset import terms
 from kleeneset.machine import (
     DEFAULT_FUEL, DivergedError, OutOfFuelError, apply_chain, apply_raw,
-    clear_caches, fixpoint, run_code,
+    clear_caches, fixpoint,
 )
 from kleeneset.pairing import canon, code_value, pair, unpair, unpair0, unpair1
 from kleeneset.terms import (
@@ -143,7 +143,7 @@ def test_under_applied_primitives_are_values():
     spine = apply_raw(rom.K, 9)
     assert spine == mkapp(rom.K, 9)
     assert apply_raw(spine, 1) == 9
-    assert run_code(spine) == spine  # evaluation keeps the written form
+    assert apply_chain(spine) == spine  # evaluation keeps the written form
 
 
 def test_out_of_fuel_on_self_application():
@@ -404,14 +404,14 @@ def _assert_machine_reads(code):
         return
     assert app_view(code) is None
     if kind == "data":  # inert as written, stuck in head position
-        assert run_code(mkapp(code, 7), fuel=1) == mkapp(code, 7)
+        assert apply_chain(mkapp(code, 7), fuel=1) == mkapp(code, 7)
         with pytest.raises(DivergedError):
             apply_raw(code, 7, fuel=1)
         return
     under = mkapps(code, *[7] * (info - 1))
-    assert run_code(under, fuel=1) == under  # under-applied: a value, no fuel
+    assert apply_chain(under, fuel=1) == under  # under-applied: a value, no fuel
     with pytest.raises(OutOfFuelError):  # full arity: one dispatch, one fire
-        run_code(mkapp(under, 7), fuel=1)
+        apply_chain(mkapp(under, 7), fuel=1)
 
 
 def test_machine_reads_head_codes_by_tag_and_payload():

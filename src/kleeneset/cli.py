@@ -83,13 +83,14 @@ def _parse_code(text: str) -> Code:
     return canon(int(text))  # huge inputs go to the canonical symbolic form
 
 
-def _nat_set(text: str) -> set[int]:
-    """{0,1,2} or [0,1,2]; an empty pair of braces is the empty set."""
+def _nat_set(text: str) -> set[Code]:
+    """{0,1,2} or [0,1,2]: numerals between braces or brackets; empty
+    braces or brackets are the empty set."""
     body = text.strip()
-    if body.startswith("{") and body.endswith("}"):
-        inner = body[1:-1].strip()
-        return {int(p) for p in inner.split(",")} if inner else set()
-    return {int(x) for x in json.loads(body)}
+    if body[:1] + body[-1:] not in ("{}", "[]"):
+        raise ValueError(f"expected a set of naturals like {{0,1,2}} or [0,1,2], got {text!r}")
+    inner = body[1:-1].strip()
+    return {_parse_code(p.strip()) for p in inner.split(",")} if inner else set()
 
 
 def _vcode_spec(text: str) -> VCode:
@@ -163,7 +164,7 @@ def _cmd_universe(args) -> int:
     else:  # din
         v = din(_parse_code(args.k), _parse_code(args.type_code), tr)
     _emit(args, _verdict_payload(v), _verdict_text(v))
-    return 0
+    return int(v.refuted)
 
 
 def _cmd_vcode(args) -> int:
@@ -203,7 +204,7 @@ def _cmd_check(args) -> int:
     budget = rz.CheckBudget(truncation=tr, implication_bound=args.implication_bound)
     v = rz.check(realiser, phi, env, budget)
     _emit(args, _verdict_payload(v), _verdict_text(v))
-    return 0 if not v.refuted else 1
+    return int(v.refuted)
 
 
 def _cmd_diagonal(args) -> int:

@@ -8,12 +8,13 @@ reads a 0/1 tag off the first half, implication maps every known
 antecedent witness through e, and bounded quantifiers walk the bound's
 index type.
 
-Verdicts are three-valued and sound by construction: Realized can carry
-a note marking it relative to the budget (infinite index types are only
-enumerated up to the truncation; implications are tested against the
-witnesses the searcher can produce).  An unbounded universal is never
-Realized, only refuted by a counterexample from the budget's witness
-family.
+Verdicts are three-valued.  Only unnoted answers are stable as the
+budget grows.  A Realized that carries a note is relative to its budget
+(infinite index types are only enumerated up to the truncation;
+implications are tested against the witnesses the searcher can
+produce), and a larger budget can turn it into Refuted.  An unbounded
+universal is never Realized, only refuted by a counterexample from the
+budget's witness family.
 
 find_realiser is the witness synthesizer the negative clauses lean on:
 on hereditarily finite-indexed codes it decides realizability outright

@@ -10,10 +10,14 @@ A type code is read through the pairing function:
   pair(3, pair(n, e)) dependent product over index type n with family e
 
 din decides "k is a member of t" as far as the truncation allows and
-answers Realized / Refuted / Unknown.  Realized and Refuted are stable:
-growing the truncation can only turn Unknown into one of them, never
-flip them.  Membership in a product over an infinite index type is never
-Realized (only refutable), which keeps every Realized verdict sound.
+answers Realized / Refuted / Unknown, with a note when the answer rests
+on an enumeration the truncation cut short.  Only unnoted answers are
+stable: growing the truncation can turn Unknown into one of them, never
+flip them.  A Realized with a note is relative to its budget:
+check_in_U(sigma_code(NAT, LSFAM)) is Realized, "family checked up to
+the truncation", at nat_bound=1 and Refuted at nat_bound=2.  Membership
+in a product over an infinite index type is never Realized (only
+refutable).
 
 check_in_U and check_in_V read one formation rule, as sets are indexed
 families: an index type in U plus a family converging to a good member
@@ -220,7 +224,7 @@ def _depth_memo(limit: int, guarded):
         @wraps(decide)
         def memoized(*args, **kwargs):
             global _window_hi, _window_lo
-            if kwargs or len(args) + len(defaults) < arity:
+            if kwargs or not 0 <= arity - len(args) <= len(defaults):
                 bound = sig.bind(*args, **kwargs)  # raises on a bad call
                 bound.apply_defaults()
                 args = bound.args

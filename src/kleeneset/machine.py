@@ -212,7 +212,8 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                     push((_MEMO, key))
                 if n > arity:  # over-applied code: stack the extra operands
                     full = args + (a,)
-                    stack.extend(reversed(full[arity:]))
+                    for extra in reversed(full[arity:]):
+                        push(extra)
                     args = full[:arity - 1]
                     a = full[arity - 1]
                     f = _Spine((head, args, entry))
@@ -228,7 +229,8 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                 elif kind == "sc":
                     if args:
                         push(a)
-                        stack.extend(args[:0:-1])
+                        for extra in args[:0:-1]:
+                            push(extra)
                         a = args[0]
                     f = body
                     continue

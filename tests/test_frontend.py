@@ -482,6 +482,8 @@ HOSTILE_INPUTS = {
     "decode index of 1.5": lambda d: ("lworld", "decode", "[0,1.5]", "[]"),
     "decode index that is true": lambda d: ("lworld", "decode", "[0,true]", "[]"),
     "decode index that is an Arabic-Indic digit": lambda d: ("lworld", "decode", "{0,\u0663}", "{}"),
+    "numeral spec with an Arabic-Indic digit": lambda d: ("vcode", "upair", "numeral:\u0663", "0"),
+    "numeral spec with an underscore": lambda d: ("vcode", "upair", "numeral:1_0", "0"),
 }
 
 # run in a child process under a memory limit and a timeout, so that a
@@ -602,6 +604,21 @@ def test_cli_flags_sit_only_on_the_verbs_that_read_them():
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["pca", "pair", "\u0663", "1"], ["pca", "pair", "1_0", "1"], ["pca", "pair", "+3", "1"],
+    ["pca", "witness", "1", " 2", "3"], ["lworld", "lstage", "\u0663"],
+    ["lworld", "alphastar", "-\u0662"], ["vcode", "numeral", "\uff13"],
+    ["diagonal", "build", "--stages", "1_0"], ["universe", "check-u", "5", "--fuel", "\u0661\u0660"],
+    ["check", "0", "(= omega omega)", "--implication-bound", "\u0663"]],
+    ids=" ".join)
+def test_cli_integer_arguments_are_ascii_digits(argv, capsys):
+    # as every code argument: a run of ASCII digits, here after an optional '-'
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

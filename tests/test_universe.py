@@ -279,8 +279,9 @@ FORMATION_CASES = [
      "realized", "element map checked up to the truncation"),
     ("V upair", check_in_V, lambda: v_upair(v_numeral(1), v_numeral(2)).code, TR,
      "realized", None),
+    # one element holds omega, whose note the answer carries
     ("V opair", check_in_V, lambda: v_opair(v_numeral(0), v_omega()).code, TR,
-     "realized", None),
+     "realized", "element map checked up to the truncation"),
     ("V finite", check_in_V,
      lambda: v_finite([v_numeral(2), v_upair(v_numeral(0), v_numeral(1))]).code, TR,
      "realized", None),
@@ -321,13 +322,13 @@ def _frame_depth():
 
 @pytest.mark.parametrize("name", ["U self-referential", "V self-member"])
 def test_the_depth_guard_fires_within_a_frame_budget(name):
-    # each U or V level takes three frames (the memo wrapper, the decider,
-    # _family_walk), so the guard at depth 200 fires some 600 frames down
+    # each U or V level takes two frames (the memo wrapper and the
+    # decider), so the guard at depth 200 fires some 400 frames down
     _, check, build, tr, status, note = next(c for c in FORMATION_CASES if c[0] == name)
     code = build()
     clear_caches()
     old = sys.getrecursionlimit()
-    sys.setrecursionlimit(_frame_depth() + 700)
+    sys.setrecursionlimit(_frame_depth() + 500)
     try:
         v = check(code, tr)
     finally:
@@ -486,22 +487,21 @@ KEYWORD_CASES = [fin(3), NAT, DIST, 2, sigma_code(fin(0), 0),
 
 @pytest.mark.parametrize("t", KEYWORD_CASES)
 def test_keyword_calls_answer_as_positional_calls(t):
-    # the memo wrapper binds keyword and short calls to the decider's
-    # signature; each answers as the positional call does, cold or warm
+    # keyword and short calls answer as the positional call does
     def answers(calls):
         clear_caches()
         return [(v.status, v.note) if hasattr(v, "status") else v for v in
                 (call() for call in calls)]
 
-    positional = answers([lambda: check_in_U(t, TR, 0), lambda: check_in_V(pair(t, 0), TR, 0),
-                          lambda: provably_empty(t, TR, 0)])
+    positional = answers([lambda: check_in_U(t, TR), lambda: check_in_V(pair(t, 0), TR),
+                          lambda: provably_empty(t, TR)])
     keyword = answers([lambda: check_in_U(t, tr=TR), lambda: check_in_V(pair(t, 0), tr=TR),
                        lambda: provably_empty(t, tr=TR)])
-    mixed = answers([lambda: check_in_U(t, TR, _depth=0), lambda: check_in_V(a=pair(t, 0), tr=TR),
-                     lambda: provably_empty(t, TR, depth=0)])
+    mixed = answers([lambda: check_in_U(t=t, tr=TR), lambda: check_in_V(a=pair(t, 0), tr=TR),
+                     lambda: provably_empty(t=t, tr=TR)])
     assert keyword == positional == mixed
     assert answers([lambda: check_in_U(t), lambda: check_in_V(pair(t, 0))]) == answers(
-        [lambda: check_in_U(t, Truncation(), 0), lambda: check_in_V(pair(t, 0), Truncation(), 0)])
+        [lambda: check_in_U(t, Truncation()), lambda: check_in_V(pair(t, 0), Truncation())])
     # a bad call fails as it would on the undecorated decider
     with pytest.raises(TypeError):
         provably_empty(t)
@@ -510,9 +510,13 @@ def test_keyword_calls_answer_as_positional_calls(t):
 
 
 def test_a_call_with_too_many_arguments_fails_as_on_the_decider():
-    # the positional fast path once read the argument before the last as
-    # the truncation: check_in_U(5, Truncation(), 0, 1) raised AttributeError
-    for call in (lambda: check_in_U(5, Truncation(), 0, 1),
+    # the entries take a code and a truncation, and no depth; a memo
+    # wrapper once read the argument before the last as the truncation:
+    # check_in_U(5, Truncation(), 0, 1) raised AttributeError
+    for call in (lambda: check_in_U(5, Truncation(), 0),
+                 lambda: check_in_V(0, Truncation(), 0),
+                 lambda: provably_empty(5, Truncation(), 0),
+                 lambda: check_in_U(5, Truncation(), 0, 1),
                  lambda: check_in_V(0, Truncation(), 0, 1),
                  lambda: provably_empty(5, Truncation(), 0, 1)):
         with pytest.raises(TypeError):
@@ -529,3 +533,74 @@ def test_a_noted_realized_answer_is_relative_to_its_budget():
     assert (at_one.status, at_one.note) == ("realized", "family checked up to the truncation")
     at_two = check_in_U(t, Truncation(nat_bound=2))
     assert (at_two.status, at_two.note) == ("refuted", None)
+
+
+
+# ---------------------------------------------------------------------------
+# an unnoted answer stays as it is up every budget ladder
+
+
+def test_a_noted_member_puts_its_note_on_the_answer():
+    # the one value of the family is a sum over the naturals, realized with
+    # a note at nat_bound=0 and refuted at 1; the note once fell off at the
+    # product, whose index is listed in full, and the unnoted answer flipped
+    t = pi_code(sigma_code(fin(1), const(fin(2))), const(sigma_code(NAT, rom.NUMMAP)))
+    answers = [check_in_U(t, Truncation(nat_bound=n)) for n in (0, 1)]
+    assert [(v.status, v.note) for v in answers] == [
+        ("realized", "family checked up to the truncation"), ("refuted", None)]
+
+
+_LEAVES = st.sampled_from([fin(0), fin(1), fin(2), NAT, DIST])
+_LIBRARY_FAMILIES = st.sampled_from([rom.LSFAM, rom.NUMMAP, 0, 1, 2, 5])
+
+
+def _formed(index, values):
+    """Sums and products over index, whose family is a library program, a
+    small natural or a constant family of values."""
+    return st.builds(lambda former, n, e: former(n, e), st.sampled_from([sigma_code, pi_code]),
+                     index, _LIBRARY_FAMILIES | values.map(const))
+
+
+# Types at most two formers deep, and sets over an index at most one deep:
+# with NUMMAP as its element map, a deeper index lists codes past 200,
+# whose numerals reach past the depth guard (see CHANGES.md).
+_ONE_FORMER = _LEAVES | _formed(_LEAVES, _LEAVES)
+_TWO_FORMERS = _ONE_FORMER | _formed(_ONE_FORMER, _ONE_FORMER)
+_LADDER_MEMBERS = (st.sampled_from([0, 1, 2, pair(0, 1), pair(1, 0), pair(2, 1)])
+                   | _LIBRARY_FAMILIES | _LEAVES.map(const))
+
+# each budget axis walked on its own, the others held
+_NAT_RUNGS = [0, 1, 2, 3]
+_SEGMENT_RUNGS = [0, 1, 2]
+_FUEL_RUNGS = [1, 10, 100, 1000, 10 ** 4, 10 ** 6]
+
+
+def _climb(decide, rungs):
+    """Ask decide at each truncation, cold; once an unnoted realized or
+    refuted answer appears, every higher rung must give it again."""
+    settled = None
+    for tr in rungs:
+        clear_caches()
+        try:
+            v = decide(tr)
+        except MalformedTypeError:
+            return  # a malformed type ends the ladder
+        if settled is not None:
+            assert (v.status, v.note) == (settled, None), tr
+        elif not v.unknown and v.note is None:
+            settled = v.status
+
+
+@given(case=st.tuples(_LADDER_MEMBERS, _TWO_FORMERS, _ONE_FORMER,
+                      _LIBRARY_FAMILIES | _ONE_FORMER.map(const)))
+@settings(max_examples=100, deadline=None)
+def test_unnoted_answers_hold_up_every_budget_ladder(case, path_view):
+    k, t, index, e = case
+    ladders = [[Truncation(nat_bound=n, fuel=10 ** 4) for n in _NAT_RUNGS],
+               [Truncation(segment_bound=s, nat_bound=2, fuel=10 ** 4, distinguished=path_view)
+                for s in _SEGMENT_RUNGS],
+               [Truncation(nat_bound=2, fuel=f) for f in _FUEL_RUNGS]]
+    for rungs in ladders:
+        _climb(lambda tr: din(k, t, tr), rungs)
+        _climb(lambda tr: check_in_U(t, tr), rungs)
+        _climb(lambda tr: check_in_V(pair(index, e), tr), rungs)

@@ -83,6 +83,13 @@ def _parse_code(text: str) -> Code:
     return canon(int(text))  # huge inputs go to the canonical symbolic form
 
 
+def _int(text: str) -> int:
+    """An integer argument: a run of ASCII digits after an optional '-'."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _nat_set(text: str) -> set[Code]:
     """{0,1,2} or [0,1,2]: numerals between braces or brackets; empty
     braces or brackets are the empty set."""
@@ -98,7 +105,7 @@ def _vcode_spec(text: str) -> VCode:
     if text == "omega":
         return v_omega()
     if text.startswith("numeral:"):
-        return v_numeral(int(text.split(":", 1)[1]))
+        return v_numeral(_parse_code(text.split(":", 1)[1]))
     return VCode(_parse_code(text))
 
 
@@ -289,9 +296,9 @@ def _cmd_lworld(args) -> int:
 # the budget flags; all four build a Truncation, and each command takes
 # only those it reads
 _FLAGS = {
-    "--fuel": dict(type=int, default=DEFAULT_TRUNCATION.fuel),
-    "--segment-bound": dict(type=int, default=DEFAULT_TRUNCATION.segment_bound),
-    "--nat-bound": dict(type=int, default=DEFAULT_TRUNCATION.nat_bound),
+    "--fuel": dict(type=_int, default=DEFAULT_TRUNCATION.fuel),
+    "--segment-bound": dict(type=_int, default=DEFAULT_TRUNCATION.segment_bound),
+    "--nat-bound": dict(type=_int, default=DEFAULT_TRUNCATION.nat_bound),
     "--h-prefix": dict(default=None, help="JSON file with the built path prefix"),
 }
 
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pca", help="pairing and program application")
     ops = p.add_subparsers(dest="op", required=True)
-    q = ops.add_parser("pair"); q.add_argument("a", type=int); q.add_argument("b", type=int)
+    q = ops.add_parser("pair"); q.add_argument("a", type=_int); q.add_argument("b", type=_int)
     q = ops.add_parser("unpair"); q.add_argument("code")
     q = ops.add_parser("apply"); q.add_argument("f"); q.add_argument("arg")
     q = ops.add_parser("eval"); q.add_argument("term")
@@ -316,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = ops.add_parser("decode"); q.add_argument("code")
     q = ops.add_parser("fixpoint"); q.add_argument("code")
     q = ops.add_parser("witness")
-    q.add_argument("i", type=int); q.add_argument("j", type=int)
-    q.add_argument("lower", type=int)
+    q.add_argument("i", type=_int); q.add_argument("j", type=_int)
+    q.add_argument("lower", type=_int)
     for name, q in ops.choices.items():
         _add_flags(q, *(["--fuel"] if name in ("apply", "eval") else []))
     p.set_defaults(fn=_cmd_pca)
@@ -333,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vcode", help="canonical set codes")
     ops = p.add_subparsers(dest="op", required=True)
-    q = ops.add_parser("numeral"); q.add_argument("n", type=int)
+    q = ops.add_parser("numeral"); q.add_argument("n", type=_int)
     ops.add_parser("omega")
     q = ops.add_parser("upair"); q.add_argument("a"); q.add_argument("b")
     q = ops.add_parser("opair"); q.add_argument("a"); q.add_argument("b")
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("realiser")
     p.add_argument("formula")
     p.add_argument("--bind", action="append", metavar="NAME=SPEC")
-    p.add_argument("--implication-bound", type=int,
+    p.add_argument("--implication-bound", type=_int,
                    default=rz.CheckBudget.implication_bound)
     _add_flags(p, *_FLAGS)
     p.set_defaults(fn=_cmd_check)
@@ -358,18 +365,18 @@ def build_parser() -> argparse.ArgumentParser:
     q = dops.add_parser("build")
     q.add_argument("--catalogue", default=None,
                    help="JSON list of {term, step_bound, name}")
-    q.add_argument("--stages", type=int, default=30)
+    q.add_argument("--stages", type=_int, default=30)
     q.add_argument("--out", default=None)
     _add_flags(q, "--fuel")
     p.set_defaults(fn=_cmd_diagonal)
 
     p = sub.add_parser("lworld", help="hereditarily finite sets and stages")
     ops = p.add_subparsers(dest="op", required=True)
-    q = ops.add_parser("lstage"); q.add_argument("n", type=int)
+    q = ops.add_parser("lstage"); q.add_argument("n", type=_int)
     q = ops.add_parser("defsub"); q.add_argument("sets", nargs="*")
     q.add_argument("--route", default="formulas", choices=("formulas", "powerset"))
     q = ops.add_parser("ordinals"); q.add_argument("sets", nargs="*")
-    q = ops.add_parser("alphastar"); q.add_argument("n", type=int)
+    q = ops.add_parser("alphastar"); q.add_argument("n", type=_int)
     q = ops.add_parser("encode"); q.add_argument("set")
     q = ops.add_parser("decode"); q.add_argument("u"); q.add_argument("sigma")
     for q in ops.choices.values():

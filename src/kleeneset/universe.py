@@ -11,44 +11,41 @@ A type code is read through the pairing function:
 
 din decides "k is a member of t" as far as the truncation allows and
 answers Realized / Refuted / Unknown, with a note when the answer rests
-on an enumeration the truncation cut short.  Only unnoted answers are
-stable: growing the truncation can turn Unknown into one of them, never
-flip them.  A Realized with a note is relative to its budget:
-check_in_U(sigma_code(NAT, LSFAM)) is Realized, "family checked up to
-the truncation", at nat_bound=1 and Refuted at nat_bound=2.  Membership
-in a product over an infinite index type is never Realized (only
-refutable).
+on an enumeration the truncation cut short, its own or a member's.  Only
+unnoted answers are stable: growing the truncation can turn Unknown into
+one of them, never flip them.  A Realized with a note is relative to its
+budget: check_in_U(sigma_code(NAT, LSFAM)) is Realized, "family checked
+up to the truncation", at nat_bound=1 and Refuted at nat_bound=2.
+Membership in a product over an infinite index type is never Realized
+(only refutable).
 
-check_in_U and check_in_V read one formation rule, as sets are indexed
-families: an index type in U plus a family converging to a good member
-(a type, or a set) at every index.
+check_in_U and check_in_V read one formation rule, _formation, as sets
+are indexed families: an index type in U plus a family converging to a
+good member (a type, or a set) at every index.
 
 Every recursive decider here and in realizability stops at a depth guard
 and then answers as if undecided, so its answer can depend on the depth
-of the call.  The five memoized deciders (_din, provably_empty,
-check_in_U, check_in_V, and realizability's _synth_eq) share one guard
-and memo rule, _depth_memo.  Each answer, guarded or not, is stored with
-its depth window: the call depths at which a cold run takes the same
-side of every guard it meets, its own and those of the calls it makes at
+of the call.  The four memoized deciders (_din, _provably_empty,
+_formation, and realizability's _synth_eq) share one guard and memo
+rule, _depth_memo.  Each answer, guarded or not, is stored with its
+depth window: the call depths at which a cold run takes the same side of
+every guard it meets, its own and those of the calls it makes at
 depth + 1, memo hits among them counting by their stored windows.  A hit
 is used only inside its window; outside it the decider recomputes, so a
 call answers as it does cold whatever ran before it.  A call at depth 0
 is never a depth-dependent child, since children are called at
-depth + 1, so its window stays its own: check_in_V's check of its index
-type, _synth_eq's din and provably_empty, and enumerate_index (which is
-not memoized and keeps its own guard) all start there.
+depth + 1, so its window stays its own: a set's check of its index type,
+_synth_eq's din and provably_empty, and enumerate_index (which is not
+memoized and keeps its own guard) all start there.
 
-A U or V level takes three Python frames (the memo wrapper, the decider,
-_family_walk), so the guard at depth 200 fires some 600 frames down.
+A U or V level takes two Python frames (the memo wrapper and
+_formation), so the guard at depth 200 fires some 400 frames down.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from functools import wraps
 from math import inf
-from typing import Callable
 
 from .machine import (
     DEFAULT_FUEL, DivergedError, OutOfFuelError, apply_raw,
@@ -212,24 +209,14 @@ _window_hi, _window_lo = -inf, inf
 
 
 def _depth_memo(limit: int, guarded):
-    """Guard a decider of (codes..., tr, depth), which answers guarded at
-    a depth past limit, and memoize it under the window rule of the module
-    docstring."""
+    """Guard a decider of (keys..., tr, depth), all positional, which
+    answers guarded at a depth past limit, and memoize it under the window
+    rule of the module docstring."""
     def decorate(decide):
         memo: dict = table_memo()
-        sig = inspect.signature(decide)
-        arity = len(sig.parameters)
-        defaults = decide.__defaults__ or ()
 
-        @wraps(decide)
-        def memoized(*args, **kwargs):
+        def memoized(*args):
             global _window_hi, _window_lo
-            if kwargs or not 0 <= arity - len(args) <= len(defaults):
-                bound = sig.bind(*args, **kwargs)  # raises on a bad call
-                bound.apply_defaults()
-                args = bound.args
-            elif len(args) < arity:
-                args += defaults[len(args) - arity:]
             depth = args[-1]
             if depth > limit:
                 v, hi, lo = guarded, -inf, depth - limit
@@ -301,7 +288,7 @@ def _din(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
         if ek is None:
             saw_unknown = True
             continue
-        if provably_empty(ek, tr, depth + 1):
+        if _provably_empty(ek, tr, depth + 1):
             return REFUTED  # no dk can land in an empty target
         try:
             dk = apply_raw(k, k0, tr.fuel)
@@ -357,9 +344,13 @@ def enumerate_index(t: Code, tr: Truncation,
     return [], False
 
 
-@_depth_memo(40, False)
-def provably_empty(t: Code, tr: Truncation, depth: int = 0) -> bool:
+def provably_empty(t: Code, tr: Truncation) -> bool:
     """True only when no natural can be a member of t."""
+    return _provably_empty(t, tr, 0)
+
+
+@_depth_memo(40, False)
+def _provably_empty(t: Code, tr: Truncation, depth: int) -> bool:
     view = type_view(t)
     if view.kind == "fin":
         return view.size == 0
@@ -369,35 +360,58 @@ def provably_empty(t: Code, tr: Truncation, depth: int = 0) -> bool:
         return False
     members, complete = enumerate_index(view.index, tr)
     if view.kind == "sigma":
-        if provably_empty(view.index, tr, depth + 1):
+        if _provably_empty(view.index, tr, depth + 1):
             return True
         if not complete:
             return False
         for k0 in members:
             ek = _family_at(view.family, k0, tr, on_realized_index=False)
-            if ek is None or not provably_empty(ek, tr, depth + 1):
+            if ek is None or not _provably_empty(ek, tr, depth + 1):
                 return False
         return bool(members)
     # pi: empty when some certainly-inhabited index maps to an empty target
     for k0 in members:
         ek = _family_at(view.family, k0, tr, on_realized_index=False)
-        if ek is not None and provably_empty(ek, tr, depth + 1):
+        if ek is not None and _provably_empty(ek, tr, depth + 1):
             return True
     return False
 
 
-def _family_walk(index: Code, family: Code, tr: Truncation, index_depth: int,
-                 member_check: Callable[[Code, Truncation, int], Verdict],
-                 member_depth: int, truncated_note: str, undecided_note: str) -> Verdict:
-    """The formation rule U and V share: the index type is in U, and the
-    family converges on every enumerated index to a good member by
-    member_check at member_depth.  Only a truncated enumeration qualifies
-    a realized answer with a note."""
-    v_index = check_in_U(index, tr, index_depth)
+def check_in_U(t: Code, tr: Truncation = DEFAULT_TRUNCATION) -> Verdict:
+    """Is t a well-formed type code (member of the type universe)?"""
+    return _formation("U", t, tr, 0)
+
+
+def check_in_V(a: Code, tr: Truncation = DEFAULT_TRUNCATION) -> Verdict:
+    """Is a a well-formed set code (index type plus element map)?"""
+    return _formation("V", a, tr, 0)
+
+
+_FORMATION_NOTES = {
+    "U": ("family checked up to the truncation", "index or family membership undecided"),
+    "V": ("element map checked up to the truncation", "index or element map undecided"),
+}
+
+
+@_depth_memo(_MAX_DEPTH, unknown(_DEPTH_NOTE))
+def _formation(space: str, c: Code, tr: Truncation, depth: int) -> Verdict:
+    """The formation rule of U (c a type code) or V (c a set code): an index
+    type in U, and a family converging at each index to a member of the space."""
+    if space == "U":
+        view = type_view(c)
+        if view.kind == "invalid":
+            return REFUTED  # no formation rule concludes an unknown tag
+        if view.kind in ("fin", "nat", "dist"):
+            return REALIZED
+        index, family = view.index, view.family
+        v_index = _formation("U", index, tr, depth + 1)
+    else:  # a set's index, a type, is checked from depth 0
+        index, family = unpair(c)
+        v_index = _formation("U", index, tr, 0)
     if v_index.refuted:
         return REFUTED
     members, complete = enumerate_index(index, tr)
-    decided = v_index.realized
+    decided, exact = v_index.realized, v_index.note is None
     for k0 in members:
         try:
             ek = apply_raw(family, k0, tr.fuel)
@@ -406,36 +420,13 @@ def _family_walk(index: Code, family: Code, tr: Truncation, index_depth: int,
             continue
         except DivergedError:
             return REFUTED  # the rule needs the family to converge here
-        v = member_check(ek, tr, member_depth)
+        v = _formation(space, ek, tr, depth + 1)
         if v.refuted:
             return REFUTED
-        decided = decided and v.realized
+        decided, exact = decided and v.realized, exact and v.note is None
+    truncated_note, undecided_note = _FORMATION_NOTES[space]
     if complete is None:
         return unknown(_TOO_LARGE_NOTE)
     if not decided:
         return unknown(undecided_note)
-    if not complete:
-        return Verdict("realized", truncated_note)
-    return REALIZED
-
-
-@_depth_memo(_MAX_DEPTH, unknown(_DEPTH_NOTE))
-def check_in_U(t: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
-    """Is t a well-formed type code (member of the type universe)?"""
-    view = type_view(t)
-    if view.kind == "invalid":
-        return REFUTED  # no formation rule concludes an unknown tag
-    if view.kind in ("fin", "nat", "dist"):
-        return REALIZED
-    return _family_walk(view.index, view.family, tr, _depth + 1, check_in_U, _depth + 1,
-                        "family checked up to the truncation",
-                        "index or family membership undecided")
-
-
-@_depth_memo(_MAX_DEPTH, unknown(_DEPTH_NOTE))
-def check_in_V(a: Code, tr: Truncation = DEFAULT_TRUNCATION, _depth: int = 0) -> Verdict:
-    """Is a a well-formed set code (index type plus element map)?"""
-    n, e = unpair(a)
-    return _family_walk(n, e, tr, 0, check_in_V, _depth + 1,
-                        "element map checked up to the truncation",
-                        "index or element map undecided")
+    return REALIZED if complete and exact else Verdict("realized", truncated_note)

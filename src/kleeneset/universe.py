@@ -411,7 +411,7 @@ def _formation(space: str, c: Code, tr: Truncation, depth: int) -> Verdict:
     if v_index.refuted:
         return REFUTED
     members, complete = enumerate_index(index, tr)
-    decided, exact = v_index.realized, v_index.note is None
+    decided, exact = v_index.realized, True  # a noted index lists its members short
     for k0 in members:
         try:
             ek = apply_raw(family, k0, tr.fuel)

@@ -563,7 +563,8 @@ def _formed(index, values):
 
 # Types at most two formers deep, and sets over an index at most one deep:
 # with NUMMAP as its element map, a deeper index lists codes past 200,
-# whose numerals reach past the depth guard (see CHANGES.md).
+# whose numerals nest past the depth guard, where the walk takes time
+# exponential in the overshoot.
 _ONE_FORMER = _LEAVES | _formed(_LEAVES, _LEAVES)
 _TWO_FORMERS = _ONE_FORMER | _formed(_ONE_FORMER, _ONE_FORMER)
 _LADDER_MEMBERS = (st.sampled_from([0, 1, 2, pair(0, 1), pair(1, 0), pair(2, 1)])

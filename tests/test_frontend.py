@@ -407,6 +407,67 @@ def test_universe_verbs_exit_1_on_a_refuted_answer(argv, text, code):
     assert (rc, json.loads(out)) == (code, payload)
 
 
+# every subcommand once: argv, exit code, the text stdout and the --json
+# stdout; H names a file holding the path prefix [0,0,0], OUT a file that
+# `--out` writes
+SUBCOMMAND_ANSWERS = [
+    (("pca", "pair", "2", "1"), 0, "5", '{"result":"5"}'),
+    (("pca", "unpair", "5"), 0, "2 1", '{"first":"2","second":"1"}'),
+    (("pca", "apply", "86770688973685200", "200", "--fuel", "5"), 1,  # HALF 200 takes more
+     "out of fuel", '{"outcome":"out_of_fuel"}'),
+    (("pca", "eval", "(app sN 4)"), 0, "5", '{"outcome":"value","result":"5"}'),
+    (("pca", "encode", "(lam x x)"), 0, "833571", '{"code":"833571"}'),
+    (("pca", "decode", "3"), 0, "k", '{"term":"k"}'),
+    (("pca", "fixpoint", "3"), 0, "40921608", '{"code":"40921608"}'),
+    (("pca", "witness", "0", "1", "1"), 0, "3", '{"witness":3}'),
+    (("universe", "check-u", "31475006110386586987366", "--nat-bound", "1"), 0,
+     "realized (family checked up to the truncation)",
+     '{"note":"family checked up to the truncation","verdict":"realized"}'),
+    (("universe", "check-v", "0"), 0, "realized", '{"verdict":"realized"}'),
+    (("universe", "din", "5", "8"), 1, "refuted", '{"verdict":"refuted"}'),
+    (("vcode", "numeral", "2"), 0, "897371221224137741117825546714260898688803352",
+     '{"code":"897371221224137741117825546714260898688803352"}'),
+    (("vcode", "omega"), 0, "897371221224137741117825546714260898688803357",
+     '{"code":"897371221224137741117825546714260898688803357"}'),
+    (("vcode", "upair", "numeral:1", "numeral:2"), 0, "~2^4786", '{"code":"~2^4786"}'),
+    (("vcode", "opair", "numeral:1", "numeral:2"), 0, "~2^153214", '{"code":"~2^153214"}'),
+    (("vcode", "eq", "numeral:1", "numeral:2"), 0, "~2^314366", '{"code":"~2^314366"}'),
+    (("vcode", "pbar"), 0, "220173977532", '{"code":"220173977532"}'),
+    (("vcode", "alpha0", "--h-prefix", "H"), 0, "177411967211", '{"code":"177411967211"}'),
+    (("check", "(app (app p 0) iota)", "(in (numeral 0) (numeral 1))"), 0,
+     "realized", '{"verdict":"realized"}'),
+    (("diagonal", "build", "--stages", "2", "--out", "OUT"), 0,
+     "built a prefix of length 10 over 2 stages (1 extensions)",
+     '{"components":[0,0,0,0,0,0,0,0,0,0],"stages":['
+     '{"extended":true,"length":10,"requirement":{"i":0,"j":1,"machine":"copy"},'
+     '"resolved":true,"witness":2},'
+     '{"extended":false,"length":10,"requirement":{"i":0,"j":1,"machine":"const_empty"},'
+     '"resolved":true,"witness":2}]}'),
+    (("lworld", "lstage", "2"), 0, "{}\n{{}}", '{"elements":["{}","{{}}"],"size":2}'),
+    (("lworld", "defsub", "{}", "{{}}"), 0, "{}\n{{}}\n{{{}}}\n{{},{{}}}",
+     '{"size":4,"subsets":["{}","{{}}","{{{}}}","{{},{{}}}"]}'),
+    (("lworld", "ordinals", "{}", "{{{}}}", "{{}}"), 0, "{}\n{{}}", '{"ordinals":["{}","{{}}"]}'),
+    (("lworld", "alphastar", "3"), 0, "{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}}}",
+     '{"result":"{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}}}"}'),
+    (("lworld", "encode", "{{},{{}}}"), 0, '{"sigma": [3, 4, 7], "u": [0, 1, 2]}',
+     '{"sigma":[3,4,7],"u":[0,1,2]}'),
+    (("lworld", "decode", "{0}", "{0}"), 1,  # index 0 below itself: the error is the answer
+     "error: index 0 depends on itself", '{"error":"index 0 depends on itself"}'),
+]
+
+
+@pytest.mark.parametrize("argv,code,text,payload", SUBCOMMAND_ANSWERS,
+                         ids=[" ".join(row[0][:1 if row[0][0] == "check" else 2])
+                              for row in SUBCOMMAND_ANSWERS])
+def test_each_subcommand_prints_its_pinned_answer(argv, code, text, payload, tmp_path):
+    files = {"H": _write(tmp_path / "h.json", [0, 0, 0]), "OUT": str(tmp_path / "out.json")}
+    argv = [files.get(arg, arg) for arg in argv]
+    assert run_cli(*argv) == (code, text + "\n")
+    assert run_cli(*argv, "--json") == (code, payload + "\n")
+    if "--out" in argv:
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == payload
+
+
 def test_cli_reports_malformed_bounds_cleanly(capsys):
     rc, out = run_cli("check", "0", "(in (numeral 1) 8100)")
     assert rc == 2

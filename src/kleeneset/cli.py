@@ -6,6 +6,11 @@ byte-identical output.  A command takes --fuel, --segment-bound,
 --nat-bound and --h-prefix only where it reads them.  Codes too large
 to print in full appear in the digest form ~2^bits.  Malformed input
 ends in one line on stderr and exit code 2.
+
+build_parser binds each subcommand to the function that answers it,
+which returns the JSON payload, the text and, when it is not 0, the exit
+code.  main prints every answer, in one place, on stdout; the error of an
+ill-founded `lworld decode` is its answer, printed there with exit code 1.
 """
 
 from __future__ import annotations
@@ -109,91 +114,53 @@ def _vcode_spec(text: str) -> VCode:
     return VCode(_parse_code(text))
 
 
-def _verdict_payload(v) -> dict:
-    out = {"verdict": v.status}
-    if v.note:
-        out["note"] = v.note
-    return out
+def _field(key: str, value) -> tuple[dict, str]:
+    """An answer of one value, printed alone."""
+    return {key: value}, str(value)
 
 
-def _verdict_text(v) -> str:
-    return v.status if not v.note else f"{v.status} ({v.note})"
+def _code(c: Code) -> tuple[dict, str]:
+    return _field("code", _code_str(c))
+
+
+def _outcome(compute) -> tuple:
+    """The value of a program run, or out of fuel (exit 1)."""
+    try:
+        r = _code_str(compute())
+    except (OutOfFuelError, DivergedError):
+        return {"outcome": "out_of_fuel"}, "out of fuel", 1
+    return {"outcome": "value", "result": r}, r
+
+
+def _verdict(v) -> tuple:
+    """A three-valued answer, its note in parentheses (exit 1 on refuted)."""
+    payload = {"verdict": v.status, **({"note": v.note} if v.note else {})}
+    return payload, (f"{v.status} ({v.note})" if v.note else v.status), int(v.refuted)
+
+
+def _decide(tr: Truncation, decider, *codes: str) -> tuple:
+    """The verdict of a universe decider on numerals under tr, which is read
+    first, so that a malformed budget flag is reported before a numeral."""
+    return _verdict(decider(*map(_parse_code, codes), tr))
+
+
+def _hf_sets(sets, key: str, sized: bool, empty: str) -> tuple[dict, str]:
+    """HF sets in canonical order, one per line (empty when there are none)."""
+    names = lw.print_hfs(sorted(sets))
+    payload = {"size": len(names), key: names} if sized else {key: names}
+    return payload, "\n".join(names) or empty
 
 
 # ---------------------------------------------------------------------------
+# the run functions longer than one expression
 
 
-def _cmd_pca(args) -> int:
-    if args.op == "pair":
-        c = pair(args.a, args.b)
-        _emit(args, {"result": _code_str(c)}, _code_str(c))
-    elif args.op == "unpair":
-        a, b = unpair(_parse_code(args.code))
-        _emit(args, {"first": _code_str(a), "second": _code_str(b)},
-              f"{_code_str(a)} {_code_str(b)}")
-    elif args.op == "apply":
-        try:
-            r = apply_raw(_parse_code(args.f), _parse_code(args.arg), args.fuel)
-            _emit(args, {"outcome": "value", "result": _code_str(r)}, _code_str(r))
-        except (OutOfFuelError, DivergedError):
-            _emit(args, {"outcome": "out_of_fuel"}, "out of fuel")
-            return 1
-    elif args.op == "eval":
-        term = sexpr.parse_term(args.term)
-        try:
-            r = _eval_term(term, args.fuel)
-            _emit(args, {"outcome": "value", "result": _code_str(r)}, _code_str(r))
-        except (OutOfFuelError, DivergedError):
-            _emit(args, {"outcome": "out_of_fuel"}, "out of fuel")
-            return 1
-    elif args.op == "encode":
-        c = compile_lambda(sexpr.parse_term(args.term))
-        _emit(args, {"code": _code_str(c)}, _code_str(c))
-    elif args.op == "decode":
-        t = decode(_parse_code(args.code))
-        s = sexpr.print_term(t)
-        _emit(args, {"term": s}, s)
-    elif args.op == "fixpoint":
-        c = fixpoint(_parse_code(args.code))
-        _emit(args, {"code": _code_str(c)}, _code_str(c))
-    elif args.op == "witness":
-        n = incomparable_witness(args.i, args.j, args.lower)
-        _emit(args, {"witness": n}, str(n))
-    return 0
+def _unpair(args) -> tuple[dict, str]:
+    a, b = map(_code_str, unpair(_parse_code(args.code)))
+    return {"first": a, "second": b}, f"{a} {b}"
 
 
-def _cmd_universe(args) -> int:
-    tr = _truncation(args)
-    if args.op == "check-u":
-        v = check_in_U(_parse_code(args.code), tr)
-    elif args.op == "check-v":
-        v = check_in_V(_parse_code(args.code), tr)
-    else:  # din
-        v = din(_parse_code(args.k), _parse_code(args.type_code), tr)
-    _emit(args, _verdict_payload(v), _verdict_text(v))
-    return int(v.refuted)
-
-
-def _cmd_vcode(args) -> int:
-    if args.op == "numeral":
-        c = v_numeral(args.n).code
-    elif args.op == "omega":
-        c = v_omega().code
-    elif args.op == "upair":
-        c = v_upair(_vcode_spec(args.a), _vcode_spec(args.b)).code
-    elif args.op == "opair":
-        c = v_opair(_vcode_spec(args.a), _vcode_spec(args.b)).code
-    elif args.op == "eq":
-        c = eq_code(_vcode_spec(args.a).code, _vcode_spec(args.b).code)
-    elif args.op == "pbar":
-        c = internal_pair_fn().code
-    else:  # alpha0
-        c = alpha0(Truncation(distinguished=_path_view(args.h_prefix))).code
-    _emit(args, {"code": _code_str(c)}, _code_str(c))
-    return 0
-
-
-def _cmd_check(args) -> int:
+def _check(args) -> tuple:
     tr = _truncation(args)
     env = {}
     for binding in args.bind or []:
@@ -209,12 +176,10 @@ def _cmd_check(args) -> int:
         raise ValueError("the realiser diverges") from None
     phi = sexpr.parse_formula(args.formula)
     budget = rz.CheckBudget(truncation=tr, implication_bound=args.implication_bound)
-    v = rz.check(realiser, phi, env, budget)
-    _emit(args, _verdict_payload(v), _verdict_text(v))
-    return int(v.refuted)
+    return _verdict(rz.check(realiser, phi, env, budget))
 
 
-def _cmd_diagonal(args) -> int:
+def _build(args) -> tuple[dict, str]:
     if args.catalogue:
         spec = _read_json(args.catalogue)
         if not (isinstance(spec, list) and all(
@@ -247,50 +212,31 @@ def _cmd_diagonal(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:
             json.dump(payload, fp, sort_keys=True, separators=(",", ":"))
-    _emit(args, payload,
-          f"built a prefix of length {len(h)} over {len(log)} stages "
-          f"({sum(s.extended for s in log)} extensions)")
-    return 0
+    return payload, (f"built a prefix of length {len(h)} over {len(log)} stages "
+                     f"({sum(s.extended for s in log)} extensions)")
 
 
-def _cmd_lworld(args) -> int:
-    if args.op == "lstage":
-        stage = sorted(lw.l_stage(args.n))
-        names = lw.print_hfs(stage)
-        _emit(args, {"size": len(stage), "elements": names},
-              "\n".join(names) if names else "(empty stage)")
-    elif args.op == "defsub":
-        domain = [lw.parse_hf(s) for s in args.sets]
-        subs = sorted(lw.def_subsets(domain, route=args.route))
-        names = lw.print_hfs(subs)
-        _emit(args, {"size": len(subs), "subsets": names}, "\n".join(names))
-    elif args.op == "ordinals":
-        domain = [lw.parse_hf(s) for s in args.sets]
-        ords = sorted(lw.ordinals_of(domain))
-        names = lw.print_hfs(ords)
-        _emit(args, {"ordinals": names}, "\n".join(names) if names else "(none)")
-    elif args.op == "alphastar":
-        if args.n > 21:  # the answer is the ordinal n + 1, printed in about 5 * 2**n characters
-            raise ValueError(f"alphastar takes n up to 21, whose answer prints within "
-                             f"{lw.MAX_TEXT} characters; got {args.n}")
-        a = lw.hf_nat(args.n)
-        r = lw.alpha_star(a)
-        _emit(args, {"result": lw.print_hf(r)}, lw.print_hf(r))
-    elif args.op == "encode":
-        s = lw.parse_hf(args.set)
-        sc = lw.encode_sigma(s)
-        payload = {"u": sorted(sc.u), "sigma": sorted(sc.sigma)}
-        _emit(args, payload, json.dumps(payload, sort_keys=True))
-    else:  # decode
-        u = frozenset(_nat_set(args.u))
-        sigma = frozenset(_nat_set(args.sigma))
-        try:
-            s = lw.decode_sigma(lw.SigmaCode(u, sigma))
-        except lw.IllFoundedCodeError as exc:
-            _emit(args, {"error": str(exc)}, f"error: {exc}")
-            return 1
-        _emit(args, {"result": lw.print_hf(s)}, lw.print_hf(s))
-    return 0
+def _alphastar(args) -> tuple[dict, str]:
+    if args.n > 21:  # the answer is the ordinal n + 1, printed in about 5 * 2**n characters
+        raise ValueError(f"alphastar takes n up to 21, whose answer prints within "
+                         f"{lw.MAX_TEXT} characters; got {args.n}")
+    return _field("result", lw.print_hf(lw.alpha_star(lw.hf_nat(args.n))))
+
+
+def _encode_sigma(args) -> tuple[dict, str]:
+    sc = lw.encode_sigma(lw.parse_hf(args.set))
+    payload = {"u": sorted(sc.u), "sigma": sorted(sc.sigma)}
+    return payload, json.dumps(payload, sort_keys=True)
+
+
+def _decode_sigma(args) -> tuple:
+    u = frozenset(_nat_set(args.u))
+    sigma = frozenset(_nat_set(args.sigma))
+    try:
+        s = lw.decode_sigma(lw.SigmaCode(u, sigma))
+    except lw.IllFoundedCodeError as exc:
+        return {"error": str(exc)}, f"error: {exc}", 1
+    return _field("result", lw.print_hf(s))
 
 
 # the budget flags; all four build a Truncation, and each command takes
@@ -301,98 +247,105 @@ _FLAGS = {
     "--nat-bound": dict(type=_int, default=DEFAULT_TRUNCATION.nat_bound),
     "--h-prefix": dict(default=None, help="JSON file with the built path prefix"),
 }
+_INT = dict(type=_int)
 
 
-def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+def _command(p: argparse.ArgumentParser, arguments, flags, run) -> None:
+    """Give p its arguments in order, each a name or a (name, options)
+    pair, then --json and the budget flags; run answers p."""
+    for arg in arguments:
+        name, options = (arg, {}) if isinstance(arg, str) else arg
+        p.add_argument(name, **options)
     p.add_argument("--json", action="store_true")
     for flag in flags:
         p.add_argument(flag, **_FLAGS[flag])
+    p.set_defaults(run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="kleeneset")
     sub = top.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("pca", help="pairing and program application")
-    ops = p.add_subparsers(dest="op", required=True)
-    q = ops.add_parser("pair"); q.add_argument("a", type=_int); q.add_argument("b", type=_int)
-    q = ops.add_parser("unpair"); q.add_argument("code")
-    q = ops.add_parser("apply"); q.add_argument("f"); q.add_argument("arg")
-    q = ops.add_parser("eval"); q.add_argument("term")
-    q = ops.add_parser("encode"); q.add_argument("term")
-    q = ops.add_parser("decode"); q.add_argument("code")
-    q = ops.add_parser("fixpoint"); q.add_argument("code")
-    q = ops.add_parser("witness")
-    q.add_argument("i", type=_int); q.add_argument("j", type=_int)
-    q.add_argument("lower", type=_int)
-    for name, q in ops.choices.items():
-        _add_flags(q, *(["--fuel"] if name in ("apply", "eval") else []))
-    p.set_defaults(fn=_cmd_pca)
+    ops = sub.add_parser("pca", help="pairing and program application").add_subparsers(
+        dest="op", required=True)
+    _command(ops.add_parser("pair"), [("a", _INT), ("b", _INT)], (),
+             lambda a: _field("result", _code_str(pair(a.a, a.b))))
+    _command(ops.add_parser("unpair"), ["code"], (), _unpair)
+    _command(ops.add_parser("apply"), ["f", "arg"], ["--fuel"], lambda a: _outcome(
+        lambda: apply_raw(_parse_code(a.f), _parse_code(a.arg), a.fuel)))
+    _command(ops.add_parser("eval"), ["term"], ["--fuel"], lambda a: _outcome(
+        lambda: _eval_term(sexpr.parse_term(a.term), a.fuel)))
+    _command(ops.add_parser("encode"), ["term"], (),
+             lambda a: _code(compile_lambda(sexpr.parse_term(a.term))))
+    _command(ops.add_parser("decode"), ["code"], (),
+             lambda a: _field("term", sexpr.print_term(decode(_parse_code(a.code)))))
+    _command(ops.add_parser("fixpoint"), ["code"], (),
+             lambda a: _code(fixpoint(_parse_code(a.code))))
+    _command(ops.add_parser("witness"), [("i", _INT), ("j", _INT), ("lower", _INT)], (),
+             lambda a: _field("witness", incomparable_witness(a.i, a.j, a.lower)))
 
-    p = sub.add_parser("universe", help="type membership checking")
-    ops = p.add_subparsers(dest="op", required=True)
-    q = ops.add_parser("check-u"); q.add_argument("code")
-    q = ops.add_parser("check-v"); q.add_argument("code")
-    q = ops.add_parser("din"); q.add_argument("k"); q.add_argument("type_code")
-    for q in ops.choices.values():
-        _add_flags(q, *_FLAGS)
-    p.set_defaults(fn=_cmd_universe)
+    ops = sub.add_parser("universe", help="type membership checking").add_subparsers(
+        dest="op", required=True)
+    _command(ops.add_parser("check-u"), ["code"], _FLAGS,
+             lambda a: _decide(_truncation(a), check_in_U, a.code))
+    _command(ops.add_parser("check-v"), ["code"], _FLAGS,
+             lambda a: _decide(_truncation(a), check_in_V, a.code))
+    _command(ops.add_parser("din"), ["k", "type_code"], _FLAGS,
+             lambda a: _decide(_truncation(a), din, a.k, a.type_code))
 
-    p = sub.add_parser("vcode", help="canonical set codes")
-    ops = p.add_subparsers(dest="op", required=True)
-    q = ops.add_parser("numeral"); q.add_argument("n", type=_int)
-    ops.add_parser("omega")
-    q = ops.add_parser("upair"); q.add_argument("a"); q.add_argument("b")
-    q = ops.add_parser("opair"); q.add_argument("a"); q.add_argument("b")
-    q = ops.add_parser("eq"); q.add_argument("a"); q.add_argument("b")
-    ops.add_parser("pbar")
-    ops.add_parser("alpha0")
-    for name, q in ops.choices.items():
-        _add_flags(q, *(["--h-prefix"] if name == "alpha0" else []))
-    p.set_defaults(fn=_cmd_vcode)
+    ops = sub.add_parser("vcode", help="canonical set codes").add_subparsers(
+        dest="op", required=True)
+    _command(ops.add_parser("numeral"), [("n", _INT)], (), lambda a: _code(v_numeral(a.n).code))
+    _command(ops.add_parser("omega"), [], (), lambda a: _code(v_omega().code))
+    _command(ops.add_parser("upair"), ["a", "b"], (),
+             lambda a: _code(v_upair(_vcode_spec(a.a), _vcode_spec(a.b)).code))
+    _command(ops.add_parser("opair"), ["a", "b"], (),
+             lambda a: _code(v_opair(_vcode_spec(a.a), _vcode_spec(a.b)).code))
+    _command(ops.add_parser("eq"), ["a", "b"], (),
+             lambda a: _code(eq_code(_vcode_spec(a.a).code, _vcode_spec(a.b).code)))
+    _command(ops.add_parser("pbar"), [], (), lambda a: _code(internal_pair_fn().code))
+    _command(ops.add_parser("alpha0"), [], ["--h-prefix"], lambda a: _code(
+        alpha0(Truncation(distinguished=_path_view(a.h_prefix))).code))
 
-    p = sub.add_parser("check", help="run the evidence checker")
-    p.add_argument("realiser")
-    p.add_argument("formula")
-    p.add_argument("--bind", action="append", metavar="NAME=SPEC")
-    p.add_argument("--implication-bound", type=_int,
-                   default=rz.CheckBudget.implication_bound)
-    _add_flags(p, *_FLAGS)
-    p.set_defaults(fn=_cmd_check)
+    _command(sub.add_parser("check", help="run the evidence checker"), [
+        "realiser", "formula", ("--bind", dict(action="append", metavar="NAME=SPEC")),
+        ("--implication-bound", dict(type=_int, default=rz.CheckBudget.implication_bound))],
+        _FLAGS, _check)
 
-    p = sub.add_parser("diagonal", help="build the path prefix")
-    dops = p.add_subparsers(dest="op", required=True)
-    q = dops.add_parser("build")
-    q.add_argument("--catalogue", default=None,
-                   help="JSON list of {term, step_bound, name}")
-    q.add_argument("--stages", type=_int, default=30)
-    q.add_argument("--out", default=None)
-    _add_flags(q, "--fuel")
-    p.set_defaults(fn=_cmd_diagonal)
+    ops = sub.add_parser("diagonal", help="build the path prefix").add_subparsers(
+        dest="op", required=True)
+    _command(ops.add_parser("build"), [
+        ("--catalogue", dict(default=None, help="JSON list of {term, step_bound, name}")),
+        ("--stages", dict(type=_int, default=30)), ("--out", dict(default=None))],
+        ["--fuel"], _build)
 
-    p = sub.add_parser("lworld", help="hereditarily finite sets and stages")
-    ops = p.add_subparsers(dest="op", required=True)
-    q = ops.add_parser("lstage"); q.add_argument("n", type=_int)
-    q = ops.add_parser("defsub"); q.add_argument("sets", nargs="*")
-    q.add_argument("--route", default="formulas", choices=("formulas", "powerset"))
-    q = ops.add_parser("ordinals"); q.add_argument("sets", nargs="*")
-    q = ops.add_parser("alphastar"); q.add_argument("n", type=_int)
-    q = ops.add_parser("encode"); q.add_argument("set")
-    q = ops.add_parser("decode"); q.add_argument("u"); q.add_argument("sigma")
-    for q in ops.choices.values():
-        _add_flags(q)
-    p.set_defaults(fn=_cmd_lworld)
-
+    ops = sub.add_parser("lworld", help="hereditarily finite sets and stages").add_subparsers(
+        dest="op", required=True)
+    _command(ops.add_parser("lstage"), [("n", _INT)], (),
+             lambda a: _hf_sets(lw.l_stage(a.n), "elements", True, "(empty stage)"))
+    _command(ops.add_parser("defsub"), [
+        ("sets", dict(nargs="*")),
+        ("--route", dict(default="formulas", choices=("formulas", "powerset")))], (),
+        lambda a: _hf_sets(lw.def_subsets([lw.parse_hf(s) for s in a.sets], route=a.route),
+                           "subsets", True, ""))
+    _command(ops.add_parser("ordinals"), [("sets", dict(nargs="*"))], (),
+             lambda a: _hf_sets(lw.ordinals_of([lw.parse_hf(s) for s in a.sets]),
+                                "ordinals", False, "(none)"))
+    _command(ops.add_parser("alphastar"), [("n", _INT)], (), _alphastar)
+    _command(ops.add_parser("encode"), ["set"], (), _encode_sigma)
+    _command(ops.add_parser("decode"), ["u", "sigma"], (), _decode_sigma)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        payload, text, *code = args.run(args)
+        _emit(args, payload, text)
     except (sexpr.ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

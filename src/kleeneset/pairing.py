@@ -113,8 +113,8 @@ def pair(a: Code, b: Code) -> Code:
         if a < 0 or b < 0:
             raise ValueError("pair is defined on naturals only")
         return _pair_int(a, b)  # type: ignore[arg-type]
-    # raw ints above the threshold must enter in canonical symbolic form,
-    # or one number could end up with two unequal representations
+    # raw ints above the threshold must enter in canonical symbolic form, or
+    # one number could end up with two unequal representations or digests
     if isinstance(a, int) and a.bit_length() > _THRESHOLD_BITS:
         a = canon(a)
     if isinstance(b, int) and b.bit_length() > _THRESHOLD_BITS:
@@ -122,7 +122,7 @@ def pair(a: Code, b: Code) -> Code:
     key = (a, b)
     got = _intern.get(key)
     if got is None:
-        got = _intern[key] = Big(a, b, 2 * max_bits + 2)
+        got = _intern[key] = Big(a, b, 2 * max(code_bits(a), code_bits(b)) + 2)
     return got
 
 

@@ -543,12 +543,14 @@ def formula_status(phi: Formula, env: Mapping[str, VCode] | None = None,
 # Denotation into hereditarily finite sets (the soundness oracle)
 
 
-def denote(v, tr: Truncation | None = None, _depth: int = 0) -> HFSet | None:
+def denote(v, tr: Truncation | None = None) -> HFSet | None:
     """The hereditarily finite set a finite-indexed code stands for."""
-    tr = tr or Truncation()
-    if _depth > 40:
+    return _denote(as_code(v), tr or Truncation(), 0)
+
+
+def _denote(code: Code, tr: Truncation, depth: int) -> HFSet | None:
+    if depth > 40:
         return None
-    code = as_code(v)
     view = type_view(index_type_of(code))
     if view.kind != "fin" or view.size > MAX_FIN_INDEX:
         return None
@@ -557,7 +559,7 @@ def denote(v, tr: Truncation | None = None, _depth: int = 0) -> HFSet | None:
         ek = _family_at(unpair1(code), k, tr, False)
         if ek is None:
             return None
-        d = denote(ek, tr, _depth + 1)
+        d = _denote(ek, tr, depth + 1)
         if d is None:
             return None
         out.append(d)

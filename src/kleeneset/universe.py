@@ -13,11 +13,14 @@ din decides "k is a member of t" as far as the truncation allows and
 answers Realized / Refuted / Unknown, with a note when the answer rests
 on an enumeration the truncation cut short, its own or a member's.  Only
 unnoted answers are stable: growing the truncation can turn Unknown into
-one of them, never flip them.  A Realized with a note is relative to its
-budget: check_in_U(sigma_code(NAT, LSFAM)) is Realized, "family checked
-up to the truncation", at nat_bound=1 and Refuted at nat_bound=2.
-Membership in a product over an infinite index type is never Realized
-(only refutable).
+one of them, never flip them.  That holds for codes in U only.  For
+t = sigma_code(pi_code(NAT, NUMMAP), K sigma_code(fin(1), K fin(1))),
+which is not a type, din(5, t) asked cold at nat_bound=2 is an unnoted
+Refuted at fuel=7 and raises MalformedTypeError at fuel=8.  A Realized
+with a note is relative to its budget: check_in_U(sigma_code(NAT,
+LSFAM)) is Realized, "family checked up to the truncation", at
+nat_bound=1 and Refuted at nat_bound=2.  Membership in a product over an
+infinite index type is never Realized (only refutable).
 
 check_in_U and check_in_V read one formation rule, _formation, as sets
 are indexed families: an index type in U plus a family converging to a
@@ -32,7 +35,10 @@ depth window: the call depths at which a cold run takes the same side of
 every guard it meets, its own and those of the calls it makes at
 depth + 1, memo hits among them counting by their stored windows.  A hit
 is used only inside its window; outside it the decider recomputes, so a
-call answers as it does cold whatever ran before it.  A call at depth 0
+call answers as it does cold whatever ran before it.  A key keeps every
+window it was computed in, and a lookup takes the first that holds the
+depth: a numeral met at every depth inside the numerals above it is then
+computed once per window, not once per meeting.  A call at depth 0
 is never a depth-dependent child, since children are called at
 depth + 1, so its window stays its own: a set's check of its index type,
 _synth_eq's din and provably_empty, and enumerate_index (which is not
@@ -222,9 +228,10 @@ def _depth_memo(limit: int, guarded):
                 v, hi, lo = guarded, -inf, depth - limit
             else:
                 key = (*args[:-2], args[-2].key())
-                got = memo.get(key)
-                if got is not None and depth + got[1] <= 0 < depth + got[2]:
-                    v, hi, lo = got[0], depth + got[1], depth + got[2]
+                for v, hi, lo in memo.get(key, ()):  # the first window holding depth
+                    if depth + hi <= 0 < depth + lo:
+                        hi, lo = depth + hi, depth + lo
+                        break
                 else:
                     outer = _window_hi, _window_lo
                     _window_hi, _window_lo = depth - limit, inf
@@ -233,7 +240,7 @@ def _depth_memo(limit: int, guarded):
                     finally:
                         hi, lo = _window_hi, _window_lo
                         _window_hi, _window_lo = outer
-                    memo[key] = (v, hi - depth, lo - depth)
+                    memo.setdefault(key, []).append((v, hi - depth, lo - depth))
             if depth:  # a depth-dependent child: its window bounds its caller's
                 if hi > _window_hi:
                     _window_hi = hi
@@ -307,14 +314,17 @@ def _din(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
     return REALIZED
 
 
-def enumerate_index(t: Code, tr: Truncation,
-                    _depth: int = 0) -> tuple[list[Code], bool | None]:
+def enumerate_index(t: Code, tr: Truncation) -> tuple[list[Code], bool | None]:
     """Members of an index type up to the truncation, plus completeness:
     True when every member is listed, False when the listing stops at the
     truncation or at the depth guard, None (as falsy as False) when a
     finite type of more than MAX_FIN_INDEX members is in it and is not
     listed."""
-    if _depth > _MAX_DEPTH:
+    return _enumerate_index(t, tr, 0)
+
+
+def _enumerate_index(t: Code, tr: Truncation, depth: int) -> tuple[list[Code], bool | None]:
+    if depth > _MAX_DEPTH:
         return [], False
     view = type_view(t)
     if view.kind == "fin":
@@ -329,7 +339,7 @@ def enumerate_index(t: Code, tr: Truncation,
             return [], False
         return list(xs.member_codes(tr.segment_bound)), False
     if view.kind == "sigma":
-        base, base_complete = enumerate_index(view.index, tr, _depth + 1)
+        base, base_complete = _enumerate_index(view.index, tr, depth + 1)
         out: list[Code] = []
         complete = base_complete
         for k0 in base:
@@ -337,7 +347,7 @@ def enumerate_index(t: Code, tr: Truncation,
             if ek is None:
                 complete = False
                 continue
-            sub, sub_complete = enumerate_index(ek, tr, _depth + 1)
+            sub, sub_complete = _enumerate_index(ek, tr, depth + 1)
             complete = complete and sub_complete
             out.extend(pair(k0, u) for u in sub)
         return out, complete

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -140,6 +145,30 @@ def test_every_number_has_one_representation():
     # components entering as raw over-threshold ints are canonized
     a, _ = unpair(big)
     assert is_big(a) and code_value(a) == 2 ** 3000
+
+
+# the digest of {2**3000 as a numeral, 0}, built from the raw int and from
+# its canonical form, in the order given
+_BUILDS = """
+from kleeneset.pairing import canon, code_bits
+from kleeneset.vcodes import v_numeral, v_upair
+H = 2 ** 3000
+builds = {"raw": lambda: v_numeral(H), "canonical": lambda: v_numeral(canon(H))}
+print(*(code_bits(v_upair(builds[way](), v_numeral(0)).code) for way in %r))
+"""
+
+
+@pytest.mark.parametrize("order", [("raw", "canonical"), ("canonical", "raw")],
+                         ids=["raw-first", "canonical-first"])
+def test_a_numbers_digest_does_not_depend_on_how_it_was_built(order):
+    # the first build of a node fixes its digest, so each order runs in a
+    # fresh process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _BUILDS % (order,)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["384766", "384766"]
 
 
 _NEAR_THRESHOLD = st.integers(min_value=2 ** 1020, max_value=2 ** 1026)

@@ -1,3 +1,4 @@
+import signal
 import sys
 
 import pytest
@@ -423,6 +424,24 @@ def test_formation_answers_on_deep_chains_do_not_depend_on_order(check, chain, b
         assert check(codes[n], TR) == cold[n]
 
 
+def test_a_set_of_numerals_past_the_depth_guard_answers_in_polynomial_time():
+    # the numerals 0..202 as elements: numeral k is met at every depth inside
+    # the numerals above it, so a memo with one depth window per key keeps
+    # recomputing it; this ran for more than 90 s
+    def too_slow(signum, frame):
+        raise TimeoutError("check_in_V took more than 5 s")
+
+    clear_caches()
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        v = check_in_V(pair(fin(203), rom.NUMMAP))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (v.status, v.note) == ("unknown", "index or element map undecided")
+
+
 def _families(members):
     # constant families, one that never converges (every application runs
     # out of fuel) and one that provably diverges
@@ -550,6 +569,19 @@ def test_a_noted_member_puts_its_note_on_the_answer():
         ("realized", "family checked up to the truncation"), ("refuted", None)]
 
 
+def test_a_code_that_is_not_a_type_can_answer_refuted_before_it_raises():
+    # stability holds for codes in U only: the index type of t maps to set
+    # codes, and a larger fuel reaches one where a type must be
+    t = sigma_code(pi_code(NAT, rom.NUMMAP), const(sigma_code(fin(1), const(fin(1)))))
+    assert check_in_U(t, Truncation(nat_bound=2)).refuted
+    clear_caches()
+    v = din(5, t, Truncation(nat_bound=2, fuel=7))
+    assert (v.status, v.note) == ("refuted", None)
+    clear_caches()
+    with pytest.raises(MalformedTypeError):
+        din(5, t, Truncation(nat_bound=2, fuel=8))
+
+
 _LEAVES = st.sampled_from([fin(0), fin(1), fin(2), NAT, DIST])
 _LIBRARY_FAMILIES = st.sampled_from([rom.LSFAM, rom.NUMMAP, 0, 1, 2, 5])
 
@@ -561,10 +593,9 @@ def _formed(index, values):
                      index, _LIBRARY_FAMILIES | values.map(const))
 
 
-# Types at most two formers deep, and sets over an index at most one deep:
-# with NUMMAP as its element map, a deeper index lists codes past 200,
-# whose numerals nest past the depth guard, where the walk takes time
-# exponential in the overshoot.
+# Types, and the index types of sets, at most two formers deep.  With
+# NUMMAP as the element map, an index can list a code past 200, whose
+# numeral nests past the depth guard; 100 drawn cases take about 0.5 s.
 _ONE_FORMER = _LEAVES | _formed(_LEAVES, _LEAVES)
 _TWO_FORMERS = _ONE_FORMER | _formed(_ONE_FORMER, _ONE_FORMER)
 _LADDER_MEMBERS = (st.sampled_from([0, 1, 2, pair(0, 1), pair(1, 0), pair(2, 1)])
@@ -572,7 +603,7 @@ _LADDER_MEMBERS = (st.sampled_from([0, 1, 2, pair(0, 1), pair(1, 0), pair(2, 1)]
 
 # each budget axis walked on its own, the others held
 _NAT_RUNGS = [0, 1, 2, 3]
-_SEGMENT_RUNGS = [0, 1, 2]
+_SEGMENT_RUNGS = [0, 1, 2, 3, 4]
 _FUEL_RUNGS = [1, 10, 100, 1000, 10 ** 4, 10 ** 6]
 
 
@@ -592,7 +623,7 @@ def _climb(decide, rungs):
             settled = v.status
 
 
-@given(case=st.tuples(_LADDER_MEMBERS, _TWO_FORMERS, _ONE_FORMER,
+@given(case=st.tuples(_LADDER_MEMBERS, _TWO_FORMERS, _TWO_FORMERS,
                       _LIBRARY_FAMILIES | _ONE_FORMER.map(const)))
 @settings(max_examples=100, deadline=None)
 def test_unnoted_answers_hold_up_every_budget_ladder(case, path_view):

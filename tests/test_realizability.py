@@ -13,7 +13,7 @@ from kleeneset.realizability import (
     incomparability_formula, incomparability_statement_realiser, native_truth,
     subcountability_formula, subcountability_witness)
 from kleeneset.terms import A, L, V, compile_lambda, mkapp
-from kleeneset.universe import Truncation, fin
+from kleeneset.universe import Truncation, fin, sigma_code
 from kleeneset.vcodes import (
     VCode, alpha0, v_finite, v_numeral, v_omega, v_opair, v_upair,
 )
@@ -443,3 +443,24 @@ def test_search_past_its_depth_guard_and_undecided_implications():
 ])
 def test_truth_with_an_undecided_part(phi, truth):
     assert native_truth(phi, {}, LOW.truncation) is truth
+
+
+def test_equality_search_stops_at_a_set_indexed_by_a_sum():
+    # a = {0}, listed twice over the sum of fin 1 over fin 2: the subset
+    # table walks finite index types only, so a = 1 is left undecided,
+    # although each inclusion has a realiser
+    a = VCode(pair(sigma_code(fin(2), mkapp(rom.K, fin(1))), mkapp(rom.K, N0.code)))
+    phi = Eq(Val(a), Val(N1))
+    assert find_realiser(phi, {}, B) == (None, False)
+    v = formula_status(phi, {}, B)
+    assert (v.status, v.note) == ("unknown", "witness search not decisive")
+    both = And(BAll("x", Val(a), In(Var("x"), Val(N1))), BAll("x", Val(N1), In(Var("x"), Val(a))))
+    v = formula_status(both, {}, B)
+    assert (v.status, v.note) == ("realized", None)
+
+
+@pytest.mark.parametrize("s", _no_element_sets())
+def test_a_bounded_universal_runs_its_evidence_before_the_element_map(s):
+    # 15 provably diverges on every index, which refutes the clause before
+    # the element map, which converges nowhere, is run
+    assert check(15, BAll("x", Val(s), TRUE_ATOM), {}, LOW).refuted

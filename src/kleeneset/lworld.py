@@ -251,15 +251,15 @@ def _definable_masks(dom: list[HFSet], max_size: int) -> set[int]:
 
 
 _DOMAIN_BOUND = 6  # the formula route's largest domain
+_FORMULA_SIZE = 5  # and its largest formula, in nodes
 
 
-def def_subsets(domain: Iterable[HFSet], route: str = "formulas",
-                max_size: int = 5) -> set[HFSet]:
+def def_subsets(domain: Iterable[HFSet], route: str = "formulas") -> set[HFSet]:
     """The definable subsets of a finite membership structure, as sets.
 
     The formula route enumerates the first-order formulas in x of 1 to
-    max_size nodes up to equal denotation.  A formula is an atom `a in b`
-    or `a = b` over x, y and parameters from the domain, or not, and, or
+    _FORMULA_SIZE nodes up to equal denotation.  A formula is an atom `a in
+    b` or `a = b` over x, y and parameters from the domain, or not, and, or
     of formulas, or all y / ex y of a formula in x and y.  Its denotation
     is the set of values of x (and y) at which it holds, kept as a bit
     mask; for each size only the distinct denotations are kept, never a
@@ -270,7 +270,7 @@ def def_subsets(domain: Iterable[HFSet], route: str = "formulas",
 
     The powerset route returns every subset (each one is definable by a
     disjunction of equalities with parameters, so the routes agree on
-    finite structures once max_size allows it).  The domain is sorted
+    finite structures once _FORMULA_SIZE allows it).  The domain is sorted
     canonically, rank first, so the last member of each combination has
     the largest rank, and the subset's rank is one more than that.
     """
@@ -288,7 +288,7 @@ def def_subsets(domain: Iterable[HFSet], route: str = "formulas",
             f"structure of size {len(dom)} exceeds the brute-force bound "
             f"{_DOMAIN_BOUND}; use route='powerset'")
     return {HFSet(d for i, d in enumerate(dom) if mask >> i & 1)
-            for mask in _definable_masks(dom, max_size)}
+            for mask in _definable_masks(dom, _FORMULA_SIZE)}
 
 
 _STAGE_BOUND = 5

@@ -1,12 +1,13 @@
 """Formulas over set codes and the clause-by-clause evidence checker.
 
 check(e, phi) decides, relative to a budget, whether the code e is
-evidence for phi under the standard clauses: equality defers to
-membership in the equality type, membership splits e into an index and
-an equality witness, conjunction splits e into two halves, disjunction
-reads a 0/1 tag off the first half, implication maps every known
-antecedent witness through e, and bounded quantifiers walk the bound's
-index type.
+evidence for phi under the standard clauses (McCarty 1984; Rathjen 2006).
+Equality defers to membership in the equality type, and conjunction,
+disjunction and the unbounded existential read e as a pair.  The other
+evidence has two shapes: a pair(k, u) whose k names a member of the bound
+and whose u is checked against it (membership, bounded existential), and
+a code run on each case (each listed index of a bounded universal, each
+antecedent witness found, each member of the witness family).
 
 Verdicts are three-valued.  Only unnoted answers are stable as the
 budget grows.  A Realized that carries a note is relative to its budget
@@ -16,10 +17,12 @@ produce), and a larger budget can turn it into Refuted.  An unbounded
 universal is never Realized, only refuted by a counterexample from the
 budget's witness family.
 
-find_realiser is the witness synthesizer the negative clauses lean on:
-on hereditarily finite-indexed codes it decides realizability outright
-(decisive), which the acceptance suite cross-checks against plain truth
-over hereditarily finite sets.
+find_realiser is the witness synthesizer the negative clauses lean on.
+Its two walks over a bound's listed members find the first member with
+a witness (membership, bounded existential) or a table of witnesses
+(bounded universal, each half of equality).  It decides realizability
+outright (decisive) on hereditarily finite-indexed codes, which the
+acceptance suite cross-checks against plain truth over the sets they denote.
 """
 
 from __future__ import annotations
@@ -181,6 +184,8 @@ class CheckBudget:
         if self.implication_bound < 0:
             raise ValueError(
                 f"implication_bound must not be negative, got {self.implication_bound}")
+        if not all(isinstance(alpha, VCode) for alpha in self.witness_family):
+            raise ValueError("witness_family must hold VCode set codes")
 
 
 def _join(*vs: Verdict) -> Verdict:
@@ -202,31 +207,19 @@ def _join(*vs: Verdict) -> Verdict:
 
 def check(e: Code, phi: Formula, env: Mapping[str, VCode] | None = None,
           budget: CheckBudget | None = None) -> Verdict:
-    env = env or {}
-    budget = budget or CheckBudget()
-    return _check(e, phi, dict(env), budget)
+    return _check(e, phi, dict(env or {}), budget or CheckBudget())
 
 
 def _check(e: Code, phi: Formula, env: dict, budget: CheckBudget) -> Verdict:
     tr = budget.truncation
 
-    if isinstance(phi, Eq):
+    if isinstance(phi, (Eq, In)):
         a = resolve_term(phi.x, env)
         b = resolve_term(phi.y, env)
-        return din(e, eq_code(a.code, b.code), tr)
-
-    if isinstance(phi, In):
-        a = resolve_term(phi.x, env)
-        b = resolve_term(phi.y, env)
-        k0, u = unpair(e)
-        v_idx = din(k0, b.index_type, tr)
-        if v_idx.refuted:
-            return REFUTED
-        elem = _family_at(b.elem_map, k0, tr, False)
-        if elem is None:
-            return unknown("element map did not converge on the index")
-        v_eq = din(u, eq_code(a.code, elem), tr)
-        return _join(v_idx, v_eq)
+        if isinstance(phi, Eq):
+            return din(e, eq_code(a.code, b.code), tr)
+        return _check_pair(e, b, tr, "element map did not converge on the index",
+                           lambda u, elem: din(u, eq_code(a.code, elem), tr))
 
     if isinstance(phi, Not):
         w, decisive = find_realiser(phi.body, env, budget)
@@ -250,102 +243,97 @@ def _check(e: Code, phi: Formula, env: dict, budget: CheckBudget) -> Verdict:
         return REFUTED  # the disjunction tag must be exactly 0 or 1
 
     if isinstance(phi, Implies):
-        return _check_implies(e, phi, env, budget)
+        w, decisive = find_realiser(phi.lhs, env, budget)
+        candidates: list[Code] = [] if w is None else [w]
+        for d in range(budget.implication_bound):
+            if d in candidates:
+                continue
+            v = _check(d, phi.lhs, env, budget)
+            if v.realized and v.note is None:
+                candidates.append(d)
+        if not candidates:
+            if decisive:
+                return Verdict("realized", "vacuous: the antecedent has no realiser")
+            return unknown("no antecedent realisers found within the budget")
+        v = _run_on_each(
+            e, candidates, tr, "consequent checks undecided on some antecedent realisers",
+            lambda d, ed: _check(ed, phi.rhs, env, budget))
+        if v.realized:
+            return Verdict("realized", "relative to the searched antecedent realisers")
+        return v
 
     if isinstance(phi, BAll):
         bound = resolve_term(phi.bound, env)
         members, complete = enumerate_index(bound.index_type, tr)
-        saw_unknown = False
-        for i in members:
-            try:
-                ei = apply_raw(e, i, tr.fuel)
-            except OutOfFuelError:
-                saw_unknown = True
-                continue
-            except DivergedError:
-                return REFUTED  # the clause demands convergence on every index
+
+        def instance(i: Code, ei: Code) -> Verdict:
             elem = _family_at(bound.elem_map, i, tr, False)
             if elem is None:
-                saw_unknown = True
-                continue
-            v = _check(ei, phi.body, {**env, phi.var: VCode(elem)}, budget)
-            if v.refuted:
-                return REFUTED
-            if not v.realized:
-                saw_unknown = True
-        if saw_unknown:
-            return unknown("some instances undecided")
-        if not complete:
+                return unknown("element map did not converge on the index")
+            return _check(ei, phi.body, {**env, phi.var: VCode(elem)}, budget)
+
+        v = _run_on_each(e, members, tr, "some instances undecided", instance)
+        if v.realized and not complete:
             return Verdict("realized", "relative to the index enumeration bound")
-        return REALIZED
+        return v
 
     if isinstance(phi, BEx):
         bound = resolve_term(phi.bound, env)
-        k0, u = unpair(e)
-        v_idx = din(k0, bound.index_type, tr)
-        if v_idx.refuted:
-            return REFUTED
-        elem = _family_at(bound.elem_map, k0, tr, False)
-        if elem is None:
-            return unknown("element map did not converge on the witness index")
-        v = _check(u, phi.body, {**env, phi.var: VCode(elem)}, budget)
-        return _join(v_idx, v)
+        return _check_pair(
+            e, bound, tr, "element map did not converge on the witness index",
+            lambda u, elem: _check(u, phi.body, {**env, phi.var: VCode(elem)}, budget))
 
     if isinstance(phi, All):
-        for alpha in budget.witness_family:
-            try:
-                ea = apply_raw(e, alpha.code, tr.fuel)
-            except OutOfFuelError:
-                continue
-            except DivergedError:
-                return REFUTED
-            v = _check(ea, phi.body, {**env, phi.var: alpha}, budget)
-            if v.refuted:
-                return REFUTED
-        return unknown("unbounded universal: checked relative to the witness family only")
+        note = "unbounded universal: checked relative to the witness family only"
+        family = [alpha.code for alpha in budget.witness_family]
+        v = _run_on_each(e, family, tr, note, lambda a, ea: _check(
+            ea, phi.body, {**env, phi.var: VCode(a)}, budget))
+        return REFUTED if v.refuted else unknown(note)
 
     if isinstance(phi, Ex):
         w0, w1 = unpair(e)
         v_in = check_in_V(w0, tr)
         if v_in.refuted:
             return REFUTED
-        v = _check(w1, phi.body, {**env, phi.var: VCode(w0)}, budget)
-        return _join(v_in, v)
+        return _join(v_in, _check(w1, phi.body, {**env, phi.var: VCode(w0)}, budget))
 
     raise TypeError(phi)
 
 
-def _check_implies(e: Code, phi: Implies, env: dict, budget: CheckBudget) -> Verdict:
-    tr = budget.truncation
-    w, decisive = find_realiser(phi.lhs, env, budget)
-    candidates: list[Code] = [] if w is None else [w]
-    for d in range(budget.implication_bound):
-        if d in candidates:
-            continue
-        v = _check(d, phi.lhs, env, budget)
-        if v.realized and v.note is None:
-            candidates.append(d)
-    if not candidates:
-        if decisive:
-            return Verdict("realized", "vacuous: the antecedent has no realiser")
-        return unknown("no antecedent realisers found within the budget")
-    saw_unknown = False
-    for d in candidates:
+def _check_pair(e: Code, bound: VCode, tr: Truncation, unformed: str,
+                check_member) -> Verdict:
+    """Evidence pair(k, u) naming a member: k must index bound, and
+    check_member(u, elem) checks u against the k-th member; unformed is
+    the note when the element map does not converge on k."""
+    k0, u = unpair(e)
+    v_idx = din(k0, bound.index_type, tr)
+    if v_idx.refuted:
+        return REFUTED
+    elem = _family_at(bound.elem_map, k0, tr, False)
+    if elem is None:
+        return unknown(unformed)
+    return _join(v_idx, check_member(u, elem))
+
+
+def _run_on_each(e: Code, cases, tr: Truncation, undecided: str, check_case) -> Verdict:
+    """Evidence e run on each case c, its value ec checked by
+    check_case(c, ec).  e runs first, so e diverging refutes even where
+    the case's element cannot be formed: the clauses demand convergence
+    on every case.  Realized when every case is, else unknown(undecided)."""
+    decided = True
+    for c in cases:
         try:
-            ed = apply_raw(e, d, tr.fuel)
+            ec = apply_raw(e, c, tr.fuel)
         except OutOfFuelError:
-            saw_unknown = True
+            decided = False
             continue
         except DivergedError:
-            return REFUTED  # e provably fails to converge on a realiser
-        v = _check(ed, phi.rhs, env, budget)
+            return REFUTED
+        v = check_case(c, ec)
         if v.refuted:
             return REFUTED
-        if not v.realized:
-            saw_unknown = True
-    if saw_unknown:
-        return unknown("consequent checks undecided on some antecedent realisers")
-    return Verdict("realized", "relative to the searched antecedent realisers")
+        decided = decided and v.realized
+    return REALIZED if decided else unknown(undecided)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +343,9 @@ def _check_implies(e: Code, phi: Implies, env: dict, budget: CheckBudget) -> Ver
 @_depth_memo(60, (None, False))
 def _synth_eq(a: Code, b: Code, tr: Truncation,
               depth: int) -> tuple[Code | None, bool]:
-    """(witness, decisive) for a = b."""
+    """(witness, decisive) for a = b.  Past the two type-level tests the
+    search is the two subset tables, which it builds over finite index
+    types only: a set indexed otherwise is left undecided."""
     if din(rom.IOTA, eq_code(a, b), tr).realized:
         return (rom.IOTA, True)
     if provably_empty(eq_code(a, b), tr):
@@ -372,33 +362,61 @@ def _synth_eq(a: Code, b: Code, tr: Truncation,
 # no guard of its own: _synth_eq's bounds it
 def _synth_subeq(a: Code, b: Code, tr: Truncation,
                  depth: int) -> tuple[Code | None, bool]:
-    """A program sending members of a to equal members of b, as a table;
-    (witness, decisive) as for _synth_eq."""
+    """A table sending each member of a to an equal member of b;
+    (witness, decisive) as for _synth_eq.  A member with no match is a
+    decisive no only if every comparison made was decisive, those passed
+    over before an earlier member's match among them."""
     view_a = type_view(index_type_of(a))
     view_b = type_view(index_type_of(b))
     if (view_a.kind != "fin" or view_b.kind != "fin"
             or max(view_a.size, view_b.size) > MAX_FIN_INDEX):
         return (None, False)
+    undecided = []  # a flag per comparison: it found neither a witness nor a decisive no
+
+    def equal(ak: Code, by: Code) -> tuple[Code | None, bool]:
+        w, d = _synth_eq(ak, by, tr, depth + 1)
+        undecided.append(w is None and not d)
+        return (w, d)
+
+    w, d = _table(unpair1(a), (range(view_a.size), True), tr, lambda ak: _first_witness(
+        unpair1(b), (range(view_b.size), True), tr, lambda by: equal(ak, by)))
+    return (None, False) if w is None and any(undecided) else (w, d)
+
+
+def _first_witness(family: Code, listing, tr: Truncation, search) -> tuple[Code | None, bool]:
+    """(pair(k, w), True) for the first listed index k whose member has a
+    witness w by search; else (None, decisive), decisive when the listing
+    is complete and every member converged and decisively has none."""
+    members, complete = listing
+    decisive = bool(complete)
+    for k in members:
+        elem = _family_at(family, k, tr, False)
+        if elem is None:
+            decisive = False
+            continue
+        w, d = search(elem)
+        if w is not None:
+            return (pair(k, w), True)
+        decisive = decisive and d
+    return (None, decisive)
+
+
+def _table(family: Code, listing, tr: Truncation, search) -> tuple[Code | None, bool]:
+    """A table sending each listed index to its member's witness by search;
+    (None, False) unless the listing is complete and every member
+    converges, and the first member without one answers for the table."""
+    members, complete = listing
+    if not complete:
+        return (None, False)
     table: list[Code] = []
-    decisive = True
-    for k in range(view_a.size):
-        ak = _family_at(unpair1(a), k, tr, False)
-        if ak is None:
+    for k in members:
+        elem = _family_at(family, k, tr, False)
+        if elem is None:
             return (None, False)
-        found = None
-        for y in range(view_b.size):
-            by = _family_at(unpair1(b), y, tr, False)
-            if by is None:
-                decisive = False
-                continue
-            w, d = _synth_eq(ak, by, tr, depth + 1)
-            if w is not None:
-                found = pair(y, w)
-                break
-            decisive = decisive and d
-        if found is None:
-            return (None, decisive)
-        table.append(found)
+        w, d = search(elem)
+        if w is None:
+            return (None, d)
+        table.append(w)
     return (mkapp(rom.ELEMOF, seq_encode(table)) if table else 0, True)
 
 
@@ -410,9 +428,7 @@ def find_realiser(phi: Formula, env: Mapping[str, VCode] | None = None,
     number can realize the formula, and (None, False) when the search
     ran out of structure to exploit.
     """
-    env = dict(env or {})
-    budget = budget or CheckBudget()
-    return _find(phi, env, budget, 0)
+    return _find(phi, dict(env or {}), budget or CheckBudget(), 0)
 
 
 def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Code | None, bool]:
@@ -420,26 +436,13 @@ def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Cod
     if depth > 40:
         return (None, False)
 
-    if isinstance(phi, Eq):
+    if isinstance(phi, (Eq, In)):
         a = resolve_term(phi.x, env)
         b = resolve_term(phi.y, env)
-        return _synth_eq(a.code, b.code, tr, depth)
-
-    if isinstance(phi, In):
-        a = resolve_term(phi.x, env)
-        b = resolve_term(phi.y, env)
-        members, complete = enumerate_index(b.index_type, tr)
-        decisive = bool(complete)
-        for k in members:
-            elem = _family_at(b.elem_map, k, tr, False)
-            if elem is None:
-                decisive = False
-                continue
-            w, d = _synth_eq(a.code, elem, tr, depth + 1)
-            if w is not None:
-                return (pair(k, w), True)
-            decisive = decisive and d
-        return (None, decisive)
+        if isinstance(phi, Eq):
+            return _synth_eq(a.code, b.code, tr, depth)
+        return _first_witness(b.elem_map, enumerate_index(b.index_type, tr), tr,
+                              lambda elem: _synth_eq(a.code, elem, tr, depth + 1))
 
     if isinstance(phi, Not):
         w, decisive = _find(phi.body, env, budget, depth + 1)
@@ -478,36 +481,11 @@ def _find(phi: Formula, env: dict, budget: CheckBudget, depth: int) -> tuple[Cod
             return (None, True)
         return (None, False)
 
-    if isinstance(phi, BAll):
+    if isinstance(phi, (BAll, BEx)):
         bound = resolve_term(phi.bound, env)
-        members, complete = enumerate_index(bound.index_type, tr)
-        if not complete:
-            return (None, False)
-        table: list[Code] = []
-        for i in members:
-            elem = _family_at(bound.elem_map, i, tr, False)
-            if elem is None:
-                return (None, False)
-            w, d = _find(phi.body, {**env, phi.var: VCode(elem)}, budget, depth + 1)
-            if w is None:
-                return (None, d)
-            table.append(w)
-        return (mkapp(rom.ELEMOF, seq_encode(table)) if table else 0, True)
-
-    if isinstance(phi, BEx):
-        bound = resolve_term(phi.bound, env)
-        members, complete = enumerate_index(bound.index_type, tr)
-        decisive = bool(complete)
-        for i in members:
-            elem = _family_at(bound.elem_map, i, tr, False)
-            if elem is None:
-                decisive = False
-                continue
-            w, d = _find(phi.body, {**env, phi.var: VCode(elem)}, budget, depth + 1)
-            if w is not None:
-                return (pair(i, w), True)
-            decisive = decisive and d
-        return (None, decisive)
+        walk = _table if isinstance(phi, BAll) else _first_witness
+        return walk(bound.elem_map, enumerate_index(bound.index_type, tr), tr, lambda elem: _find(
+            phi.body, {**env, phi.var: VCode(elem)}, budget, depth + 1))
 
     if isinstance(phi, Ex):
         for alpha in budget.witness_family:

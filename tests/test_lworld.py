@@ -10,6 +10,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kleeneset import lworld
 from kleeneset.cli import main
 from kleeneset.lworld import (
     EMPTY, HFSet, IllFoundedCodeError, SigmaCode, alpha_star, decode_sigma,
@@ -166,6 +167,15 @@ def oracle_def_subsets(domain, max_size):
     return found
 
 
+def formula_subsets(domain, max_size):
+    """def_subsets by the formula route, its formulas cut at max_size nodes."""
+    saved, lworld._FORMULA_SIZE = lworld._FORMULA_SIZE, max_size
+    try:
+        return def_subsets(domain, route="formulas")
+    finally:
+        lworld._FORMULA_SIZE = saved
+
+
 L4 = sorted(l_stage(4))  # the sixteen sets of rank below four
 
 
@@ -173,8 +183,7 @@ L4 = sorted(l_stage(4))  # the sixteen sets of rank below four
        st.integers(min_value=0, max_value=4))
 @settings(max_examples=150, deadline=None)
 def test_def_subsets_is_the_union_over_formulas(domain, max_size):
-    assert def_subsets(domain, route="formulas", max_size=max_size) == \
-        oracle_def_subsets(domain, max_size)
+    assert formula_subsets(domain, max_size) == oracle_def_subsets(domain, max_size)
 
 
 @pytest.mark.parametrize("domain, max_size, count", [
@@ -187,7 +196,7 @@ def test_def_subsets_is_the_union_over_formulas(domain, max_size):
     ([hf_nat(0), hf_nat(1), HFSet([hf_nat(1)]), HFSet([hf_nat(2)])], 2, 12),
 ])
 def test_def_subsets_short_of_the_powerset(domain, max_size, count):
-    got = def_subsets(domain, route="formulas", max_size=max_size)
+    got = formula_subsets(domain, max_size)
     assert got == oracle_def_subsets(domain, max_size)
     assert len(got) == count
 
@@ -197,7 +206,7 @@ def test_def_subsets_of_the_first_three_naturals_by_atoms():
     # {0} and {0, 1}, p in x gives {1, 2} and {2}, the rest all or nothing
     nat = [hf_nat(k) for k in range(3)]
     powerset = def_subsets(nat, route="powerset")
-    assert def_subsets(nat, max_size=1) == powerset - {HFSet([nat[0], nat[2]])}
+    assert formula_subsets(nat, 1) == powerset - {HFSet([nat[0], nat[2]])}
 
 
 def test_def_subsets_examples():

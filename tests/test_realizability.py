@@ -461,6 +461,21 @@ def test_equality_search_stops_at_a_set_indexed_by_a_sum():
 
 @pytest.mark.parametrize("s", _no_element_sets())
 def test_a_bounded_universal_runs_its_evidence_before_the_element_map(s):
-    # 15 provably diverges on every index, which refutes the clause before
-    # the element map, which converges nowhere, is run
+    # 15 provably diverges on every index; the evidence runs before the
+    # element is formed, so that refutes the clause although the element
+    # map converges nowhere
     assert check(15, BAll("x", Val(s), TRUE_ATOM), {}, LOW).refuted
+
+
+def test_a_witness_family_holds_set_codes_only():
+    # a bare code in the family once gave an answer that hung on e and on
+    # the order: with (N0, 5), check(15, ...) below was refuted and
+    # check(3, ...) raised AttributeError; with (5,) both raised
+    for family in ((N0, 5), (5,), (N0.code,)):
+        with pytest.raises(ValueError):
+            CheckBudget(truncation=TR, witness_family=family)
+    budget = CheckBudget(truncation=TR, witness_family=(N0, N1))
+    assert check(15, All("x", TRUE_ATOM), {}, budget).refuted
+    v = check(3, All("x", TRUE_ATOM), {}, budget)
+    assert (v.status, v.note) == (
+        "unknown", "unbounded universal: checked relative to the witness family only")

@@ -38,7 +38,9 @@ is used only inside its window; outside it the decider recomputes, so a
 call answers as it does cold whatever ran before it.  A key keeps every
 window it was computed in, and a lookup takes the first that holds the
 depth: a numeral met at every depth inside the numerals above it is then
-computed once per window, not once per meeting.  A call at depth 0
+computed once per window, not once per meeting.  _formation has no
+negation, so a deeper call only turns answers unknown: an unknown one
+holds down to the guard, and its window says so.  A call at depth 0
 is never a depth-dependent child, since children are called at
 depth + 1, so its window stays its own: a set's check of its index type,
 _synth_eq's din and provably_empty, and enumerate_index (which is not
@@ -407,6 +409,7 @@ _FORMATION_NOTES = {
 def _formation(space: str, c: Code, tr: Truncation, depth: int) -> Verdict:
     """The formation rule of U (c a type code) or V (c a set code): an index
     type in U, and a family converging at each index to a member of the space."""
+    global _window_hi
     if space == "U":
         view = type_view(c)
         if view.kind == "invalid":
@@ -435,8 +438,7 @@ def _formation(space: str, c: Code, tr: Truncation, depth: int) -> Verdict:
             return REFUTED
         decided, exact = decided and v.realized, exact and v.note is None
     truncated_note, undecided_note = _FORMATION_NOTES[space]
-    if complete is None:
-        return unknown(_TOO_LARGE_NOTE)
-    if not decided:
-        return unknown(undecided_note)
+    if complete is None or not decided:
+        _window_hi = depth - _MAX_DEPTH  # an unknown holds down to the guard
+        return unknown(_TOO_LARGE_NOTE if complete is None else undecided_note)
     return REALIZED if complete and exact else Verdict("realized", truncated_note)

@@ -442,6 +442,32 @@ def test_a_set_of_numerals_past_the_depth_guard_answers_in_polynomial_time():
     assert (v.status, v.note) == ("unknown", "index or element map undecided")
 
 
+def test_numerals_past_the_depth_guard_are_computed_a_few_times_and_answer_as_cold():
+    # an unknown formation answer holds down to the guard, so numeral k is
+    # computed about twice, not once per depth at which it is met: the
+    # numerals 0..249 took some 5 s
+    def too_slow(signum, frame):
+        raise TimeoutError("check_in_V took more than 5 s")
+
+    sets = {n: pair(fin(n), rom.NUMMAP) for n in (0, 200, 201, 250)}
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        cold = {}
+        for n, a in sets.items():
+            clear_caches()
+            cold[n] = check_in_V(a, TR)
+        clear_caches()
+        warm = {n: check_in_V(sets[n], TR) for n in sorted(sets, reverse=True)}
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [n for n, v in cold.items() if v.realized] == [0, 200]
+    assert {(v.status, v.note) for n, v in cold.items() if n > 200} == {
+        ("unknown", "index or element map undecided")}
+    assert warm == cold
+
+
 def _families(members):
     # constant families, one that never converges (every application runs
     # out of fuel) and one that provably diverges
@@ -595,7 +621,9 @@ def _formed(index, values):
 
 # Types, and the index types of sets, at most two formers deep.  With
 # NUMMAP as the element map, an index can list a code past 200, whose
-# numeral nests past the depth guard; 100 drawn cases take about 0.5 s.
+# numeral nests past the depth guard.  100 drawn cases usually take about
+# 0.5 s; an index listing a million members, such as sigma(sigma(DIST,
+# DIST), DIST) at segment_bound 3, takes some 20 s when drawn.
 _ONE_FORMER = _LEAVES | _formed(_LEAVES, _LEAVES)
 _TWO_FORMERS = _ONE_FORMER | _formed(_ONE_FORMER, _ONE_FORMER)
 _LADDER_MEMBERS = (st.sampled_from([0, 1, 2, pair(0, 1), pair(1, 0), pair(2, 1)])

@@ -30,6 +30,7 @@ tests/test_step_trace.py replays the file and never rewrites it.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
@@ -93,6 +94,18 @@ def run(f, args, fuel: int) -> dict:
     except DivergedError:
         outcome = "diverged"
     return {"outcome": outcome, "steps": fuel - budget.left}
+
+
+_spec = importlib.util.spec_from_file_location(
+    "reference_machine", Path(__file__).parents[1] / "reference_machine.py")
+reference_machine = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference_machine)
+
+
+def reference_run(f, args, fuel: int) -> dict:
+    """run's answer, from tests/reference_machine.py: a reducer with no memo."""
+    outcome, steps = reference_machine.run(f, args, fuel)
+    return {"outcome": outcome if isinstance(outcome, str) else digest(outcome), "steps": steps}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kleeneset import romlib as rom
 from kleeneset import terms
@@ -22,7 +22,8 @@ from kleeneset.terms import (
 from kleeneset.universe import NAT, check_in_U, din, fin, pi_code, sigma_code
 from kleeneset.vcodes import seq_encode, v_numeral
 
-# the helper that measures the steps a run is charged, as step_trace.json pins them
+# the helper that measures the steps a run is charged, as step_trace.json
+# pins them, and its reducer with no memo that charges by the same rules
 _spec = importlib.util.spec_from_file_location(
     "step_trace", Path(__file__).parent / "data" / "step_trace.py")
 step_trace = importlib.util.module_from_spec(_spec)
@@ -380,6 +381,43 @@ def test_a_run_starts_on_the_code_then_takes_each_operand(shape, operands, value
         if exact > 1:  # one step less runs out, and is charged every step it had
             assert _start(code, operands, exact - 1, is_warm) == {
                 "outcome": "out_of_fuel", "steps": exact}
+
+
+# ---------------------------------------------------------------------------
+# the fuel a call costs depends on the call alone
+
+
+# fix (s k k): e x = e x, so it runs out of fuel at every fuel
+_LOOP = fixpoint(mkapps(prim_code("s"), rom.K, rom.K))
+# s (k 15) k x: the s and k fires, then 15 is stuck in head position
+_STUCK_AFTER_TWO = mkapps(prim_code("s"), mkapp(rom.K, 15), rom.K)
+_LEAVES = (st.sampled_from([prim_code(name) for name in PRIM_ORDER]
+                           + [rom.PLUS, rom.MONUS, rom.TS, _LOOP])
+           | st.integers(min_value=0, max_value=20))
+_TERMS = st.recursive(_LEAVES, lambda t: st.builds(mkapp, t, t), max_leaves=8)
+_CALLS = st.tuples(_TERMS, st.lists(_TERMS, min_size=1, max_size=3).map(tuple),
+                   st.integers(min_value=1, max_value=2000))
+
+
+@given(call=_CALLS)
+@example(call=(rom.PLUS, (3, 4), 278))  # a value at exactly its cost
+@example(call=(rom.PLUS, (3, 4), 277))  # one step short: out of fuel, whatever the memo holds
+@example(call=(_LOOP, (0,), 50))  # out of fuel at every fuel
+@example(call=(15, (3,), 10))  # a data head, stuck at once
+@example(call=(_STUCK_AFTER_TWO, (0,), 10))  # stuck after two fires
+@example(call=(_STUCK_AFTER_TWO, (0,), 1))  # out of fuel before the stuck point
+@settings(max_examples=150, deadline=None)
+def test_a_call_charges_the_same_whatever_ran_before_it(call):
+    f, args, fuel = call
+    want = step_trace.reference_run(f, args, fuel)
+    runs = {"after the calls before it": step_trace.run(f, args, fuel)}
+    clear_caches()
+    runs["cold"] = step_trace.run(f, args, fuel)
+    step_trace.run(f, args, 4 * fuel)  # the memo now holds what a larger budget reached
+    runs["warm"] = step_trace.run(f, args, fuel)
+    clear_caches()
+    runs["after clearing"] = step_trace.run(f, args, fuel)
+    assert runs == dict.fromkeys(runs, want)
 
 
 def _read_head(code):

@@ -24,6 +24,10 @@ _spec.loader.exec_module(step_trace)
 CALLS = json.loads((_DATA / "step_trace.json").read_text())["calls"]
 GROUPS = list(dict.fromkeys(call["group"] for call in CALLS))
 
+# The reducer with no memo replays the calls of at most this many steps;
+# together they take it about a second.
+_REFERENCE_LIMIT = 5_000
+
 # Asserting out-of-fuel at one step less means running the call again from
 # cold; above this many steps (the six longest catalogue calls, on the
 # 1,000-component prefix) that rerun would double the test's time.
@@ -71,3 +75,16 @@ def test_warm_steps_are_pinned():
         if got != call["warm"]:
             wrong.append((call["name"], got, call["warm"]))
     assert not wrong, wrong[:5]
+
+
+def test_the_reducer_with_no_memo_charges_the_pinned_steps():
+    wrong = []
+    for call in CALLS:
+        if call["cold"]["steps"] > _REFERENCE_LIMIT:
+            continue
+        got = step_trace.reference_run(step_trace.code_from_json(call["f"]),
+                                       [step_trace.code_from_json(a) for a in call["args"]],
+                                       call["fuel"])
+        if got != call["cold"]:
+            wrong.append((call["name"], got, call["cold"]))
+    assert not wrong, (len(wrong), wrong[:5])

@@ -23,29 +23,36 @@ Reduction is iterative, with no host recursion: a stack of frames, each
 either an operand to apply the returned value to or a tuple tagged by a
 small int (the two halves of an s-fire and a memo write).  Fuel is part
 of the specification: one unit per redex dispatch when a run starts on a
-code whose own spine is a redex, and one per combinator fire; nothing
-else costs fuel.  The budget is counted down in a local and written back
-to the _Budget when the run ends, however it ends, so the steps charged
-can be read after a raise.  Running out of fuel means "not converged
-within budget", never "diverges".  The machine does notice some
-certainly-stuck states (applying a code with no program reading, the
-self-application spine of 0); those raise DivergedError so callers like
-the membership checker can treat provable non-termination specially.
+code whose own spine is a redex, and one per combinator fire, a memo hit
+charging the fires it stands for; nothing else costs fuel.  The budget
+is counted down in a local and written back to the _Budget when the run
+ends, however it ends, so the steps charged can be read after a raise.
+Running out of fuel means "not converged within budget", never
+"diverges".  The machine does notice some certainly-stuck states
+(applying a code with no program reading, the self-application spine of
+0); those raise DivergedError so callers like the membership checker can
+treat provable non-termination specially.
 
 What a head code does is one lookup in terms.HEADS, made when a spine is
 first peeled (the peel memo keeps it) and carried by the symbolic spines
-built on it; a code not in it is data.  Value results are memoized per
-application of a code to a code.  The memo is read before anything else
-is done with the application (a key is only ever written for an
-application that fires or is stuck, so a hit skips nothing a miss would
-do), written when the application returns a value, and marked diverged
-for every application still open when DivergedError is raised; running
-out of fuel leaves the open applications unrecorded.  A shared cache only
-ever turns out-of-fuel answers into values, never changes a value: Value
-outcomes are unique per (f, a) and stable under fuel increase, and the
-memos are cleared whenever the library table grows, since that gives a
-stuck tag-2 code a program reading.  tests/data/step_trace.json pins the
-steps charged, cold and warm, on a fixed corpus.
+built on it; a code not in it is data.  Outcomes are memoized per
+application of a code to a code.  An entry holds the outcome and its
+cost: the steps charged from the application's fire to its value, or to
+the stuck point for an entry marked diverged (a data head stuck at once
+costs 0).  The memo is read before anything else is done with the
+application (a key is only ever written for an application that fires or
+is stuck, so a hit skips nothing a miss would do), written when the
+application returns a value, and marked diverged for every application
+still open when DivergedError is raised; running out of fuel leaves the
+open applications unrecorded.  A hit charges the entry's cost, whatever
+run wrote it, and runs out of fuel if that is more than is left, charged
+fuel + 1 as the reduction it stands for would be.  So the steps of a
+call are those of a reducer with no memo (tests/reference_machine.py), a
+function of the call alone: the memo changes no outcome and no step
+count, only the time taken.  The memos are cleared whenever the library
+table grows, since that gives a stuck tag-2 code a program reading.
+tests/data/step_trace.json pins the steps charged on a fixed corpus,
+cold and warm alike.
 """
 
 from __future__ import annotations
@@ -146,7 +153,9 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
         x             an operand: apply the returned value to x
         (_SA, b, c)   s a b c fired, a*c is running: next b*c
         (_SB, t)      t = a*c, b*c is running: next t*(b*c)
-        (_MEMO, key)  record the value returned for the application key
+        (_MEMO, key, left)  record the value returned for the application
+                      key, and its cost: left, the budget before its fire,
+                      less the budget now
     """
     stack: list = list(reversed(operands))
     push = stack.append
@@ -182,7 +191,7 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                 if tag == _SB:
                     f, a = frame[1], val
                     break
-                memo[frame[1]] = val
+                memo[frame[1]] = (val, frame[2] - left)
             while True:  # apply f to a until a value is in val
                 if type(f) is _Spine:
                     head, args, entry = f
@@ -192,8 +201,13 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                         key = None
                     else:
                         key = (f, a)
-                        val = memo_get(key)
-                        if val is not None:
+                        got = memo_get(key)
+                        if got is not None:
+                            val, cost = got
+                            left -= cost
+                            if left < 0:
+                                left = -1  # as the reduction it stands for would run out
+                                raise OutOfFuelError
                             if val is _DIVERGED:
                                 raise DivergedError(f)
                             break
@@ -201,7 +215,7 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                     head, args, entry = got if got is not None else _peel(f)
                 if entry is None:  # data in head position is stuck
                     if key is not None:
-                        memo[key] = _DIVERGED
+                        memo[key] = (_DIVERGED, 0)
                     raise DivergedError(f)
                 kind, body, arity, name = entry
                 n = len(args) + 1
@@ -209,7 +223,7 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                     val = _Spine((head, args + (a,), entry))
                     break
                 if key is not None:
-                    push((_MEMO, key))
+                    push((_MEMO, key, left))
                 if n > arity:  # over-applied code: stack the extra operands
                     full = args + (a,)
                     for extra in reversed(full[arity:]):
@@ -260,7 +274,7 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
     except DivergedError:
         for frame in stack:
             if type(frame) is tuple and frame[0] == _MEMO:
-                memo[frame[1]] = _DIVERGED
+                memo[frame[1]] = (_DIVERGED, frame[2] - left)
         raise
     finally:
         budget.left = left

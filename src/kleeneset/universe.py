@@ -15,8 +15,8 @@ on an enumeration the truncation cut short, its own or a member's.  Only
 unnoted answers are stable: growing the truncation can turn Unknown into
 one of them, never flip them.  That holds for codes in U only.  For
 t = sigma_code(pi_code(NAT, NUMMAP), K sigma_code(fin(1), K fin(1))),
-which is not a type, din(5, t) asked cold at nat_bound=2 is an unnoted
-Refuted at fuel=7 and raises MalformedTypeError at fuel=8.  A Realized
+which is not a type, din(5, t) at nat_bound=2 is an unnoted Refuted at
+fuel=9 and raises MalformedTypeError at fuel=10.  A Realized
 with a note is relative to its budget: check_in_U(sigma_code(NAT,
 LSFAM)) is Realized, "family checked up to the truncation", at
 nat_bound=1 and Refuted at nat_bound=2.  Membership in a product over an

@@ -2,7 +2,6 @@
 
     PYTHONPATH=src python tests/data/answers.py           # rewrite the file
     PYTHONPATH=src python tests/data/answers.py --check   # compare, exit 1 on a difference
-    PYTHONPATH=src python tests/data/answers.py --warm    # print the answers asked warm
 
 Each query is asked cold (every memo cleared first), and its answer is
 recorded: a verdict as its status and note, a search as its witness (a
@@ -26,10 +25,11 @@ raises as the class name of its exception.  The corpus, from fixed seeds:
             budget ladder: nat_bound 0-3, segment_bound 0-4 over the
             30-stage path of the default catalogue, or fuel 1 to 10**6.
 
---warm asks the same queries warm, in order, from one clearing, and prints
-one line per query; nothing pins those answers: at tight fuel a memo hit
-can answer where a cold run runs out.  tests/test_answers.py replays the
-file cold and never rewrites it.
+The same queries are then asked warm, from one clearing, in order and in
+reverse order.  An answer may not depend on what was asked before it, so
+the script writes nothing, and --check fails, if a warm answer differs
+from its cold one.  tests/test_answers.py replays the file cold and warm
+both ways, and never rewrites it.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ class Asker:
 
     def replay(self, queries: list[dict], warm: bool) -> list:
         """Ask each query cold (memos cleared before it) or, warm, in
-        order from a single clearing."""
+        the order given from a single clearing."""
         clear_caches()
         out = []
         for q in queries:
@@ -290,17 +290,26 @@ def build() -> dict:
     return {"formulas": formulas, "queries": queries}
 
 
+def warm_differences(pinned: dict, reverse: bool) -> list[int]:
+    """The indexes of the queries whose answer, asked warm from one
+    clearing in order (or reversed), differs from the cold one."""
+    queries = pinned["queries"]
+    indexes = range(len(queries) - 1, -1, -1) if reverse else range(len(queries))
+    got = Asker(pinned["formulas"]).replay([queries[k] for k in indexes], warm=True)
+    return [k for k, a in zip(indexes, got) if a != queries[k]["answer"]]
+
+
 def main(argv: list[str]) -> int:
-    if "--warm" in argv:
-        old = json.loads(ANSWERS.read_text())
-        for k, a in enumerate(Asker(old["formulas"]).replay(old["queries"], warm=True)):
-            print(k, json.dumps(a))
-        return 0
     new = build()
+    warm = {order: warm_differences(new, order == "reversed") for order in ("in order", "reversed")}
+    if any(warm.values()):
+        for order, ks in warm.items():
+            print(f"asked warm {order}, {len(ks)} answers differ from cold; first: {ks[:5]}")
+        return 1
     if "--check" in argv:
         old = json.loads(ANSWERS.read_text())
         if old == new:
-            print(f"{ANSWERS.name}: {len(new['queries'])} answers agree")
+            print(f"{ANSWERS.name}: {len(new['queries'])} answers agree, cold and warm")
             return 0
         print(f"{ANSWERS.name} differs: {len(old['queries'])} queries committed, "
               f"{len(new['queries'])} asked")

@@ -7,8 +7,11 @@ Each call of the corpus is a program, its arguments and a fuel.  It is run
 cold (every memo cleared first) and its outcome -- a digest of the value
 code, "out_of_fuel" or "diverged" -- and the steps charged are recorded;
 the same corpus is then run warm, in order, from one clearing, and the
-warm outcomes and steps are recorded too, so the memo policy is part of
-what the file pins.  The corpus:
+warm outcomes and steps are recorded too.  A memo hit charges what the
+application it stands for cost, so the warm answers must be the cold
+ones: the script writes nothing, and --check fails, where one differs.
+reference_run answers a call with the reducer with no memo in
+tests/reference_machine.py.  The corpus:
 
   cold_minimum  the seven library calls whose cold minimum fuel
                 tests/test_machine.py pins, then each again at fuel 50
@@ -120,7 +123,7 @@ def _cold_minimum():
              ("TS", (seq, 3))]
     for name, args in calls:
         yield name, getattr(rom, name), [code_to_json(a) for a in args], machine.DEFAULT_FUEL
-    for name, args in calls:  # out of fuel cold; warm, the memo answers
+    for name, args in calls:  # out of fuel, whatever the memo holds
         yield f"{name} at fuel 50", getattr(rom, name), [code_to_json(a) for a in args], 50
 
 
@@ -225,6 +228,11 @@ def build() -> dict:
 
 def main(argv: list[str]) -> int:
     trace = build()
+    history = [c["name"] for c in trace["calls"] if c["warm"] != c["cold"]]
+    if history:  # the fuel a call costs may not depend on what ran before it
+        print(f"{len(history)} calls answer warm differently from cold, "
+              f"first: {history[:5]}; nothing written")
+        return 1
     if "--check" in argv:
         old = json.loads(TRACE.read_text())
         if old == trace:

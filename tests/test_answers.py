@@ -6,6 +6,8 @@ with the answer of each asked cold: status and note, witness digest and
 decisive flag, or the exception raised.  tests/data/answers.py made the
 file and says what is in it.  A change to a decider that keeps every
 verdict but drops a note, or turns a refuted into an unknown, fails here.
+The same queries asked warm, in order and reversed, from one clearing,
+must give the cold answers: an answer does not depend on what ran before.
 """
 
 import collections
@@ -58,3 +60,9 @@ def test_cold_answers_are_pinned(group):
     got = asker.replay(queries, warm=False)
     wrong = [(q, a) for q, a in zip(queries, got) if a != q["answer"]]
     assert not wrong, (len(wrong), wrong[:3])
+
+
+@pytest.mark.parametrize("order", ["in order", "reversed"])
+def test_warm_answers_are_the_cold_ones(order):
+    differ = answers.warm_differences(PINNED, reverse=order == "reversed")
+    assert not differ, (len(differ), [PINNED["queries"][k] for k in differ[:3]])

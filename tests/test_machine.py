@@ -312,14 +312,14 @@ def test_values_identical_cold_and_warm():
 
 _SEQ = seq_encode([1, 2, 3, 4, 5, 6])
 
-COLD_MINIMUM_FUEL = [  # program, arguments, least fuel that converges cold
-    ("HALF", (200,), 3239),
-    ("PLUS", (3, 4), 163),
-    ("MONUS", (9, 4), 311),
-    ("ELEMOF", (_SEQ, 4), 2308),
-    ("EQ", (v_numeral(3).code, v_numeral(3).code), 96),
-    ("SNOC", (_SEQ, 7), 2754),
-    ("TS", (_SEQ, 3), 2362),
+COLD_MINIMUM_FUEL = [  # program, arguments, least fuel that converges, cold or warm
+    ("HALF", (200,), 7628),
+    ("PLUS", (3, 4), 278),
+    ("MONUS", (9, 4), 585),
+    ("ELEMOF", (_SEQ, 4), 6850),
+    ("EQ", (v_numeral(3).code, v_numeral(3).code), 141),
+    ("SNOC", (_SEQ, 7), 10854),
+    ("TS", (_SEQ, 3), 6581),
 ]
 
 
@@ -332,6 +332,10 @@ def test_cold_minimum_fuel_is_pinned(name, args, fuel):
     clear_caches()
     with pytest.raises(OutOfFuelError):
         apply_chain(f, *args, fuel=fuel - 1)
+    apply_chain(f, *args)  # warm, the memo holds every part of the call
+    with pytest.raises(OutOfFuelError):
+        apply_chain(f, *args, fuel=fuel - 1)
+    assert apply_chain(f, *args, fuel=fuel) == apply_chain(f, *args)
 
 
 # A run starts on the code's own spine, then applies the value to each
@@ -347,18 +351,18 @@ START_SHAPES = {
     "one-argument redex": mkapp(prim_code("p0"), pair(_KSN, 0)),
     "over-applied": mkapps(_K, _K, 9, _SN),
 }
-START_RUNS = [  # shape, operands, value, steps charged cold, and warm
-    ("data head", (), START_SHAPES["data head"], 0, 0),
-    ("under-applied", (), _KSN, 0, 0),
-    ("under-applied", (9,), _SN, 1, 0),
-    ("under-applied", (9, 4), 5, 2, 0),
-    ("redex", (), _KSN, 2, 2),
-    ("redex", (9,), _SN, 3, 2),
-    ("redex", (9, 4), 5, 4, 2),
-    ("one-argument redex", (), _KSN, 2, 2),
-    ("over-applied", (), _KSN, 2, 2),
-    ("over-applied", (9,), _SN, 3, 3),
-    ("over-applied", (9, 4), 5, 4, 3),
+START_RUNS = [  # shape, operands, value, steps charged cold and warm alike
+    ("data head", (), START_SHAPES["data head"], 0),
+    ("under-applied", (), _KSN, 0),
+    ("under-applied", (9,), _SN, 1),
+    ("under-applied", (9, 4), 5, 2),
+    ("redex", (), _KSN, 2),
+    ("redex", (9,), _SN, 3),
+    ("redex", (9, 4), 5, 4),
+    ("one-argument redex", (), _KSN, 2),
+    ("over-applied", (), _KSN, 2),
+    ("over-applied", (9,), _SN, 3),
+    ("over-applied", (9, 4), 5, 4),
 ]
 
 
@@ -371,15 +375,15 @@ def _start(code, operands, fuel, warm):
     return step_trace.run(code, operands, fuel)
 
 
-@pytest.mark.parametrize("shape,operands,value,cold,warm", START_RUNS,
+@pytest.mark.parametrize("shape,operands,value,steps", START_RUNS,
                          ids=[f"{row[0]} on {len(row[1])}" for row in START_RUNS])
-def test_a_run_starts_on_the_code_then_takes_each_operand(shape, operands, value, cold, warm):
+def test_a_run_starts_on_the_code_then_takes_each_operand(shape, operands, value, steps):
     code = START_SHAPES[shape]
-    for is_warm, steps in ((False, cold), (True, warm)):
-        exact = max(steps, 1)  # the least fuel that reaches the value
-        assert _start(code, operands, exact, is_warm) == {"outcome": value, "steps": steps}
+    exact = max(steps, 1)  # the least fuel that reaches the value
+    for warm in (False, True):
+        assert _start(code, operands, exact, warm) == {"outcome": value, "steps": steps}
         if exact > 1:  # one step less runs out, and is charged every step it had
-            assert _start(code, operands, exact - 1, is_warm) == {
+            assert _start(code, operands, exact - 1, warm) == {
                 "outcome": "out_of_fuel", "steps": exact}
 
 

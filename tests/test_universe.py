@@ -601,11 +601,22 @@ def test_a_code_that_is_not_a_type_can_answer_refuted_before_it_raises():
     t = sigma_code(pi_code(NAT, rom.NUMMAP), const(sigma_code(fin(1), const(fin(1)))))
     assert check_in_U(t, Truncation(nat_bound=2)).refuted
     clear_caches()
-    v = din(5, t, Truncation(nat_bound=2, fuel=7))
+    v = din(5, t, Truncation(nat_bound=2, fuel=9))
     assert (v.status, v.note) == ("refuted", None)
     clear_caches()
     with pytest.raises(MalformedTypeError):
-        din(5, t, Truncation(nat_bound=2, fuel=8))
+        din(5, t, Truncation(nat_bound=2, fuel=10))
+
+
+def test_an_answer_at_tight_fuel_does_not_depend_on_the_rungs_asked_before_it():
+    # the memo holds what the lower fuels reached, and a hit charges what
+    # it cost, so fuel 7 still answers refuted, as it does cold
+    t = sigma_code(pi_code(NAT, rom.NUMMAP), const(sigma_code(fin(1), const(fin(1)))))
+    clear_caches()
+    for fuel in range(1, 7):
+        din(5, t, Truncation(nat_bound=2, fuel=fuel))
+    v = din(5, t, Truncation(nat_bound=2, fuel=7))
+    assert (v.status, v.note) == ("refuted", None)
 
 
 _LEAVES = st.sampled_from([fin(0), fin(1), fin(2), NAT, DIST])
@@ -635,20 +646,34 @@ _SEGMENT_RUNGS = [0, 1, 2, 3, 4]
 _FUEL_RUNGS = [1, 10, 100, 1000, 10 ** 4, 10 ** 6]
 
 
-def _climb(decide, rungs):
-    """Ask decide at each truncation, cold; once an unnoted realized or
-    refuted answer appears, every higher rung must give it again."""
-    settled = None
+def _ladder(decide, rungs, warm):
+    """The answers of decide up the rungs, each asked cold or, warm, all
+    from one clearing; a malformed type ends the ladder."""
+    clear_caches()
+    out = []
     for tr in rungs:
-        clear_caches()
+        if not warm:
+            clear_caches()
         try:
             v = decide(tr)
         except MalformedTypeError:
-            return  # a malformed type ends the ladder
+            break
+        out.append((v.status, v.note))
+    return out
+
+
+def _climb(decide, rungs):
+    """Ask decide at each truncation, cold; once an unnoted realized or
+    refuted answer appears, every higher rung must give it again.  Walked
+    warm, the ladder gives the cold answers."""
+    cold = _ladder(decide, rungs, warm=False)
+    settled = None
+    for tr, (status, note) in zip(rungs, cold):
         if settled is not None:
-            assert (v.status, v.note) == (settled, None), tr
-        elif not v.unknown and v.note is None:
-            settled = v.status
+            assert (status, note) == (settled, None), tr
+        elif status != "unknown" and note is None:
+            settled = status
+    assert _ladder(decide, rungs, warm=True) == cold
 
 
 @given(case=st.tuples(_LADDER_MEMBERS, _TWO_FORMERS, _TWO_FORMERS,

@@ -36,21 +36,25 @@ treat provable non-termination specially.
 What a head code does is one lookup in terms.HEADS, made when a spine is
 first peeled (the peel memo keeps it) and carried by the symbolic spines
 built on it; a code not in it is data.  Outcomes are memoized per
-application of a code to a code.  An entry holds the outcome and its
-cost: the steps charged from the application's fire to its value, or to
-the stuck point for an entry marked diverged (a data head stuck at once
-costs 0).  The memo is read before anything else is done with the
-application (a key is only ever written for an application that fires or
-is stuck, so a hit skips nothing a miss would do), written when the
-application returns a value, and marked diverged for every application
-still open when DivergedError is raised; running out of fuel leaves the
-open applications unrecorded.  A hit charges the entry's cost, whatever
-run wrote it, and runs out of fuel if that is more than is left, charged
-fuel + 1 as the reduction it stands for would be.  So the steps of a
-call are those of a reducer with no memo (tests/reference_machine.py), a
-function of the call alone: the memo changes no outcome and no step
-count, only the time taken.  The memos are cleared whenever the library
-table grows, since that gives a stuck tag-2 code a program reading.
+application: a code applied to a code is keyed (f, a), and a saturated
+spine whose arguments are all codes (a flag on the spine says so),
+applied to a code, is keyed (head, argument codes, a).  An entry holds
+the outcome and its cost: the steps charged from the application's fire
+to its value, or to the stuck point for an entry marked diverged (a data
+head stuck at once costs 0).  The memo is read before the application
+fires or is found stuck (a key is only ever written for an application
+that fires or is stuck, so a hit skips nothing a miss would do), written
+when the application returns a value, and marked diverged for every
+application still open when DivergedError is raised; running out of fuel
+leaves the open applications unrecorded.  A hit charges the entry's
+cost, whatever run wrote it, and runs out of fuel if that is more than
+is left, charged fuel + 1 as the reduction it stands for would be.  So
+the steps of a call are those of a reducer with no memo
+(tests/reference_machine.py), a function of the call alone: the memo
+changes no outcome and no step count, only the time taken.  An entry
+that cost one step is not kept, since one fire costs no more to redo
+than to look up.  The memos are cleared whenever the library table
+grows, since that gives a stuck tag-2 code a program reading.
 tests/data/step_trace.json pins the steps charged on a fixed corpus,
 cold and warm alike.
 """
@@ -80,12 +84,13 @@ class DivergedError(Exception):
 
 class _Spine(tuple):
     """Under-applied combinator: (head code, tuple of symbolic argument
-    values, the head's terms.HEADS entry)."""
+    values, the head's terms.HEADS entry, whether every argument is a
+    code)."""
 
     __slots__ = ()
 
     def code(self) -> Code:
-        c, args, _ = self
+        c, args = self[0], self[1]
         for a in args:
             c = mkapp(c, _code_of(a))
         return c
@@ -173,7 +178,7 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
             if left < 0:
                 raise OutOfFuelError
             stack.extend(reversed(args))
-            val = _Spine((head, (), entry))
+            val = _Spine((head, (), entry, True))
         while True:
             # return val to the frames below
             while True:
@@ -191,28 +196,30 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                 if tag == _SB:
                     f, a = frame[1], val
                     break
-                memo[frame[1]] = (val, frame[2] - left)
+                cost = frame[2] - left
+                if cost != 1:  # one fire costs no more to redo than to look up
+                    memo[frame[1]] = (val, cost)
             while True:  # apply f to a until a value is in val
                 if type(f) is _Spine:
-                    head, args, entry = f
-                    key = None
+                    head, args, entry, codes = f
+                    key = ((head, args, a) if codes and type(a) is not _Spine
+                           and len(args) + 1 == entry[2] else None)
                 else:
-                    if type(a) is _Spine:
-                        key = None
-                    else:
-                        key = (f, a)
-                        got = memo_get(key)
-                        if got is not None:
-                            val, cost = got
-                            left -= cost
-                            if left < 0:
-                                left = -1  # as the reduction it stands for would run out
-                                raise OutOfFuelError
-                            if val is _DIVERGED:
-                                raise DivergedError(f)
-                            break
                     got = peel_get(f)
                     head, args, entry = got if got is not None else _peel(f)
+                    codes = True
+                    key = None if type(a) is _Spine else (f, a)
+                if key is not None:
+                    got = memo_get(key)
+                    if got is not None:
+                        val, cost = got
+                        left -= cost
+                        if left < 0:
+                            left = -1  # as the reduction it stands for would run out
+                            raise OutOfFuelError
+                        if val is _DIVERGED:
+                            raise DivergedError(f)
+                        break
                 if entry is None:  # data in head position is stuck
                     if key is not None:
                         memo[key] = (_DIVERGED, 0)
@@ -220,7 +227,7 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                 kind, body, arity, name = entry
                 n = len(args) + 1
                 if n < arity:
-                    val = _Spine((head, args + (a,), entry))
+                    val = _Spine((head, args + (a,), entry, codes and type(a) is not _Spine))
                     break
                 if key is not None:
                     push((_MEMO, key, left))
@@ -230,7 +237,7 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                         push(extra)
                     args = full[:arity - 1]
                     a = full[arity - 1]
-                    f = _Spine((head, args, entry))
+                    f = _Spine((head, args, entry, True))
                 left -= 1  # the fire
                 if left < 0:
                     raise OutOfFuelError
@@ -273,7 +280,7 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                 break
     except DivergedError:
         for frame in stack:
-            if type(frame) is tuple and frame[0] == _MEMO:
+            if type(frame) is tuple and frame[0] == _MEMO and frame[2] - left != 1:
                 memo[frame[1]] = (_DIVERGED, frame[2] - left)
         raise
     finally:

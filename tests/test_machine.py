@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kleeneset import machine
 from kleeneset import romlib as rom
 from kleeneset import terms
 from kleeneset.machine import (
@@ -422,6 +423,26 @@ def test_a_call_charges_the_same_whatever_ran_before_it(call):
     clear_caches()
     runs["after clearing"] = step_trace.run(f, args, fuel)
     assert runs == dict.fromkeys(runs, want)
+
+
+def test_a_warm_repeat_is_answered_from_the_memo_at_its_cold_steps(monkeypatch):
+    clear_caches()
+    cold = step_trace.run(rom.PLUS, (3, 4), DEFAULT_FUEL)
+    lookups = []
+
+    class Recording(dict):
+        def get(self, key):
+            got = dict.get(self, key)
+            lookups.append((len(key), got is not None))
+            return got
+
+    monkeypatch.setattr(machine, "_apply_memo", Recording(machine._apply_memo))
+    assert step_trace.run(rom.PLUS, (3, 4), DEFAULT_FUEL) == cold == {"outcome": 7, "steps": 278}
+    # PLUS is fix g.  PLUS 3 is one fix fire, which the memo does not keep,
+    # and g PLUS is under-applied; then the spine g PLUS 3 applied to 4 is
+    # found under its key of head, argument codes and operand, and charged
+    # the 277 steps it cost
+    assert lookups == [(2, False), (2, False), (3, True)]
 
 
 def _read_head(code):

@@ -618,6 +618,16 @@ def test_cli_checks_a_set_code_whose_walk_meets_the_same_elements_again(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_cli_runs_out_of_fuel_on_a_body_whose_bookkeeping_never_ends(capsys):
+    # \x. W W x, W = s I I: the body eta-reduces to the over-applied W W
+    i = "(app (app s k) k)"
+    w = f"(app (app s {i}) {i})"
+    rc = main(["pca", "eval", f"(app (lam x (app (app {w} {w}) x)) 0)", "--fuel", "100000"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "out of fuel\n")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_decodes_a_deep_singleton_chain():
     chain = lw.EMPTY
     for _ in range(1500):

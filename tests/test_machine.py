@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -396,8 +397,22 @@ def test_a_run_starts_on_the_code_then_takes_each_operand(shape, operands, value
 _LOOP = fixpoint(mkapps(prim_code("s"), rom.K, rom.K))
 # s (k 15) k x: the s and k fires, then 15 is stuck in head position
 _STUCK_AFTER_TWO = mkapps(prim_code("s"), mkapp(rom.K, 15), rom.K)
+# Derived combinators whose bodies show each shape the machine meets in a
+# body: INNER (arity 5, a variable applied to a variable), HALF (recursion
+# through fix), ELEMOF (eta-reduced at its last binder; a k constant holds
+# the saturated redex POW2GE 1, returned as an inert code and then
+# over-applied).  Two are registered here, once, at import:
+# \x. p (15 x) x, where the data constant 15 is stuck in head position
+# after three s/k fires;
+_STUCK_MID_BODY = compile_lambda(L("x", A(Prim("p"), A(N(15), V("x")), V("x"))))
+# \x. W W x with W = s I I: the body eta-reduces to the over-applied
+# constant W W, whose s/k reduction never ends
+_I = A(Prim("s"), Prim("k"), Prim("k"))
+_W = A(Prim("s"), _I, _I)
+_W_W = compile_lambda(L("x", A(_W, _W, V("x"))))
 _LEAVES = (st.sampled_from([prim_code(name) for name in PRIM_ORDER]
-                           + [rom.PLUS, rom.MONUS, rom.TS, _LOOP])
+                           + [rom.PLUS, rom.MONUS, rom.TS, _LOOP, rom.HALF, rom.INNER,
+                              rom.GG, rom.ELEMOF, _STUCK_MID_BODY, _W_W])
            | st.integers(min_value=0, max_value=20))
 _TERMS = st.recursive(_LEAVES, lambda t: st.builds(mkapp, t, t), max_leaves=8)
 _CALLS = st.tuples(_TERMS, st.lists(_TERMS, min_size=1, max_size=3).map(tuple),
@@ -411,6 +426,12 @@ _CALLS = st.tuples(_TERMS, st.lists(_TERMS, min_size=1, max_size=3).map(tuple),
 @example(call=(15, (3,), 10))  # a data head, stuck at once
 @example(call=(_STUCK_AFTER_TWO, (0,), 10))  # stuck after two fires
 @example(call=(_STUCK_AFTER_TWO, (0,), 1))  # out of fuel before the stuck point
+@example(call=(rom.INNER, (rom.K, pair(0, rom.SN), pair(0, rom.SN), 3, 4), 56))
+@example(call=(rom.HALF, (20,), 788))
+@example(call=(rom.ELEMOF, (seq_encode([1, 2, 3]), 1), 3435))
+@example(call=(_STUCK_MID_BODY, (0,), 10))  # stuck after four fires
+@example(call=(_STUCK_MID_BODY, (0,), 3))  # out of fuel in the s/k fires
+@example(call=(_W_W, (0,), 1000))
 @settings(max_examples=150, deadline=None)
 def test_a_call_charges_the_same_whatever_ran_before_it(call):
     f, args, fuel = call
@@ -423,6 +444,26 @@ def test_a_call_charges_the_same_whatever_ran_before_it(call):
     clear_caches()
     runs["after clearing"] = step_trace.run(f, args, fuel)
     assert runs == dict.fromkeys(runs, want)
+
+
+def test_a_body_whose_bookkeeping_never_ends_answers_as_the_reference():
+    # its s/k reduction on unknown arguments never ends, so the machine
+    # must not try to finish it before the first run can answer
+    def too_slow(signum, frame):
+        raise TimeoutError("the first run took more than 5 s")
+
+    clear_caches()
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        first = step_trace.run(_W_W, (0,), 1000)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert first == step_trace.reference_run(_W_W, (0,), 1000)
+    assert first == {"outcome": "out_of_fuel", "steps": 1001}
+    assert (step_trace.run(_W_W, (0,), 100_000)
+            == step_trace.reference_run(_W_W, (0,), 100_000))
 
 
 def test_a_warm_repeat_is_answered_from_the_memo_at_its_cold_steps(monkeypatch):

@@ -21,42 +21,55 @@ A run is a code and the operands it is applied to: the machine runs the
 code's own spine, then applies the value to each operand in turn.
 Reduction is iterative, with no host recursion: a stack of frames, each
 either an operand to apply the returned value to or a tuple tagged by a
-small int (the two halves of an s-fire and a memo write).  Fuel is part
-of the specification: one unit per redex dispatch when a run starts on a
-code whose own spine is a redex, and one per combinator fire, a memo hit
-charging the fires it stands for; nothing else costs fuel.  The budget
-is counted down in a local and written back to the _Budget when the run
-ends, however it ends, so the steps charged can be read after a raise.
-Running out of fuel means "not converged within budget", never
-"diverges".  The machine does notice some certainly-stuck states
-(applying a code with no program reading, the self-application spine of
-0); those raise DivergedError so callers like the membership checker can
-treat provable non-termination specially.
+small int (the two halves of an s-fire, a memo write, a running plan).
+Fuel is part of the specification: one unit per redex dispatch when a
+run starts on a code whose own spine is a redex, and one per combinator
+fire, a memo hit charging the fires it stands for; nothing else costs
+fuel.  The budget is counted down in a local and written back to the
+_Budget when the run ends, however it ends, so the steps charged can be
+read after a raise.  Running out of fuel means "not converged within
+budget", never "diverges".  The machine does notice some certainly-stuck
+states (applying a code with no program reading, the self-application
+spine of 0); those raise DivergedError so callers like the membership
+checker can treat provable non-termination specially.
+
+A derived combinator runs from a plan, compiled at its first fire by
+reducing its bracket-abstracted body on opaque arguments (supercombinator
+compilation by partial evaluation).  The compile fires only s and k, the
+bookkeeping that moves arguments into place and whose count depends on
+the body alone; every other application becomes an instruction that the
+machine makes as it always would.  A plan charges the bookkeeping fires
+as counts, each before the instruction it precedes, so a run charges the
+steps it would charge firing them one by one, and runs out of fuel at
+the same point, charged fuel + 1; they cannot get stuck.  A body whose
+bookkeeping does not end within a fixed bound gets the trivial plan,
+which applies the body to each argument in turn.
 
 What a head code does is one lookup in terms.HEADS, made when a spine is
 first peeled (the peel memo keeps it) and carried by the symbolic spines
 built on it; a code not in it is data.  Outcomes are memoized per
 application: a code applied to a code is keyed (f, a), and a saturated
 spine whose arguments are all codes (a flag on the spine says so),
-applied to a code, is keyed (head, argument codes, a).  An entry holds
-the outcome and its cost: the steps charged from the application's fire
-to its value, or to the stuck point for an entry marked diverged (a data
-head stuck at once costs 0).  The memo is read before the application
-fires or is found stuck (a key is only ever written for an application
-that fires or is stuck, so a hit skips nothing a miss would do), written
-when the application returns a value, and marked diverged for every
-application still open when DivergedError is raised; running out of fuel
-leaves the open applications unrecorded.  A hit charges the entry's
-cost, whatever run wrote it, and runs out of fuel if that is more than
-is left, charged fuel + 1 as the reduction it stands for would be.  So
-the steps of a call are those of a reducer with no memo
-(tests/reference_machine.py), a function of the call alone: the memo
-changes no outcome and no step count, only the time taken.  An entry
-that cost one step is not kept, since one fire costs no more to redo
-than to look up.  The memos are cleared whenever the library table
-grows, since that gives a stuck tag-2 code a program reading.
-tests/data/step_trace.json pins the steps charged on a fixed corpus,
-cold and warm alike.
+applied to a code, is keyed (head, argument codes, a).  The bookkeeping
+applications inside a plan are not made, so they are not keys.  An entry
+holds the outcome and its cost: the steps charged from the application's
+fire to its value, or to the stuck point for an entry marked diverged (a
+data head stuck at once costs 0).  The memo is read before the
+application fires or is found stuck (a key is only ever written for an
+application that fires or is stuck, so a hit skips nothing a miss would
+do), written when the application returns a value, and marked diverged
+for every application still open when DivergedError is raised; running
+out of fuel leaves the open applications unrecorded.  A hit charges the
+entry's cost, whatever run wrote it, and runs out of fuel if that is more
+than is left, charged fuel + 1 as the reduction it stands for would be.
+So the steps of a call are those of a reducer with no memo and no plans
+(tests/reference_machine.py), a function of the call alone: the memo and
+the plans change no outcome and no step count, only the time taken.  An
+entry that cost one step is not kept, since one fire costs no more to
+redo than to look up.  The memos and plans are cleared whenever the
+library table grows, since that gives a stuck tag-2 code a program
+reading.  tests/data/step_trace.json pins the steps charged on a fixed
+corpus, cold and warm alike.
 """
 
 from __future__ import annotations
@@ -144,7 +157,132 @@ def _peel(code: Code) -> tuple[Code, tuple, tuple | None]:
 
 
 # Tags of the tuple frames; any other stack entry is an operand.
-_MEMO, _SA, _SB = 0, 1, 2
+_MEMO, _SA, _SB, _PLAN = 0, 1, 2, 3
+
+# ---------------------------------------------------------------------------
+# Plans: a derived combinator's body, reduced once on opaque arguments
+#
+# A plan is (constants, instructions, framed).  A fire of the combinator
+# fills registers [*constants, *arguments] and runs the instructions in
+# order.  An instruction (fires, operator, operand) charges the s/k
+# bookkeeping fires before it, applies the operator to the operand through
+# the machine and appends the value as the next register; the last one,
+# (fires, result, None), charges the fires after the last application and
+# gives the result.  An operand is a register number, or a spine (head,
+# HEADS entry, operands) built when it is read.  The value of an
+# instruction past the first `framed` is the plan's result, so it runs as
+# a tail call, with no frame to return to.
+
+# the applications a compile may make, and the nesting of spine operands
+# (built by host recursion) it may reach, before it gives the body the
+# trivial plan; the library's bodies need at most 240 and 2
+_PLAN_APPLICATIONS = 10_000
+_PLAN_NESTING = 32
+
+_plans: dict = table_memo()
+
+
+class _Opaque:
+    """A register of a plan being compiled: an argument or an instruction's
+    value, which the compile does not look into."""
+
+    __slots__ = ("reg",)
+
+    def __init__(self, reg: int):
+        self.reg = reg
+
+
+class _Unplannable(Exception):
+    """A compile passed its bounds: the body gets the trivial plan."""
+
+
+def _plan(head: Code, body: Code, arity: int) -> tuple:
+    """Compile and keep the plan of the derived combinator head."""
+    try:
+        plan = _compile(body, arity)
+    except _Unplannable:  # the trivial plan: apply the body to each argument in turn
+        code = [(0, _Opaque(arity + i - 1) if i else body, _Opaque(i)) for i in range(arity)]
+        plan = _lower(code, arity - 1, 0, _Opaque(2 * arity - 1))
+    _plans[head] = plan
+    return plan
+
+
+def _compile(body: Code, arity: int) -> tuple:
+    """Run body on opaque arguments by the machine's rules, firing only s
+    and k; every other application becomes an instruction."""
+    xs = [_Opaque(i) for i in range(arity)]
+    stack: list = xs[:0:-1]
+    f, a = body, xs[0]
+    code: list = []
+    fires = 0
+    for _ in range(_PLAN_APPLICATIONS):
+        # apply f to a
+        if type(f) is _Spine:
+            head, args, entry, _ = f
+        elif type(f) is _Opaque:
+            entry = None
+        else:
+            head, args, entry = _peel(f)
+        if entry is not None and len(args) + 1 < entry[2]:
+            val = _Spine((head, args + (a,), entry, False))
+        elif entry is not None and entry[3] in ("s", "k"):
+            fires += 1
+            full = args + (a,)
+            stack.extend(reversed(full[entry[2]:]))
+            if entry[3] == "s":
+                stack.append((_SA, full[1], full[2]))
+                f, a = full[0], full[2]
+                continue
+            val = full[0]
+        else:
+            code.append((fires, f, a))
+            fires = 0
+            val = _Opaque(arity + len(code) - 1)
+        # return val to the frames below
+        if not stack:  # a last instruction whose value is the result is a tail call
+            tail = not fires and type(val) is _Opaque and val.reg == arity + len(code) - 1
+            return _lower(code, len(code) - tail, fires, val)
+        frame = stack.pop()
+        if type(frame) is not tuple:
+            f, a = val, frame
+        elif frame[0] == _SA:
+            stack.append((_SB, val))
+            f, a = frame[1], frame[2]
+        else:
+            f, a = frame[1], val
+    raise _Unplannable
+
+
+def _lower(code: list, framed: int, fires: int, result) -> tuple:
+    """The plan of compiled instructions: registers numbered constants
+    first (in the order met), then arguments, then instruction values."""
+    consts: dict = {}
+
+    def operand(v, base, depth=0):
+        if type(v) is _Opaque:
+            return base + v.reg
+        if type(v) is _Spine:
+            if depth == _PLAN_NESTING:
+                raise _Unplannable
+            return (v[0], v[2], tuple(operand(x, base, depth + 1) for x in v[1]))
+        return consts.setdefault(v, len(consts))
+
+    code = code + [(fires, result, None)]
+    for _, f, a in code:  # number the constants
+        operand(f, 0)
+        if a is not None:
+            operand(a, 0)
+    base = len(consts)
+    code = tuple((n, operand(f, base), None if a is None else operand(a, base))
+                 for n, f, a in code)
+    return (tuple(consts), code, framed)
+
+
+def _build(op: tuple, regs: list) -> _Spine:
+    """The spine a plan operand (head, entry, operands) stands for."""
+    head, entry, ops = op
+    vals = tuple([regs[x] if type(x) is int else _build(x, regs) for x in ops])
+    return _Spine((head, vals, entry, _Spine not in map(type, vals)))
 
 
 def _machine(code: Code, operands: tuple, budget: _Budget):
@@ -161,6 +299,9 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
         (_MEMO, key, left)  record the value returned for the application
                       key, and its cost: left, the budget before its fire,
                       less the budget now
+        (_PLAN, plan, regs, pc)  a derived combinator's plan is running:
+                      append the value to regs unless pc is 0 (the plan
+                      starts), then run instruction pc
     """
     stack: list = list(reversed(operands))
     push = stack.append
@@ -168,6 +309,7 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
     memo = _apply_memo
     memo_get = memo.get
     peel_get = _peel_memo.get
+    plans_get = _plans.get
     left = budget.left
     try:
         head, args, entry = _peel(code)
@@ -189,6 +331,24 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                     f, a = val, frame
                     break
                 tag = frame[0]
+                if tag == _PLAN:
+                    _, plan, regs, pc = frame
+                    if pc:
+                        regs.append(val)
+                    fires, f, a = plan[1][pc]
+                    if fires:  # the s and k fires the plan stands for
+                        left -= fires
+                        if left < 0:
+                            left = -1  # as the fires one by one would run out
+                            raise OutOfFuelError
+                    f = regs[f] if type(f) is int else _build(f, regs)
+                    if a is None:  # the plan's end: f is the value
+                        val = f
+                        continue
+                    if pc < plan[2]:
+                        push((_PLAN, plan, regs, pc + 1))
+                    a = regs[a] if type(a) is int else _build(a, regs)
+                    break
                 if tag == _SA:
                     push((_SB, val))
                     f, a = frame[1], frame[2]
@@ -247,14 +407,9 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                     continue
                 if name == "k":
                     val = args[0]
-                elif kind == "sc":
-                    if args:
-                        push(a)
-                        for extra in args[:0:-1]:
-                            push(extra)
-                        a = args[0]
-                    f = body
-                    continue
+                elif kind == "sc":  # the plan's first instruction takes no value
+                    plan = plans_get(head) or _plan(head, body, arity)
+                    push((_PLAN, plan, [*plan[0], *args, a], 0))
                 elif name == "fix":  # f is the (fix g) spine: the program's own code
                     push(a)
                     f, a = args[0], f

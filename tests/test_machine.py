@@ -466,6 +466,19 @@ def test_a_body_whose_bookkeeping_never_ends_answers_as_the_reference():
             == step_trace.reference_run(_W_W, (0,), 100_000))
 
 
+def test_a_body_that_nests_partial_applications_deeply_answers_as_the_reference():
+    # \x. d (d (... (d x))), 40 deep: its value is a spine nested 40 deep,
+    # past the depth to which a plan nests spines, so the body runs from
+    # the trivial plan
+    body = V("x")
+    for _ in range(40):
+        body = A(Prim("d"), body)
+    code = compile_lambda(L("x", body))
+    clear_caches()
+    for fuel in (5, 1000):
+        assert step_trace.run(code, (3,), fuel) == step_trace.reference_run(code, (3,), fuel)
+
+
 def test_a_warm_repeat_is_answered_from_the_memo_at_its_cold_steps(monkeypatch):
     clear_caches()
     cold = step_trace.run(rom.PLUS, (3, 4), DEFAULT_FUEL)

@@ -75,12 +75,11 @@ corpus, cold and warm alike.
 from __future__ import annotations
 
 from .pairing import _THRESHOLD_BITS, Code, canon, code_value, pair, unpair
-from .terms import HEADS, app_view, clear_caches, mkapp, prim_code, table_memo
+from .terms import HEADS, app_view, mkapp, prim_code, table_memo
 
 __all__ = [
     "Fuel", "DEFAULT_FUEL", "OutOfFuelError", "DivergedError",
     "apply_raw", "apply_chain", "fixpoint",
-    "clear_caches",
 ]
 
 Fuel = int
@@ -317,8 +316,6 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
             val = code  # data or an under-applied spine: a value as written
         else:
             left -= 1  # the dispatch; the fire is charged when the arguments are in
-            if left < 0:
-                raise OutOfFuelError
             stack.extend(reversed(args))
             val = _Spine((head, (), entry, True))
         while True:

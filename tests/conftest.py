@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from kleeneset import diagonal
@@ -24,3 +27,29 @@ def path_view(built_path):
 @pytest.fixture(scope="session")
 def trunc(path_view):
     return Truncation(segment_bound=8, nat_bound=8, distinguished=path_view)
+
+
+class TimeLimitExceeded(Exception):
+    """A body under time_limit ran too long.  Neither an OSError (so not a
+    TimeoutError) nor a ValueError: the command line turns a failure to read
+    a file into a clean exit 2, and a hang must not pass for that."""
+
+
+@pytest.fixture(scope="session")
+def time_limit():
+    """time_limit(seconds, what): a context manager that raises
+    TimeLimitExceeded in its body once seconds of wall time have passed."""
+    @contextmanager
+    def limit(seconds, what):
+        def ring(signum, frame):
+            raise TimeLimitExceeded(f"{what} took more than {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, ring)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

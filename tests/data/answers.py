@@ -42,9 +42,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from kleeneset import diagonal, realizability as rz, romlib as rom, universe as U
-from kleeneset.machine import clear_caches, fixpoint
+from kleeneset.machine import fixpoint
 from kleeneset.pairing import pair
-from kleeneset.terms import mkapp, mkapps, prim_code
+from kleeneset.terms import clear_caches, mkapp, mkapps, prim_code
 from kleeneset.vcodes import VCode, v_finite, v_numeral, v_omega, v_upair
 
 ANSWERS = Path(__file__).with_name("answers.json")

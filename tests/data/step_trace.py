@@ -43,7 +43,7 @@ from pathlib import Path
 from kleeneset import diagonal, machine, realizability, romlib as rom, universe, vcodes
 from kleeneset.machine import DivergedError, OutOfFuelError
 from kleeneset.pairing import Big, pair
-from kleeneset.terms import PRIM_ORDER, mkapp, prim_code
+from kleeneset.terms import PRIM_ORDER, clear_caches, mkapp, prim_code
 from kleeneset.universe import Truncation
 
 TRACE = Path(__file__).with_name("step_trace.json")
@@ -162,7 +162,7 @@ def _acceptance():
     for mod, name, _ in patched:
         setattr(mod, name, recording_raw if name == "apply_raw" else recording_chain)
     try:
-        machine.clear_caches()
+        clear_caches()
         for x, y in itertools.product(pool, repeat=2):
             for atom in (Eq(Val(x), Val(y)), In(Val(x), Val(y))):
                 formula_status(atom, {}, budget)
@@ -208,11 +208,11 @@ def corpus() -> list[dict]:
 def replay(calls: list[dict], warm: bool) -> list[dict]:
     """Run each call cold (memos cleared before it) or, warm, in order
     from a single clearing."""
-    machine.clear_caches()
+    clear_caches()
     out = []
     for call in calls:
         if not warm:
-            machine.clear_caches()
+            clear_caches()
         out.append(run(code_from_json(call["f"]),
                        [code_from_json(a) for a in call["args"]], call["fuel"]))
     return out

@@ -1,5 +1,4 @@
 import random
-import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,20 +107,12 @@ def test_build_h_zero_stages(catalogue):
     assert len(h) == 0 and log == []
 
 
-def test_build_h_refuses_an_empty_catalogue():
+def test_build_h_refuses_an_empty_catalogue(time_limit):
     # no machine means no requirement: the search for the next one never
-    # ended, so an alarm stops the test if it ever hangs again
-    def too_slow(signum, frame):
-        raise TimeoutError("build_h on an empty catalogue took more than 2 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(2)
-    try:
+    # ended, so a time limit stops the test if it ever hangs again
+    with time_limit(2, "build_h on an empty catalogue"):
         with pytest.raises(ValueError, match="empty catalogue"):
             build_h((), 2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert build_h((), 0) == (SeqCode(()), [])
 
 
@@ -227,7 +218,7 @@ def test_extension_density_over_the_whole_catalogue(catalogue):
 
 
 def test_undeclared_machine_exhausting_fuel_is_requeued():
-    from kleeneset.machine import clear_caches
+    from kleeneset.terms import clear_caches
     clear_caches()  # a warm value cache would finish the run early
     # an undeclared (no step bound) machine too slow for the tiny budget
     slow = CatalogueMachine("slow_trunc", rom.M_TRUNC1, None)

@@ -4,7 +4,6 @@ import os
 import random
 import resource
 import shlex
-import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,11 +20,9 @@ from kleeneset.realizability import All, BAll, BEx, Eq, F0T, In, Val, Var
 from kleeneset.sexpr import (
     ParseError, parse_formula, parse_term, print_formula, print_term,
 )
-from kleeneset.terms import (
-    App, Junk, Lam, Lit, Prim, RomRef, Var as TVar, compile_lambda, encode, mkapp, mkapps,
-)
+from kleeneset.terms import App, Junk, Lam, Lit, Prim, RomRef, Var as TVar, encode, mkapp, mkapps
 from kleeneset.universe import fin, sigma_code
-from kleeneset.vcodes import VCode, internal_pair_fn, v_numeral, v_omega, v_opair
+from kleeneset.vcodes import VCode, v_numeral, v_omega
 
 
 def run_cli(*argv):
@@ -182,20 +179,6 @@ def test_formula_roundtrip_generated():
 # the command line
 
 
-def test_cli_pair():
-    rc, out = run_cli("pca", "pair", "2", "1")
-    assert rc == 0 and out.strip() == "5"
-
-
-def test_cli_eval_term():
-    rc, out = run_cli("pca", "eval", "(app sN 4)")
-    assert out.strip() == "5"
-    rc, out = run_cli("pca", "eval", "(app (app k 8) 9)")
-    assert out.strip() == "8"
-    rc, out = run_cli("pca", "eval", "(app (lam x x) 7)")
-    assert out.strip() == "7"
-
-
 @pytest.mark.parametrize("term, code", [
     ("7", "7"), ("k", "3"), ("(const 4)", "22"), ("(lam x x)", "833571"),
     ("iota", "15590439522856080192796427078550956106717791042"),
@@ -221,30 +204,6 @@ def test_cli_names_a_non_ascii_digit_in_its_own_words(capsys):
                       (("pca", "eval", "(app sN \u0663)"), "unrecognized token '\u0663' (at position 8)")):
         assert main(list(argv)) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
-
-
-def test_cli_witness():
-    rc, out = run_cli("pca", "witness", "0", "1", "1")
-    assert out.strip() == "3"
-
-
-def test_cli_decode_worked_example():
-    rc, out = run_cli("lworld", "decode", "[0,1,2]", "[3,4,7]")
-    assert out.strip() == "{{},{{}}}"
-    rc, out = run_cli("lworld", "decode", "{0}", "{}")
-    assert (rc, out.strip()) == (0, "{}")
-
-
-def test_cli_lstage():
-    rc, out = run_cli("lworld", "lstage", "2", "--json")
-    payload = json.loads(out)
-    assert payload["size"] == 2
-
-
-def test_cli_din():
-    rc, out = run_cli("universe", "din", "3", "25", "--json")
-    # 25 = pair(0, 5): the finite type with five elements
-    assert json.loads(out)["verdict"] == "realized"
 
 
 def test_cli_json_deterministic():
@@ -319,61 +278,6 @@ def test_cli_encodes_any_closed_term(tmp_path):
     assert rc == 0 and len(json.loads(out)["stages"]) == 2
 
 
-def test_cli_remaining_verbs(capsys):
-    rc, out = run_cli("pca", "unpair", "5")
-    assert out.strip() == "2 1"
-    rc, out = run_cli("pca", "apply", "7", "4")   # 7 is the successor program
-    assert out.strip() == "5"
-    omega = str(compile_lambda(parse_term("(lam x (app x x))")))
-    rc, out = run_cli("pca", "apply", omega, omega, "--fuel", "50", "--json")
-    assert (rc, json.loads(out)) == (1, {"outcome": "out_of_fuel"})
-    rc, out = run_cli("pca", "eval", f"(app {omega} {omega})", "--fuel", "50", "--json")
-    assert (rc, json.loads(out)) == (1, {"outcome": "out_of_fuel"})
-    capsys.readouterr()
-    rc, out = run_cli("pca", "eval", "x")
-    err = capsys.readouterr().err
-    assert (rc, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: unbound variable")
-    rc, out = run_cli("pca", "fixpoint", "3", "--json")
-    assert json.loads(out)["code"].isdigit()
-    rc, out = run_cli("pca", "decode", "3")
-    assert out.strip() == "k"
-    rc, out = run_cli("universe", "check-u", "49")   # pair(0, 7): a finite type
-    assert out.strip() == "realized"
-    rc, out = run_cli("universe", "check-v", "0", "--json")
-    assert json.loads(out)["verdict"] == "realized"
-    rc, out = run_cli("vcode", "upair", "numeral:1", "numeral:2", "--json")
-    assert "code" in json.loads(out)
-    rc, out = run_cli("vcode", "omega")
-    assert out.strip().isdigit()
-    rc, out = run_cli("vcode", "opair", "numeral:1", "numeral:2")
-    assert out.strip() == f"~2^{code_bits(v_opair(v_numeral(1), v_numeral(2)).code)}"
-    rc, out = run_cli("vcode", "pbar", "--json")
-    assert json.loads(out)["code"] == str(internal_pair_fn().code)
-    # --bind takes numeral:N, omega and raw codes (0 is the empty set)
-    for realiser, a, b, verdict in (("(app (app p 0) iota)", "numeral:0", "numeral:1", "realized"),
-                                    ("(app (app p 1) iota)", "numeral:0", "numeral:1", "refuted"),
-                                    ("(app (app p 0) iota)", "0", "omega", "realized")):
-        rc, out = run_cli("check", realiser, "(in a b)", "--bind", f"a={a}",
-                          "--bind", f"b={b}", "--json")
-        assert (rc, json.loads(out)) == (int(verdict == "refuted"), {"verdict": verdict})
-    rc, out = run_cli("lworld", "alphastar", "3")
-    assert out.strip() == "{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}}}"
-    rc, out = run_cli("lworld", "decode", "{0,1,2}", "{3,4,7}")
-    assert out.strip() == "{{},{{}}}"
-    rc, out = run_cli("lworld", "decode", "{0}", "{0}")  # index 0 below itself
-    assert rc == 1 and out.startswith("error:")
-    rc, out = run_cli("lworld", "encode", "{{},{{}}}", "--json")
-    payload = json.loads(out)
-    assert payload["u"] == [0, 1, 2] and payload["sigma"] == [3, 4, 7]
-    rc, out = run_cli("lworld", "defsub", "{}", "{{}}", "--json")
-    assert json.loads(out)["size"] == 4
-    rc, out = run_cli("lworld", "ordinals", "{}", "{{{}}}")
-    assert out.strip() == "{}"
-    rc, out = run_cli("pca", "witness", "2", "2", "0")
-    assert rc == 2  # equal indices are a usage error
-
-
 def test_cli_din_over_the_path_set(tmp_path):
     out_file = tmp_path / "h.json"
     run_cli("diagonal", "build", "--stages", "8", "--out", str(out_file))
@@ -415,7 +319,10 @@ SUBCOMMAND_ANSWERS = [
     (("pca", "unpair", "5"), 0, "2 1", '{"first":"2","second":"1"}'),
     (("pca", "apply", "86770688973685200", "200", "--fuel", "5"), 1,  # HALF 200 takes more
      "out of fuel", '{"outcome":"out_of_fuel"}'),
+    (("pca", "apply", "7", "4"), 0, "5", '{"outcome":"value","result":"5"}'),  # 7 is sN
     (("pca", "eval", "(app sN 4)"), 0, "5", '{"outcome":"value","result":"5"}'),
+    (("pca", "eval", "(app (app k 8) 9)"), 0, "8", '{"outcome":"value","result":"8"}'),
+    (("pca", "eval", "(app (lam x x) 7)"), 0, "7", '{"outcome":"value","result":"7"}'),
     (("pca", "encode", "(lam x x)"), 0, "833571", '{"code":"833571"}'),
     (("pca", "decode", "3"), 0, "k", '{"term":"k"}'),
     (("pca", "fixpoint", "3"), 0, "40921608", '{"code":"40921608"}'),
@@ -436,6 +343,13 @@ SUBCOMMAND_ANSWERS = [
     (("vcode", "alpha0", "--h-prefix", "H"), 0, "177411967211", '{"code":"177411967211"}'),
     (("check", "(app (app p 0) iota)", "(in (numeral 0) (numeral 1))"), 0,
      "realized", '{"verdict":"realized"}'),
+    # --bind takes numeral:N, omega and raw codes (0 is the empty set)
+    (("check", "(app (app p 0) iota)", "(in a b)", "--bind", "a=numeral:0",
+      "--bind", "b=numeral:1"), 0, "realized", '{"verdict":"realized"}'),
+    (("check", "(app (app p 1) iota)", "(in a b)", "--bind", "a=numeral:0",
+      "--bind", "b=numeral:1"), 1, "refuted", '{"verdict":"refuted"}'),
+    (("check", "(app (app p 0) iota)", "(in a b)", "--bind", "a=0",
+      "--bind", "b=omega"), 0, "realized", '{"verdict":"realized"}'),
     (("diagonal", "build", "--stages", "2", "--out", "OUT"), 0,
      "built a prefix of length 10 over 2 stages (1 extensions)",
      '{"components":[0,0,0,0,0,0,0,0,0,0],"stages":['
@@ -453,12 +367,22 @@ SUBCOMMAND_ANSWERS = [
      '{"sigma":[3,4,7],"u":[0,1,2]}'),
     (("lworld", "decode", "{0}", "{0}"), 1,  # index 0 below itself: the error is the answer
      "error: index 0 depends on itself", '{"error":"index 0 depends on itself"}'),
+    (("lworld", "decode", "[0,1,2]", "[3,4,7]"), 0, "{{},{{}}}", '{"result":"{{},{{}}}"}'),
+    (("lworld", "decode", "{0}", "{}"), 0, "{}", '{"result":"{}"}'),
 ]
 
 
+def _row_ids(rows):
+    """A row's verb; the verb's later rows add their arguments."""
+    ids = []
+    for argv, *_ in rows:
+        verb = " ".join(argv[:1 if argv[0] == "check" else 2])
+        ids.append(" ".join(argv) if verb in ids else verb)
+    return ids
+
+
 @pytest.mark.parametrize("argv,code,text,payload", SUBCOMMAND_ANSWERS,
-                         ids=[" ".join(row[0][:1 if row[0][0] == "check" else 2])
-                              for row in SUBCOMMAND_ANSWERS])
+                         ids=_row_ids(SUBCOMMAND_ANSWERS))
 def test_each_subcommand_prints_its_pinned_answer(argv, code, text, payload, tmp_path):
     files = {"H": _write(tmp_path / "h.json", [0, 0, 0]), "OUT": str(tmp_path / "out.json")}
     argv = [files.get(arg, arg) for arg in argv]
@@ -494,6 +418,8 @@ HOSTILE_INPUTS = {
     "catalogue item without term": lambda d: (
         "diagonal", "build", "--catalogue", _write(d / "cat.json", [{"name": "copy"}])),
     "code that is not a natural": lambda d: ("pca", "unpair", "abc"),
+    "program with an unbound variable": lambda d: ("pca", "eval", "x"),
+    "witness for equal indices": lambda d: ("pca", "witness", "2", "2", "0"),
     "binding without a value": lambda d: ("check", "0", "(in a a)", "--bind", "a"),
     "check realiser that diverges": lambda d: ("check", "(app 0 0)", "(= omega omega)"),
     "check realiser out of fuel": lambda d: (
@@ -599,20 +525,12 @@ def test_cli_answers_a_type_whose_family_returns_itself(capsys):
     assert "Traceback" not in captured.err
 
 
-def test_cli_checks_a_set_code_whose_walk_meets_the_same_elements_again(capsys):
+def test_cli_checks_a_set_code_whose_walk_meets_the_same_elements_again(capsys, time_limit):
     # unmemoized, this walk repeats each element's whole tree and ran for
-    # minutes; a two-second alarm stops the test if it ever does again
-    def too_slow(signum, frame):
-        raise TimeoutError("universe check-v took more than 2 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(2)
-    try:
+    # minutes; a two-second limit stops the test if it ever does again
+    with time_limit(2, "universe check-v"):
         rc = main(["universe", "check-v", "897371221224137741117825546714260897873529554",
                    "--fuel", "20000"])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     captured = capsys.readouterr()
     assert rc in (0, 1)
     assert "Traceback" not in captured.err
@@ -696,11 +614,11 @@ def test_cli_integer_arguments_are_ascii_digits(argv, capsys):
 # Fuzzing the command line: every subcommand, on drawn arguments, files and
 # flag placements, ends with exit 0, 1 or 2 and no traceback.  Drawn budgets
 # stay small (fuel <= 2000, nat bound <= 12, stages <= 40), so a well-formed
-# command ends well inside the alarm; the arguments that make a command
+# command ends well inside the time limit; the arguments that make a command
 # allocate without bound are drawn only for the child process.
 
 HUGE = 2 ** 3000
-FUZZ_ALARM_S = 5
+FUZZ_LIMIT_S = 5
 
 naturals = st.one_of(st.integers(0, 40), st.integers(0, 2 ** 80),
                      st.sampled_from([HUGE, 2 ** 2048 - 1, 2 ** 2048]))
@@ -861,36 +779,23 @@ def _sigma_texts(s):
     return [json.dumps(sorted(code.u)), json.dumps(sorted(code.sigma))]
 
 
-class _Alarm(Exception):
-    pass
-
-
-def _run_in_process(argv):
-    """Exit code and stderr of main(argv), stopped by an alarm."""
-    def ring(signum, frame):
-        raise _Alarm(f"{argv} ran for more than {FUZZ_ALARM_S} s")
-
-    previous = signal.signal(signal.SIGALRM, ring)
-    signal.setitimer(signal.ITIMER_REAL, FUZZ_ALARM_S)
+def _run_in_process(argv, time_limit):
+    """Exit code and stderr of main(argv), stopped by a time limit."""
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:  # argparse's usage errors and -h
-                rc = exc.code
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    with time_limit(FUZZ_LIMIT_S, argv), redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and -h
+            rc = exc.code
     return rc, err.getvalue()
 
 
 @given(data=st.data())
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-def test_cli_fuzz_in_process(data, tmp_path):
+def test_cli_fuzz_in_process(data, tmp_path, time_limit):
     argv = data.draw(cli_argvs(tmp_path), label="argv")
-    rc, err = _run_in_process(argv)
+    rc, err = _run_in_process(argv, time_limit)
     assert rc in (0, 1, 2), (argv, rc)
     assert "Traceback" not in err, (argv, err)
 

@@ -2,8 +2,7 @@ import io
 import itertools
 import json
 import random
-import signal
-from contextlib import contextmanager, redirect_stdout
+from contextlib import redirect_stdout
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -223,26 +222,12 @@ def test_def_subsets_routes_agree(size):
     assert len(powerset) == 2 ** size
 
 
-@contextmanager
-def within_two_seconds(what):
+def test_six_elements_are_defined_in_time(time_limit):
     # formula by formula, six elements took about a minute
-    def too_slow(signum, frame):
-        raise TimeoutError(f"{what} took more than 2 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(2)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_six_elements_are_defined_in_time():
     domain = [hf_nat(k) for k in range(6)]
-    with within_two_seconds("def_subsets"):
+    with time_limit(2, "def_subsets"):
         assert len(def_subsets(domain, route="formulas")) == 64
-    with within_two_seconds("lworld defsub"):
+    with time_limit(2, "lworld defsub"):
         buf = io.StringIO()
         with redirect_stdout(buf):
             rc = main(["lworld", "defsub", "--route", "formulas", "--json",

@@ -1,7 +1,6 @@
 import importlib.util
 import os
 import random
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +12,12 @@ from kleeneset import machine
 from kleeneset import romlib as rom
 from kleeneset import terms
 from kleeneset.machine import (
-    DEFAULT_FUEL, DivergedError, OutOfFuelError, apply_chain, apply_raw,
-    clear_caches, fixpoint,
+    DEFAULT_FUEL, DivergedError, OutOfFuelError, apply_chain, apply_raw, fixpoint,
 )
 from kleeneset.pairing import canon, code_value, pair, unpair, unpair0, unpair1
 from kleeneset.terms import (
     A, L, Lam, Lit, N, PRIM_ARITY, PRIM_ORDER, Prim, V, app_view,
-    bracket_abstract, compile_lambda, decode, encode, mkapp, mkapps,
+    bracket_abstract, clear_caches, compile_lambda, decode, encode, mkapp, mkapps,
     prim_code, rom_size, UnboundVariableError)
 from kleeneset.universe import NAT, check_in_U, din, fin, pi_code, sigma_code
 from kleeneset.vcodes import seq_encode, v_numeral
@@ -287,7 +285,6 @@ def test_fix_contract_holds_for_arbitrary_inputs(x):
 
 
 def test_values_identical_cold_and_warm():
-    from kleeneset.machine import clear_caches
     rng = random.Random(31)
     jobs = []
     for _ in range(60):
@@ -446,20 +443,12 @@ def test_a_call_charges_the_same_whatever_ran_before_it(call):
     assert runs == dict.fromkeys(runs, want)
 
 
-def test_a_body_whose_bookkeeping_never_ends_answers_as_the_reference():
+def test_a_body_whose_bookkeeping_never_ends_answers_as_the_reference(time_limit):
     # its s/k reduction on unknown arguments never ends, so the machine
     # must not try to finish it before the first run can answer
-    def too_slow(signum, frame):
-        raise TimeoutError("the first run took more than 5 s")
-
     clear_caches()
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(5)
-    try:
+    with time_limit(5, "the first run"):
         first = step_trace.run(_W_W, (0,), 1000)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert first == step_trace.reference_run(_W_W, (0,), 1000)
     assert first == {"outcome": "out_of_fuel", "steps": 1001}
     assert (step_trace.run(_W_W, (0,), 100_000)

@@ -1,18 +1,17 @@
 import itertools
 import random
-import signal
 
 import pytest
 
 from kleeneset import romlib as rom
 from kleeneset.lworld import EMPTY, HFSet, hf_nat
-from kleeneset.machine import apply_chain, clear_caches, fixpoint
+from kleeneset.machine import apply_chain, fixpoint
 from kleeneset.pairing import pair
 from kleeneset.realizability import (
     All, And, BAll, BEx, CheckBudget, Eq, Ex, Implies, In, Not, Or, Val, Var, check, denote, find_realiser, formula_status,
     incomparability_formula, incomparability_statement_realiser, native_truth,
     subcountability_formula, subcountability_witness)
-from kleeneset.terms import A, L, V, compile_lambda, mkapp
+from kleeneset.terms import A, L, V, clear_caches, compile_lambda, mkapp
 from kleeneset.universe import Truncation, fin, sigma_code
 from kleeneset.vcodes import (
     VCode, alpha0, v_finite, v_numeral, v_omega, v_opair, v_upair,
@@ -302,27 +301,19 @@ def test_synthesis_after_a_deep_call_matches_a_cold_call():
         assert [_synth_eq(a, b, TR, depth) for depth in order] == [cold[d] for d in order]
 
 
-def test_equality_of_deep_singleton_chains_is_decided_in_time():
+def test_equality_of_deep_singleton_chains_is_decided_in_time(time_limit):
     # two 17-deep singleton chains over two codes of the empty set;
     # provably_empty's depth guard fires in the comparisons, and while no
     # answer computed above a fired guard was memoized, each level
     # recomputed its whole subtree and the query took 15 s; a two-second
-    # alarm stops the test if it ever does again
-    def too_slow(signum, frame):
-        raise TimeoutError("formula_status took more than 2 s")
-
+    # limit stops the test if it ever does again
     a, b = 0, pair(fin(0), 7)
     for _ in range(17):
         a, b = v_finite([a]).code, v_finite([b]).code
     phi = Eq(Val(VCode(a)), Val(VCode(b)))
     clear_caches()
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(2)
-    try:
+    with time_limit(2, "formula_status"):
         status = formula_status(phi, {}, B)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert status.realized
     assert native_truth(phi, {}, TR) is True
 

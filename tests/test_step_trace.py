@@ -15,7 +15,7 @@ import pathlib
 
 import pytest
 
-from kleeneset.machine import clear_caches
+from kleeneset.terms import clear_caches
 
 _DATA = pathlib.Path(__file__).parent / "data"
 _spec = importlib.util.spec_from_file_location("step_trace", _DATA / "step_trace.py")

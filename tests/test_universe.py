@@ -1,4 +1,3 @@
-import signal
 import sys
 
 import pytest
@@ -115,6 +114,14 @@ def test_pi_refuted_by_provably_diverging_component():
     # applying the candidate to 0 diverges provably (junk program 15)
     t = pi_code(fin(1), mkapp(rom.K, fin(2)))
     assert din(15, t, TR).refuted
+
+
+def test_pi_undecided_when_a_component_runs_out_of_fuel():
+    # loop = fix I: applied to the index 0 it runs until the fuel is gone;
+    # built from primitives only, so it registers nothing
+    loop = fixpoint(mkapps(rom.S, rom.K, rom.K))
+    v = din(loop, pi_code(fin(1), mkapp(rom.K, fin(1))), Truncation(fuel=1000))
+    assert (v.status, v.note) == ("unknown", "some component checks undecided")
 
 
 def test_malformed_family_raises():
@@ -424,44 +431,28 @@ def test_formation_answers_on_deep_chains_do_not_depend_on_order(check, chain, b
         assert check(codes[n], TR) == cold[n]
 
 
-def test_a_set_of_numerals_past_the_depth_guard_answers_in_polynomial_time():
+def test_a_set_of_numerals_past_the_depth_guard_answers_in_polynomial_time(time_limit):
     # the numerals 0..202 as elements: numeral k is met at every depth inside
     # the numerals above it, so a memo with one depth window per key keeps
     # recomputing it; this ran for more than 90 s
-    def too_slow(signum, frame):
-        raise TimeoutError("check_in_V took more than 5 s")
-
     clear_caches()
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(5)
-    try:
+    with time_limit(5, "check_in_V"):
         v = check_in_V(pair(fin(203), rom.NUMMAP))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert (v.status, v.note) == ("unknown", "index or element map undecided")
 
 
-def test_numerals_past_the_depth_guard_are_computed_a_few_times_and_answer_as_cold():
+def test_numerals_past_the_depth_guard_are_computed_a_few_times_and_answer_as_cold(time_limit):
     # an unknown formation answer holds down to the guard, so numeral k is
     # computed about twice, not once per depth at which it is met: the
     # numerals 0..249 took some 5 s
-    def too_slow(signum, frame):
-        raise TimeoutError("check_in_V took more than 5 s")
-
     sets = {n: pair(fin(n), rom.NUMMAP) for n in (0, 200, 201, 250)}
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(5)
-    try:
+    with time_limit(5, "check_in_V"):
         cold = {}
         for n, a in sets.items():
             clear_caches()
             cold[n] = check_in_V(a, TR)
         clear_caches()
         warm = {n: check_in_V(sets[n], TR) for n in sorted(sets, reverse=True)}
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert [n for n, v in cold.items() if v.realized] == [0, 200]
     assert {(v.status, v.note) for n, v in cold.items() if n > 200} == {
         ("unknown", "index or element map undecided")}

@@ -1,8 +1,11 @@
+import os
 import signal
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import kleeneset
 from kleeneset import diagonal
 from kleeneset.universe import Truncation
 
@@ -27,6 +30,15 @@ def path_view(built_path):
 @pytest.fixture(scope="session")
 def trunc(path_view):
     return Truncation(segment_bound=8, nat_bound=8, distinguished=path_view)
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment of a fresh interpreter on the source under test: this
+    one's, with the directory kleeneset came from first on PYTHONPATH."""
+    src = str(Path(kleeneset.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TimeLimitExceeded(Exception):

@@ -1,6 +1,5 @@
 import io
 import json
-import os
 import random
 import resource
 import shlex
@@ -481,13 +480,10 @@ RUN_APART = {"nat bound past MAX_FIN_INDEX", "empty catalogue",
 CHILD_MEMORY = 3 << 29  # 1.5 GiB of address space
 
 
-def _run_apart(argv):
+def _run_apart(argv, env):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
 
-    src = str(Path(lw.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "kleeneset.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60,
                           preexec_fn=limit_memory)
@@ -495,10 +491,10 @@ def _run_apart(argv):
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
-def test_cli_hostile_input_is_one_line_and_exit_2(case, tmp_path, capsys):
+def test_cli_hostile_input_is_one_line_and_exit_2(case, tmp_path, capsys, child_env):
     argv = list(HOSTILE_INPUTS[case](tmp_path))
     if case in RUN_APART:
-        rc, err = _run_apart(argv)
+        rc, err = _run_apart(argv, child_env)
     else:
         rc, err = main(argv), capsys.readouterr().err
     assert rc == 2
@@ -810,7 +806,7 @@ apart_argvs = st.one_of(
 
 @given(argv=apart_argvs)
 @settings(max_examples=3, deadline=None)
-def test_cli_fuzz_apart(argv):
-    rc, err = _run_apart(argv)
+def test_cli_fuzz_apart(argv, child_env):
+    rc, err = _run_apart(argv, child_env)
     assert rc in (0, 1, 2), (argv, rc)
     assert "Traceback" not in err, (argv, err)

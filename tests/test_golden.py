@@ -5,23 +5,21 @@ breaking change to every stored realiser; this file makes it loud.
 """
 
 import json
-import os
 import pathlib
 import subprocess
 import sys
 
-from kleeneset import romlib as rom, terms
+from kleeneset import romlib as rom
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "golden_constants.json")
     .read_text())
 
 
-def test_library_table_size_is_stable():
+def test_library_table_size_is_stable(child_env):
     # in a fresh process: test modules register programs of their own at import
-    src = str(pathlib.Path(terms.__file__).resolve().parents[1])
     script = "import kleeneset; from kleeneset import terms; print(terms.rom_size())"
-    size = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+    size = subprocess.run([sys.executable, "-c", script], env=child_env,
                           capture_output=True, text=True, check=True).stdout
     assert int(size) == GOLDEN["library_table_size"]
 

@@ -1,3 +1,4 @@
+import gc
 import io
 import itertools
 import json
@@ -467,6 +468,40 @@ def test_powerset_route_on_drawn_domains(domain):
     got = def_subsets(domain, route="powerset")
     assert all(x.rank == rank_by_definition(x) for x in got)
     assert _same_objects(got, powerset_by_combinations(domain))
+
+
+class _Partway(Exception):
+    pass
+
+
+def test_the_powerset_route_leaves_the_collector_as_it_found_it(monkeypatch):
+    real = lworld._interned
+    seen_on = []
+    stop = _Partway("the fifth subset")
+
+    def fails_at_the_fifth(fs, rank):
+        seen_on.append(gc.isenabled())
+        if len(seen_on) == 5:
+            raise stop
+        return real(fs, rank)
+
+    was_on = gc.isenabled()
+    try:
+        gc.enable()
+        def_subsets(L4, route="powerset")
+        assert gc.isenabled()
+        gc.disable()
+        def_subsets(L4, route="powerset")
+        assert not gc.isenabled()
+        gc.enable()
+        monkeypatch.setattr(lworld, "_interned", fails_at_the_fifth)
+        with pytest.raises(_Partway) as raised:
+            def_subsets(L4, route="powerset")
+        assert raised.value is stop
+        assert seen_on == [False] * 5  # paused through the loop
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was_on else gc.disable)()
 
 
 def test_every_member_of_l5_has_its_rank():

@@ -1,5 +1,4 @@
 import importlib.util
-import os
 import random
 import subprocess
 import sys
@@ -554,7 +553,7 @@ print(value, din(code, pi_code(fin(1), mkapp(rom.K, NAT))).status,
 """
 
 
-def test_outcomes_do_not_outlive_a_growth_of_the_library_table():
+def test_outcomes_do_not_outlive_a_growth_of_the_library_table(child_env):
     # the code just past the table is stuck until an entry lands there
     code = pair(2, rom_size())
     total_on_one = pi_code(fin(1), mkapp(rom.K, NAT))
@@ -566,9 +565,7 @@ def test_outcomes_do_not_outlive_a_growth_of_the_library_table():
     assert compile_lambda(L("x", A(Prim("p"), V("x"), V("x")))) == code
     warm = (f"{apply_raw(code, 5)} {din(code, total_on_one).status}"
             f" {check_in_U(family_past_the_table).status}")
-    src = str(Path(terms.__file__).resolve().parents[1])
-    cold = subprocess.run([sys.executable, "-c", _GROWN_TABLE_SCRIPT],
-                          env={**os.environ, "PYTHONPATH": src},
+    cold = subprocess.run([sys.executable, "-c", _GROWN_TABLE_SCRIPT], env=child_env,
                           capture_output=True, text=True, check=True).stdout.strip()
     # the family now answers fin 0 = pair(0, 0) at index 0
     assert warm == cold == f"{pair(5, 5)} realized realized"

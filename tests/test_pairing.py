@@ -1,7 +1,5 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -160,13 +158,10 @@ print(*(code_bits(v_upair(builds[way](), v_numeral(0)).code) for way in %r))
 
 @pytest.mark.parametrize("order", [("raw", "canonical"), ("canonical", "raw")],
                          ids=["raw-first", "canonical-first"])
-def test_a_numbers_digest_does_not_depend_on_how_it_was_built(order):
+def test_a_numbers_digest_does_not_depend_on_how_it_was_built(order, child_env):
     # the first build of a node fixes its digest, so each order runs in a
     # fresh process
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _BUILDS % (order,)], env=env,
+    proc = subprocess.run([sys.executable, "-c", _BUILDS % (order,)], env=child_env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.split() == ["384766", "384766"]
 

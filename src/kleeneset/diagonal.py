@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-
+from collections.abc import Iterable
 from . import romlib as rom
+from ._value import Value, setfield
 from .machine import (
     DEFAULT_FUEL, DivergedError, OutOfFuelError, apply_raw,
 )
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class SeqCode:
+class SeqCode(Value):
     """A finite sequence of naturals together with the codes of its prefixes.
 
     It also serves as the distinguished set of a truncation: the initial
@@ -48,16 +47,16 @@ class SeqCode:
     prefix code is encoded the first time it is asked for and kept.
     """
 
-    components: tuple[int, ...]
-    _codes: dict[int, Code] = field(default_factory=dict, init=False,
-                                    repr=False, compare=False)
+    _fields = ("components",)
+    __slots__ = _fields + ("_codes",)  # the prefix codes: no part of the value
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, components: Iterable[int]):
+        comps = tuple(components)
         for k, x in enumerate(comps):
             if type(x) is not int or x < 0:
                 raise ValueError(f"sequence component {k} is not a natural: {x!r}")
-        object.__setattr__(self, "components", comps)
+        setfield(self, "components", comps)
+        setfield(self, "_codes", {})
 
     def __len__(self) -> int:
         return len(self.components)
@@ -95,50 +94,54 @@ class SeqCode:
 PathView = SeqCode  # the older name, kept only because bench/workloads.py builds D.PathView
 
 
-@dataclass(frozen=True, slots=True)
-class CatalogueMachine:
+class CatalogueMachine(Value):
     """A sequence predictor; step_bound, a positive int, marks it
     declared-total."""
 
-    name: str
-    code: Code
-    step_bound: int | None = None
+    __slots__ = _fields = ("name", "code", "step_bound")
 
-    def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError(f"a machine name is a string, got {self.name!r}")
-        bound = self.step_bound
-        if bound is not None and (type(bound) is not int or bound < 1):
-            raise ValueError(f"a step bound is a positive integer or null, got {bound!r}")
+    def __init__(self, name: str, code: Code, step_bound: int | None = None):
+        if not isinstance(name, str):
+            raise ValueError(f"a machine name is a string, got {name!r}")
+        if step_bound is not None and (type(step_bound) is not int or step_bound < 1):
+            raise ValueError(f"a step bound is a positive integer or null, got {step_bound!r}")
+        setfield(self, "name", name)
+        setfield(self, "code", code)
+        setfield(self, "step_bound", step_bound)
 
 
 Catalogue = tuple[CatalogueMachine, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Requirement:
-    i: int
-    j: int
-    machine: CatalogueMachine
+class Requirement(Value):
+    __slots__ = _fields = ("i", "j", "machine")
 
-    def __post_init__(self):
-        if self.i == self.j:
+    def __init__(self, i: int, j: int, machine: CatalogueMachine):
+        if i == j:
             raise ValueError("a requirement needs i != j")
+        setfield(self, "i", i)
+        setfield(self, "j", j)
+        setfield(self, "machine", machine)
 
 
-@dataclass(frozen=True, slots=True)
-class Stage:
-    seq: SeqCode
-    requirement: Requirement
-    witness: int | None
-    resolved: bool
-    extended: bool
+class Stage(Value):
+    __slots__ = _fields = ("seq", "requirement", "witness", "resolved", "extended")
+
+    def __init__(self, seq: SeqCode, requirement: Requirement, witness: int | None,
+                 resolved: bool, extended: bool):
+        setfield(self, "seq", seq)
+        setfield(self, "requirement", requirement)
+        setfield(self, "witness", witness)
+        setfield(self, "resolved", resolved)
+        setfield(self, "extended", extended)
 
 
-@dataclass(frozen=True, slots=True)
-class RequirementStatus:
-    outcome: str  # "yes" | "no" | "unknown"
-    witness: int | None = None
+class RequirementStatus(Value):
+    __slots__ = _fields = ("outcome", "witness")
+
+    def __init__(self, outcome: str, witness: int | None = None):
+        setfield(self, "outcome", outcome)  # "yes" | "no" | "unknown"
+        setfield(self, "witness", witness)
 
 
 def x_membership(t, h_prefix) -> str:

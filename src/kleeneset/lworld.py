@@ -16,10 +16,10 @@ import functools
 import gc
 import itertools
 from collections import deque
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterable, Sequence
 
+from ._value import Value, setfield
 from .pairing import pair, unpair
 
 __all__ = [
@@ -370,14 +370,16 @@ def hf_union(a: HFSet) -> HFSet:
 # Stage coding: the membership digraph of the transitive closure
 
 
-@dataclass(frozen=True, slots=True)
-class SigmaCode:
+class SigmaCode(Value):
     """Edge-set coding of a set: u enumerates the transitive closure with
     index 0 naming the coded set itself, and sigma holds
     pair(member-index, container-index) for every edge."""
 
-    u: frozenset[int]
-    sigma: frozenset[int]
+    __slots__ = _fields = ("u", "sigma")
+
+    def __init__(self, u: frozenset[int], sigma: frozenset[int]):
+        setfield(self, "u", u)
+        setfield(self, "sigma", sigma)
 
 
 class IllFoundedCodeError(ValueError):

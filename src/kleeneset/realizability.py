@@ -27,17 +27,17 @@ acceptance suite cross-checks against plain truth over the sets they denote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from . import romlib as rom
+from ._value import Value, setfield
 from .lworld import HFSet
 from .machine import (
     DivergedError, OutOfFuelError, apply_raw)
 from .pairing import Code, pair, unpair, unpair1
 from .terms import mkapp
 from .universe import (
-    MAX_FIN_INDEX, REALIZED, REFUTED, Truncation, Verdict, _depth_memo,
+    DEFAULT_TRUNCATION, MAX_FIN_INDEX, REALIZED, REFUTED, Truncation, Verdict, _depth_memo,
     _family_at, check_in_V, din, enumerate_index, provably_empty, type_view,
     unknown,
 )
@@ -60,91 +60,114 @@ __all__ = [
 # Terms and formulas
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class Var(Value):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class Val:
-    value: VCode
+class Val(Value):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: VCode):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class OPairT:
+class OPairT(Value):
     """Ordered-pair constructor term."""
-    fst: "FTerm"
-    snd: "FTerm"
+    __slots__ = _fields = ("fst", "snd")
+
+    def __init__(self, fst: FTerm, snd: FTerm):
+        setfield(self, "fst", fst)
+        setfield(self, "snd", snd)
 
 
-@dataclass(frozen=True, slots=True)
-class F0T:
+class F0T(Value):
     """The derived-family member named by a numeral term."""
-    index: "FTerm"
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index: FTerm):
+        setfield(self, "index", index)
 
 
 FTerm = Var | Val | OPairT | F0T
 
 
-@dataclass(frozen=True, slots=True)
-class Eq:
-    x: FTerm
-    y: FTerm
+class _Atom(Value):
+    __slots__ = _fields = ("x", "y")
+
+    def __init__(self, x: FTerm, y: FTerm):
+        setfield(self, "x", x)
+        setfield(self, "y", y)
 
 
-@dataclass(frozen=True, slots=True)
-class In:
-    x: FTerm
-    y: FTerm
+class Eq(_Atom):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    body: "Formula"
+class In(_Atom):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    lhs: "Formula"
-    rhs: "Formula"
+class Not(Value):
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: Formula):
+        setfield(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    lhs: "Formula"
-    rhs: "Formula"
+class _Connective(Value):
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, slots=True)
-class Implies:
-    lhs: "Formula"
-    rhs: "Formula"
+class And(_Connective):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class BAll:
-    var: str
-    bound: FTerm
-    body: "Formula"
+class Or(_Connective):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class BEx:
-    var: str
-    bound: FTerm
-    body: "Formula"
+class Implies(_Connective):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class All:
-    var: str
-    body: "Formula"
+class _Bounded(Value):
+    __slots__ = _fields = ("var", "bound", "body")
+
+    def __init__(self, var: str, bound: FTerm, body: Formula):
+        setfield(self, "var", var)
+        setfield(self, "bound", bound)
+        setfield(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
-class Ex:
-    var: str
-    body: "Formula"
+class BAll(_Bounded):
+    __slots__ = ()
+
+
+class BEx(_Bounded):
+    __slots__ = ()
+
+
+class _Unbounded(Value):
+    __slots__ = _fields = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        setfield(self, "var", var)
+        setfield(self, "body", body)
+
+
+class All(_Unbounded):
+    __slots__ = ()
+
+
+class Ex(_Unbounded):
+    __slots__ = ()
 
 
 Formula = Eq | In | Not | And | Or | Implies | BAll | BEx | All | Ex
@@ -174,18 +197,28 @@ def resolve_term(t: FTerm, env: Mapping[str, VCode]) -> VCode:
     raise TypeError(t)
 
 
-@dataclass(frozen=True)
-class CheckBudget:
-    truncation: Truncation = Truncation()
-    implication_bound: int = 8
-    witness_family: tuple[VCode, ...] = ()
+class CheckBudget(Value):
+    """The truncation, how many antecedent witnesses an implication is
+    tried on, and the sets an unbounded universal is refuted from.  The
+    defaults are class attributes, so the command line reads its
+    --implication-bound default here."""
 
-    def __post_init__(self):
-        if self.implication_bound < 0:
+    _fields = ("truncation", "implication_bound", "witness_family")
+    truncation = DEFAULT_TRUNCATION
+    implication_bound = 8
+    witness_family = ()
+
+    def __init__(self, truncation: Truncation = truncation,
+                 implication_bound: int = implication_bound,
+                 witness_family: tuple[VCode, ...] = witness_family):
+        if implication_bound < 0:
             raise ValueError(
-                f"implication_bound must not be negative, got {self.implication_bound}")
-        if not all(isinstance(alpha, VCode) for alpha in self.witness_family):
+                f"implication_bound must not be negative, got {implication_bound}")
+        if not all(isinstance(alpha, VCode) for alpha in witness_family):
             raise ValueError("witness_family must hold VCode set codes")
+        setfield(self, "truncation", truncation)
+        setfield(self, "implication_bound", implication_bound)
+        setfield(self, "witness_family", witness_family)
 
 
 def _join(*vs: Verdict) -> Verdict:

@@ -5,6 +5,12 @@ gives the interesting ones names.  The numeric values are frozen in the
 test suite's golden file, so any change to compilation or to this
 module's registration order is loud.
 
+This compile is most of what importing the package costs: 56 lambdas
+become 948 table entries.  terms abstracts each binder in one walk of
+the body that also finds whether the binder occurs (Turner 1979): each
+node is visited once, where an occurrence test at every level of the
+walk made the cost grow with the square of the depth.
+
 Branching in recursive programs uses the d-combinator on thunks:
 d (\\_.A) (\\_.B) x y picks a thunk by comparing x and y and the trailing
 dummy argument fires it; call-by-value never touches the branch not

@@ -24,10 +24,9 @@ parsed tree can exhaust the host stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 from . import realizability as rz
 from . import romlib as rom
+from ._value import Value, setfield
 from .pairing import canon
 from .terms import (
     App, Junk, Lam, Lit, Prim, PRIM_ORDER, RomRef, Term, Var,
@@ -64,10 +63,12 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
-class _Tok:
-    text: str
-    pos: int
+class _Tok(Value):
+    __slots__ = _fields = ("text", "pos")
+
+    def __init__(self, text: str, pos: int):
+        setfield(self, "text", text)
+        setfield(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -250,8 +251,8 @@ def _print(x) -> str:
         return _print_atom(x)
     head, kinds = form
     parts = [head]
-    for field, kind in zip(fields(x), kinds):
-        arg = getattr(x, field.name)
+    for name, kind in zip(x._fields, kinds):
+        arg = getattr(x, name)
         parts.append(str(arg) if kind in "vn" else _print(arg))
     return f"({' '.join(parts)})"
 

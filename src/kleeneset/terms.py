@@ -30,12 +30,19 @@ derived combinator behaves like a primitive: under-applied occurrences
 are inert values, and at full arity it fires by evaluating its bracket-
 compiled body.  Nested lambdas are lambda-lifted so that every closure
 is a plain application spine over small codes.
+
+Bracket abstraction uses the s/k basis with the eta rule (Turner, "A new
+implementation technique for applicative languages", 1979).  One walk of
+the body both abstracts the variable and reports whether it occurs, so
+no subterm is searched twice; s and k are shared constants.
+
+Terms are immutable records on the package's value-class base (_value):
+equal when of one class with equal fields, hashed as their field tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value, setfield
 from .pairing import Code, pair, unpair
 
 __all__ = [
@@ -53,47 +60,62 @@ __all__ = [
 # Term syntax
 
 
-class Term:
+class Term(Value):
+    """A term of the surface syntax: an immutable record (see _value)."""
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Prim(Term):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class Lit(Term):
-    value: object  # a Code: int or a symbolic pair
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: object):  # a Code: int or a symbolic pair
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = _fields = ("fn", "arg")
+
+    def __init__(self, fn: Term, arg: Term):
+        setfield(self, "fn", fn)
+        setfield(self, "arg", arg)
 
 
-@dataclass(frozen=True, slots=True)
 class Lam(Term):
-    var: str
-    body: Term
+    __slots__ = _fields = ("var", "body")
+
+    def __init__(self, var: str, body: Term):
+        setfield(self, "var", var)
+        setfield(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
 class RomRef(Term):
     """A leaf naming an intern-table entry by index."""
-    index: int
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index: int):
+        setfield(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True)
 class Junk(Term):
     """The designated diverging term behind a non-canonical code."""
-    code: object
+    __slots__ = _fields = ("code",)
+
+    def __init__(self, code: object):
+        setfield(self, "code", code)
 
 
 def A(fn: Term, *args: Term) -> Term:
@@ -326,27 +348,33 @@ def free_vars(t: Term) -> list[str]:
 # ---------------------------------------------------------------------------
 # Bracket abstraction and lambda lifting
 
-_I = A(Prim("s"), Prim("k"), Prim("k"))
-
-
-def _occurs(v: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == v
-    if isinstance(t, App):
-        return _occurs(v, t.fn) or _occurs(v, t.arg)
-    return False
+_S, _K = Prim("s"), Prim("k")
+_I = A(_S, _K, _K)
 
 
 def _bracket(v: str, t: Term) -> Term:
     """T_v[t]: remove v from a Lam-free term with the s/k basis."""
-    if isinstance(t, Var) and t.name == v:
-        return _I
-    if not _occurs(v, t):
-        return App(Prim("k"), t)
-    assert isinstance(t, App)
-    if isinstance(t.arg, Var) and t.arg.name == v and not _occurs(v, t.fn):
-        return t.fn  # eta
-    return A(Prim("s"), _bracket(v, t.fn), _bracket(v, t.arg))
+    got = _abstract(v, t)
+    return App(_K, t) if got is None else got
+
+
+def _abstract(v: str, t: Term) -> Term | None:
+    """T_v[t] when v occurs in t, else None: the occurrence check and the
+    abstraction in one walk, so each node is visited once."""
+    if isinstance(t, Var):
+        return _I if t.name == v else None
+    if not isinstance(t, App):
+        return None
+    fn, arg = _abstract(v, t.fn), _abstract(v, t.arg)
+    if fn is None:
+        if arg is None:
+            return None
+        if isinstance(t.arg, Var):
+            return t.fn  # eta: t is (f v) with v not in f
+        fn = App(_K, t.fn)
+    elif arg is None:
+        arg = App(_K, t.arg)
+    return App(App(_S, fn), arg)
 
 
 def lambda_lift(t: Term) -> Term:

@@ -52,9 +52,9 @@ _formation), so the guard at depth 200 fires some 400 frames down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 
+from ._value import Value, setfield
 from .machine import (
     DEFAULT_FUEL, DivergedError, OutOfFuelError, apply_raw,
 )
@@ -85,10 +85,12 @@ def pi_code(n: Code, e: Code) -> Code:
     return pair(3, pair(n, e))
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
-    status: str  # "realized" | "refuted" | "unknown"
-    note: str | None = None
+class Verdict(Value):
+    __slots__ = _fields = ("status", "note")
+
+    def __init__(self, status: str, note: str | None = None):
+        setfield(self, "status", status)  # "realized" | "refuted" | "unknown"
+        setfield(self, "note", note)
 
     @property
     def realized(self) -> bool:
@@ -121,8 +123,7 @@ class MalformedTypeError(ValueError):
 MAX_FIN_INDEX = 1 << 16
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(Value):
     """Finite bounds under which infinite base types are approximated.
 
     segment_bound caps the length of distinguished-set members that get
@@ -135,34 +136,47 @@ class Truncation:
     a nat_bound above MAX_FIN_INDEX or a fuel below 1 is a ValueError.
     """
 
-    segment_bound: int = 16
-    nat_bound: int = 12
-    fuel: int = DEFAULT_FUEL
-    distinguished: object = None
+    _fields = ("segment_bound", "nat_bound", "fuel", "distinguished")
+    __slots__ = _fields + ("_key",)
 
-    def __post_init__(self):
-        for name in ("segment_bound", "nat_bound"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
-        if self.nat_bound > MAX_FIN_INDEX:
-            raise ValueError(f"nat_bound {self.nat_bound} exceeds {MAX_FIN_INDEX}")
-        if self.fuel <= 0:
+    def __init__(self, segment_bound: int = 16, nat_bound: int = 12,
+                 fuel: int = DEFAULT_FUEL, distinguished: object = None):
+        if segment_bound < 0:
+            raise ValueError(f"segment_bound must not be negative, got {segment_bound}")
+        if nat_bound < 0:
+            raise ValueError(f"nat_bound must not be negative, got {nat_bound}")
+        if nat_bound > MAX_FIN_INDEX:
+            raise ValueError(f"nat_bound {nat_bound} exceeds {MAX_FIN_INDEX}")
+        if fuel <= 0:
             raise ValueError("fuel must be positive")
+        setfield(self, "segment_bound", segment_bound)
+        setfield(self, "nat_bound", nat_bound)
+        setfield(self, "fuel", fuel)
+        setfield(self, "distinguished", distinguished)
+        setfield(self, "_key", None)
 
     def key(self) -> tuple:
-        path = None if self.distinguished is None else self.distinguished.code
-        return (self.segment_bound, self.nat_bound, self.fuel, path)
+        """The memo key of the deciders: the bounds and the code of the
+        distinguished prefix, computed on first use and kept."""
+        key = self._key
+        if key is None:
+            path = None if self.distinguished is None else self.distinguished.code
+            key = (self.segment_bound, self.nat_bound, self.fuel, path)
+            setfield(self, "_key", key)
+        return key
 
 
 DEFAULT_TRUNCATION = Truncation()
 
 
-@dataclass(frozen=True, slots=True)
-class TypeView:
-    kind: str  # "fin" | "nat" | "dist" | "sigma" | "pi" | "invalid"
-    size: int = 0
-    index: Code = 0
-    family: Code = 0
+class TypeView(Value):
+    __slots__ = _fields = ("kind", "size", "index", "family")
+
+    def __init__(self, kind: str, size: int = 0, index: Code = 0, family: Code = 0):
+        setfield(self, "kind", kind)  # "fin" | "nat" | "dist" | "sigma" | "pi" | "invalid"
+        setfield(self, "size", size)
+        setfield(self, "index", index)
+        setfield(self, "family", family)
 
 
 def type_view(t: Code) -> TypeView:
@@ -229,7 +243,8 @@ def _depth_memo(limit: int, guarded):
             if depth > limit:
                 v, hi, lo = guarded, -inf, depth - limit
             else:
-                key = (*args[:-2], args[-2].key())
+                tr = args[-2]
+                key = (*args[:-2], tr._key or tr.key())
                 for v, hi, lo in memo.get(key, ()):  # the first window holding depth
                     if depth + hi <= 0 < depth + lo:
                         hi, lo = depth + hi, depth + lo

@@ -14,10 +14,10 @@ the test suite holds them together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import romlib as rom
+from ._value import Value, setfield
 from .machine import DEFAULT_FUEL, apply_chain, apply_raw
 from .pairing import Code, pair, unpair, unpair0, unpair1
 from .terms import mkapp, mkapps
@@ -35,11 +35,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class VCode:
+class VCode(Value):
     """A set code: unpair0 is the index type, unpair1 the element map."""
 
-    code: Code
+    __slots__ = _fields = ("code",)
+
+    def __init__(self, code: Code):
+        setfield(self, "code", code)
 
     @property
     def index_type(self) -> Code:
@@ -163,11 +165,13 @@ def seq_decode(c: Code) -> list[Code] | None:
 # Equality and subset types: native mirror of the machine programs
 
 
-@dataclass(frozen=True, slots=True)
-class EqType:
-    lhs: VCode
-    rhs: VCode
-    code: Code
+class EqType(Value):
+    __slots__ = _fields = ("lhs", "rhs", "code")
+
+    def __init__(self, lhs: VCode, rhs: VCode, code: Code):
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
+        setfield(self, "code", code)
 
 
 def subeq_code(a: Code, b: Code) -> Code:

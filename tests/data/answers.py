@@ -38,7 +38,6 @@ import importlib.util
 import json
 import random
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from kleeneset import diagonal, realizability as rz, romlib as rom, universe as U
@@ -103,7 +102,7 @@ def formula(j, pool: dict):
     if isinstance(j, str):
         return rz.Val(pool[j]) if j in pool else rz.Var(j)
     cls = _FORMULAS[j[0]]
-    return cls(*(a if f.name == "var" else formula(a, pool) for f, a in zip(fields(cls), j[1:])))
+    return cls(*(a if f == "var" else formula(a, pool) for f, a in zip(cls._fields, j[1:])))
 
 
 def _names(j) -> set:

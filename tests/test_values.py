@@ -4,6 +4,9 @@ with equal fields, hashed as the tuple of their fields and printed as
 `Name(field=value, ...)`.  Sets and dicts of them iterate in an order the
 hash fixes, so the hash is pinned exactly."""
 
+import subprocess
+import sys
+
 import pytest
 
 from kleeneset import diagonal as D
@@ -170,3 +173,19 @@ def test_the_prefix_code_cache_is_not_part_of_a_sequence():
     before = (hash(s), repr(s))
     assert s.code == VC.seq_encode((3, 1, 4)) and s.segment_code(1) == VC.seq_encode((3,))
     assert s == twin and (hash(s), repr(s)) == before == (hash(twin), repr(twin))
+
+
+def test_importing_the_package_generates_no_code(child_env):
+    """The value classes need no code generator: importing the package,
+    and then its command line, loads none of these modules."""
+    script = ("import sys\n"
+              "generators = {'dataclasses', 'typing', 'inspect'}\n"
+              "before = set(sys.modules)\n"
+              "import kleeneset\n"
+              "print(sorted(generators & (set(sys.modules) - before)))\n"
+              "before = set(sys.modules)\n"
+              "import kleeneset.cli\n"
+              "print(sorted(generators & (set(sys.modules) - before)))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=child_env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "[]"]

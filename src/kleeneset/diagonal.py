@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
+
 from . import romlib as rom
 from ._value import Value, setfield
 from .machine import (

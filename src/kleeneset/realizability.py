@@ -37,9 +37,9 @@ from .machine import (
 from .pairing import Code, pair, unpair, unpair1
 from .terms import mkapp
 from .universe import (
-    DEFAULT_TRUNCATION, MAX_FIN_INDEX, REALIZED, REFUTED, Truncation, Verdict, _depth_memo,
-    _family_at, check_in_V, din, enumerate_index, provably_empty, type_view,
-    unknown,
+    DEFAULT_TRUNCATION, MAX_FIN_INDEX, REALIZED, REFUTED, Truncation, Verdict,
+    _depth_memo, _family_at, check_in_V, din, enumerate_index, provably_empty,
+    type_view, unknown,
 )
 from .vcodes import (
     VCode, as_code, eq_code, f0_vcode, index_type_of, seq_encode, v_omega,

@@ -8,9 +8,9 @@ from kleeneset.diagonal import (
     CatalogueMachine, Requirement, SeqCode, build_h,
     default_catalogue, enumerate_requirements, extend_for_requirement,
     extract_g, impostor_report, requirement_satisfied, x_membership)
-from kleeneset.machine import DivergedError, OutOfFuelError, apply_raw
+from kleeneset.machine import DivergedError, OutOfFuelError, apply_raw, fixpoint
 from kleeneset.pairing import pair, unpair
-from kleeneset.terms import L, N, compile_lambda
+from kleeneset.terms import A, L, Lam, N, Prim, V, compile_lambda, mkapps
 from kleeneset.universe import Truncation
 from kleeneset.vcodes import seq_decode, seq_encode
 
@@ -232,6 +232,26 @@ def test_undeclared_machine_exhausting_fuel_is_requeued():
     assert not log[0].resolved
     h2, log2 = build_h((slow,), 1, fuel=2_000_000)
     assert log2[0].resolved
+
+
+def test_an_open_stage_is_resolved_on_a_longer_segment_of_the_final_prefix():
+    # an undeclared machine that loops on a segment shorter than 10 and is
+    # stuck data on a longer one: requirement (0, 1) extends the empty
+    # sequence at n = 3, on the segment of length pair(0, 3) = 9, and runs
+    # out of fuel there; stage 3 grows the prefix to 123, so the retry
+    # reaches n = 4, whose segment of length pair(0, 4) = 24 gets it stuck
+    loop = fixpoint(mkapps(rom.S, rom.K, rom.K))
+    late = CatalogueMachine("late", compile_lambda(L("t", A(
+        Prim("d"), Lam("_", A(N(15), V("t"))), Lam("_", A(N(loop), V("t"))),
+        A(N(rom.MONUS), N(10), A(Prim("p0"), V("t"))), N(0), N(0)))), None)
+    r = Requirement(0, 1, late)
+    first = extend_for_requirement(SeqCode(()), r, fuel=2000)
+    assert first.extended and not first.resolved
+    seq, log = build_h((late,), 3, fuel=2000)
+    assert len(seq) == 123 and log[0].requirement == r
+    assert (log[0].seq, log[0].resolved, log[0].witness, log[0].extended) == (
+        first.seq, True, 4, True)
+    assert requirement_satisfied(seq, r, fuel=2000).witness == 4
 
 
 def test_x_membership_on_uninspectable_codes(built_path):

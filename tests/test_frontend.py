@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kleeneset import lworld as lw, romlib as rom
-from kleeneset.cli import build_parser, main
+from kleeneset import cli, lworld as lw, romlib as rom, terms
+from kleeneset.cli import build_parser
 from kleeneset.machine import fixpoint
 from kleeneset.pairing import canon, code_bits, code_value, is_big, pair
 from kleeneset.realizability import All, BAll, BEx, Eq, F0T, In, Val, Var
@@ -22,6 +22,20 @@ from kleeneset.sexpr import (
 from kleeneset.terms import App, Junk, Lam, Lit, Prim, RomRef, Var as TVar, encode, mkapp, mkapps
 from kleeneset.universe import fin, sigma_code
 from kleeneset.vcodes import VCode, v_numeral, v_omega
+
+
+def _library_table():
+    return (terms.rom_size(), dict(terms.HEADS), dict(terms._node_index),
+            dict(terms._sc_index))
+
+
+def main(argv):
+    """cli.main(argv), which must leave the library table as it found it."""
+    before = _library_table()
+    try:
+        return cli.main(argv)
+    finally:
+        assert _library_table() == before, argv
 
 
 def run_cli(*argv):
@@ -214,6 +228,17 @@ def test_cli_json_deterministic():
     _, first = run_cli(*args)
     _, second = run_cli(*args)
     assert first == second
+
+
+@pytest.mark.parametrize("terms_in_order", [
+    ("(lam y (app pN y))", "(lam x (app sN x))"),
+    ("(lam x (app sN x))", "(lam y (app pN y))"),
+])
+def test_an_in_process_command_answers_as_the_console_script(terms_in_order):
+    # each lambda is the first entry past the library, pair(2, 948), in a
+    # fresh process, and so in any order in one process
+    for term in terms_in_order:
+        assert run_cli("pca", "encode", term) == (0, "900598\n"), term
 
 
 def test_cli_check_relative_verdict(tmp_path):

@@ -397,22 +397,31 @@ _STUCK_AFTER_TWO = mkapps(prim_code("s"), mkapp(rom.K, 15), rom.K)
 # body: INNER (arity 5, a variable applied to a variable), HALF (recursion
 # through fix), ELEMOF (eta-reduced at its last binder; a k constant holds
 # the saturated redex POW2GE 1, returned as an inert code and then
-# over-applied).  Two are registered here, once, at import:
+# over-applied).  Two are lambdas, compiled by the test that draws them,
+# so that no test module grows the library table at import:
 # \x. p (15 x) x, where the data constant 15 is stuck in head position
 # after three s/k fires;
-_STUCK_MID_BODY = compile_lambda(L("x", A(Prim("p"), A(N(15), V("x")), V("x"))))
+_STUCK_MID_BODY = L("x", A(Prim("p"), A(N(15), V("x")), V("x")))
 # \x. W W x with W = s I I: the body eta-reduces to the over-applied
 # constant W W, whose s/k reduction never ends
 _I = A(Prim("s"), Prim("k"), Prim("k"))
 _W = A(Prim("s"), _I, _I)
-_W_W = compile_lambda(L("x", A(_W, _W, V("x"))))
+_W_W = L("x", A(_W, _W, V("x")))
 _LEAVES = (st.sampled_from([prim_code(name) for name in PRIM_ORDER]
                            + [rom.PLUS, rom.MONUS, rom.TS, _LOOP, rom.HALF, rom.INNER,
                               rom.GG, rom.ELEMOF, _STUCK_MID_BODY, _W_W])
            | st.integers(min_value=0, max_value=20))
-_TERMS = st.recursive(_LEAVES, lambda t: st.builds(mkapp, t, t), max_leaves=8)
+_TERMS = st.recursive(_LEAVES, lambda t: st.tuples(t, t), max_leaves=8)
 _CALLS = st.tuples(_TERMS, st.lists(_TERMS, min_size=1, max_size=3).map(tuple),
                    st.integers(min_value=1, max_value=2000))
+
+
+def _code(t):
+    """The code of a drawn program: a pair applies its first to its second,
+    and a lambda is compiled."""
+    if isinstance(t, tuple):
+        return mkapp(_code(t[0]), _code(t[1]))
+    return compile_lambda(t) if isinstance(t, Lam) else t
 
 
 @given(call=_CALLS)
@@ -430,7 +439,7 @@ _CALLS = st.tuples(_TERMS, st.lists(_TERMS, min_size=1, max_size=3).map(tuple),
 @example(call=(_W_W, (0,), 1000))
 @settings(max_examples=150, deadline=None)
 def test_a_call_charges_the_same_whatever_ran_before_it(call):
-    f, args, fuel = call
+    f, args, fuel = _code(call[0]), tuple(map(_code, call[1])), call[2]
     want = step_trace.reference_run(f, args, fuel)
     runs = {"after the calls before it": step_trace.run(f, args, fuel)}
     clear_caches()
@@ -445,13 +454,13 @@ def test_a_call_charges_the_same_whatever_ran_before_it(call):
 def test_a_body_whose_bookkeeping_never_ends_answers_as_the_reference(time_limit):
     # its s/k reduction on unknown arguments never ends, so the machine
     # must not try to finish it before the first run can answer
-    clear_caches()
+    w_w = compile_lambda(_W_W)
     with time_limit(5, "the first run"):
-        first = step_trace.run(_W_W, (0,), 1000)
-    assert first == step_trace.reference_run(_W_W, (0,), 1000)
+        first = step_trace.run(w_w, (0,), 1000)
+    assert first == step_trace.reference_run(w_w, (0,), 1000)
     assert first == {"outcome": "out_of_fuel", "steps": 1001}
-    assert (step_trace.run(_W_W, (0,), 100_000)
-            == step_trace.reference_run(_W_W, (0,), 100_000))
+    assert (step_trace.run(w_w, (0,), 100_000)
+            == step_trace.reference_run(w_w, (0,), 100_000))
 
 
 def test_a_body_that_nests_partial_applications_deeply_answers_as_the_reference():
@@ -462,7 +471,6 @@ def test_a_body_that_nests_partial_applications_deeply_answers_as_the_reference(
     for _ in range(40):
         body = A(Prim("d"), body)
     code = compile_lambda(L("x", body))
-    clear_caches()
     for fuel in (5, 1000):
         assert step_trace.run(code, (3,), fuel) == step_trace.reference_run(code, (3,), fuel)
 
@@ -531,7 +539,6 @@ def test_machine_reads_head_codes_by_tag_and_payload():
     _assert_machine_reads(past)
     assert _read_head(past) == ("data", None)
     fresh = compile_lambda(L("x", "y", A(Prim("p"), V("y"), A(Prim("p"), V("x"), V("y")))))
-    clear_caches()
     assert _read_head(past) != ("data", None)
     for code in (past, fresh):
         _assert_machine_reads(code)

@@ -11,7 +11,7 @@ from kleeneset.realizability import (
     All, And, BAll, BEx, CheckBudget, Eq, Ex, Implies, In, Not, Or, Val, Var, check, denote, find_realiser, formula_status,
     incomparability_formula, incomparability_statement_realiser, native_truth,
     subcountability_formula, subcountability_witness)
-from kleeneset.terms import A, L, V, clear_caches, compile_lambda, mkapp
+from kleeneset.terms import A, L, V, clear_caches, compile_lambda, mkapp, mkapps
 from kleeneset.universe import Truncation, fin, sigma_code
 from kleeneset.vcodes import (
     VCode, alpha0, v_finite, v_numeral, v_omega, v_opair, v_upair,
@@ -336,9 +336,9 @@ LOW = CheckBudget(truncation=Truncation(segment_bound=6, nat_bound=6, fuel=2000)
 
 
 def _no_element_sets():
-    # e k = e k never converges and the machine cannot prove it, so every
-    # application runs out of fuel; the code 15 provably diverges
-    loop = fixpoint(compile_lambda(L("e", "k", A(V("e"), V("k")))))
+    # e k = s k k e k = e k never converges and the machine cannot prove
+    # it, so every application runs out of fuel; the code 15 provably diverges
+    loop = fixpoint(mkapps(rom.S, rom.K, rom.K))
     return [VCode(pair(fin(2), loop)), VCode(pair(fin(2), 15))]
 
 

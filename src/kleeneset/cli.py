@@ -11,6 +11,8 @@ build_parser binds each subcommand to the function that answers it,
 which returns the JSON payload, the text and, when it is not 0, the exit
 code.  main prints every answer, in one place, on stdout; the error of an
 ill-founded `lworld decode` is its answer, printed there with exit code 1.
+main then rewinds the library table to its size before the command, so
+a command called in-process answers as the console script does.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import realizability as rz
 from . import sexpr
 from .machine import DivergedError, OutOfFuelError, apply_raw, fixpoint
 from .pairing import Code, canon, code_bits, incomparable_witness, is_big, pair, unpair
-from .terms import App, Term, Var, compile_lambda, decode
+from .terms import App, Term, Var, compile_lambda, decode, rewind, rom_size
 from .universe import DEFAULT_TRUNCATION, Truncation, check_in_U, check_in_V, din
 from .vcodes import (
     VCode, alpha0, eq_code, internal_pair_fn, v_numeral, v_omega, v_opair, v_upair)
@@ -339,12 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    size = rom_size()
     try:
         payload, text, *code = args.run(args)
         _emit(args, payload, text)
     except (sexpr.ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        rewind(size)  # drop the lambdas the command compiled
     return code[0] if code else 0
 
 

@@ -37,7 +37,9 @@ class HFSet:
     Sets are ordered canonically (rank, then size, then children
     lexicographically).  Two distinct sets of equal rank and size differ
     in their first non-identical sorted child, so a comparison walks one
-    path down the DAG, never the exponentially larger tree.
+    path down the DAG, never the exponentially larger tree.  The intern
+    table stays for the whole process: a set is itself, whatever the
+    library table holds, so terms.rewind leaves it alone.
     """
 
     __slots__ = ("elems", "_rank", "_sorted", "_ordinal")

@@ -14,6 +14,10 @@ structural identity and splitting a pair is O(1).  Exactly the naturals
 of at most 2048 bits are ints, which keeps isqrt calls cheap: pair makes
 an int when the larger component has at most 1024 bits, canon when the
 number itself has at most 2048, and the two rules agree.
+
+The intern table of Big nodes stays for the whole process: a node
+denotes a number, not what a program means, so nothing in it depends on
+the library table and terms.rewind leaves it alone.
 """
 
 from __future__ import annotations

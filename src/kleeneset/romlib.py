@@ -19,6 +19,7 @@ taken.  Numbers are compared and rebuilt with d, p, p0, p1, sN, pN only.
 
 from __future__ import annotations
 
+from . import terms
 from .machine import fixpoint
 from .pairing import pair
 from .terms import A, L, Lam, N, Prim, V, compile_lambda, prim_code
@@ -319,3 +320,4 @@ M_ZEROS_PLUS1 = _c(L("t", A(_p, A(_sN, A(_p0, V("t"))), N(0))), "m_zeros_plus1")
 _PATTERN101 = pair(3, pair(pair(1, 0), pair(1, 0)))
 M_CONST101 = _c(L("t", N(_PATTERN101)), "m_const101")
 
+terms._library_size = terms.rom_size()  # terms.rewind never drops below it

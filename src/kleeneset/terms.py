@@ -7,7 +7,7 @@ function as a tag/payload pair (tag = unpair0(c), payload = unpair1(c)):
   tag 1   primitive combinator: payload indexes PRIM_ORDER (k s sN pN d p
           p0 p1 fix); payloads past the table are stuck
   tag 2   library entry: payload indexes the intern table built at import
-          time (plus any lambdas compiled later in the run); entries are
+          time (plus the lambdas compiled since the last rewind); entries are
           either plain application nodes or derived combinators with a
           declared arity.  A payload past the table is stuck until an
           entry is registered at that index.
@@ -18,6 +18,15 @@ body, arity, name) for every primitive and derived combinator; every
 code not in it is data.  Because appending an entry gives a stuck code
 a meaning, every memo whose answers depend on the table is made by
 table_memo() and cleared whenever the table grows.
+
+This module owns all the process remembers of what codes mean: the
+table, its index dicts, HEADS and the table memos.  rom_size() is a
+mark; rewind(size) drops the entries from index size on, with their
+keys, and empties the memos.  romlib records the table size at the end
+of its import and rewind refuses to go below it, so the library sits
+below every mark.  cli.main rewinds after each command, the test suite
+after each test.  pairing and lworld intern numbers and sets, not
+meanings, so their tables stay.
 
 Literals need no tag: the number n used as data *is* n; used as a program
 it is whatever its tag says.  That dual reading is the whole point of a
@@ -48,7 +57,7 @@ from .pairing import Code, pair, unpair
 __all__ = [
     "Term", "Prim", "Lit", "Var", "App", "Lam", "RomRef", "Junk",
     "PRIM_ORDER", "PRIM_ARITY", "prim_code", "HEADS",
-    "TAG_APP", "TAG_PRIM", "TAG_ROM", "table_memo", "clear_caches",
+    "TAG_APP", "TAG_PRIM", "TAG_ROM", "table_memo", "clear_caches", "rewind",
     "mkapp", "mkapps", "app_view",
     "encode", "decode", "free_vars", "UnboundVariableError",
     "bracket_abstract", "lambda_lift", "compile_lambda", "register_combinator",
@@ -167,13 +176,14 @@ def prim_code(name: str) -> int:
 #
 # Allocation order is deterministic: the library's own entries are created
 # in a fixed sequence at import time (see romlib), user compilations append
-# after that.  Codes inside the table never change meaning; the code just
-# past it does, when the next entry is appended.
+# after that.  A code inside the table keeps its meaning until a rewind
+# drops it; the code just past it gains one when the next entry is appended.
 
 _rom: list[tuple] = []
 _node_index: dict[tuple, int] = {}
 _sc_index: dict[tuple, int] = {}
 _table_memos: list[dict] = []
+_library_size = 0  # the library's entries, set by romlib at the end of its import
 
 
 def table_memo() -> dict:
@@ -191,6 +201,24 @@ def clear_caches() -> None:
 
 def rom_size() -> int:
     return len(_rom)
+
+
+def rewind(size: int) -> None:
+    """Drop the table entries at index size and above, with their HEADS
+    and index keys, and empty every memo.  Nothing happens when the table
+    has not grown past size, so the memos stay warm."""
+    if size < _library_size:
+        raise ValueError(f"cannot rewind into the library's {_library_size} entries")
+    if size >= len(_rom):
+        return
+    for i in range(size, len(_rom)):
+        entry = _rom[i]
+        if entry[0] == "node":
+            del _node_index[entry[1:]]
+        else:
+            del _sc_index[entry[1:3]], HEADS[_rom_code(i)]
+    del _rom[size:]
+    clear_caches()
 
 
 def _rom_code(i: int) -> int:

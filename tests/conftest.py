@@ -6,8 +6,17 @@ from pathlib import Path
 import pytest
 
 import kleeneset
-from kleeneset import diagonal
+from kleeneset import diagonal, terms
 from kleeneset.universe import Truncation
+
+
+@pytest.fixture(autouse=True)
+def _library_table_as_found():
+    """Every test leaves the library table as it found it: the lambdas it
+    compiled are dropped, and the memos emptied, when it is done."""
+    size = terms.rom_size()
+    yield
+    terms.rewind(size)
 
 
 @pytest.fixture(scope="session")

@@ -475,6 +475,46 @@ def test_a_body_that_nests_partial_applications_deeply_answers_as_the_reference(
         assert step_trace.run(code, (3,), fuel) == step_trace.reference_run(code, (3,), fuel)
 
 
+# Bodies whose plans apply a number primitive (p p0 p1 sN pN d) that the
+# instruction saturates, none eta-reducible.  Together they give each
+# primitive a constant operator (a bare head, or a code such as p 5 or
+# d 1 2 3) and, for p and d, a spine operator over argument registers; each
+# such instruction is the plan's first one in some body and its tail in
+# another, and some read spine operands (k x, p x) or middle registers.
+_P, _X, _Y = Prim, V("x"), V("y")
+NUMBER_BODIES = {
+    "p spine, first and tail": L("x", "y", A(_P("p"), _Y, _X)),
+    "p constant p 5 tail, sN first": L("x", A(_P("p"), N(5), A(_P("sN"), _X))),
+    "p spine first, p0 constant tail": L("x", A(_P("p0"), A(_P("p"), _X, _X))),
+    "p0 first, p spine over a middle register tail": L("x", A(_P("p"), A(_P("p0"), _X), _X)),
+    "p1 first and tail": L("x", A(_P("p1"), A(_P("p1"), _X))),
+    "p1 of a spine operand": L("x", A(_P("p1"), A(_P("k"), _X))),
+    "sN first and tail": L("x", A(_P("sN"), A(_P("sN"), _X))),
+    "pN first and tail": L("x", A(_P("pN"), A(_P("pN"), _X))),
+    "pN in the middle": L("x", A(_P("p"), A(_P("pN"), A(_P("sN"), _X)), _X)),
+    "d spine, first and tail": L("x", "y", A(_P("d"), _X, _Y, _X, _Y)),
+    "d spine over spine operands": L("x", "y", A(_P("d"), A(_P("p"), _X), A(_P("k"), _Y), _X, _Y)),
+    "d constant d 1 2 3 tail": L("x", A(_P("d"), N(1), N(2), N(3), A(_P("sN"), _X))),
+    "d constant first, sN tail": L("x", A(_P("sN"), A(_P("d"), N(1), N(2), N(3), _X))),
+}
+_NUMBER_OPERANDS = [0, 3, 8, machine._LAST_INT, canon(2 ** 3000)]
+
+
+@pytest.mark.parametrize("body", list(NUMBER_BODIES.values()), ids=list(NUMBER_BODIES))
+def test_number_primitives_in_a_plan_charge_as_the_reference(body):
+    code = compile_lambda(body)
+    arity = terms.HEADS[code][2]
+    for x in _NUMBER_OPERANDS:
+        operands = (x, 8)[:arity]
+        steps = step_trace.reference_run(code, operands, DEFAULT_FUEL)["steps"]
+        # every fuel up to the value and one past it, so that a run out of
+        # fuel at each primitive fire is charged fuel + 1
+        for fuel in range(1, steps + 2):
+            want = step_trace.reference_run(code, operands, fuel)
+            for warm in (False, True):
+                assert _start(code, operands, fuel, warm) == want, (x, fuel, warm)
+
+
 def test_a_warm_repeat_is_answered_from_the_memo_at_its_cold_steps(monkeypatch):
     clear_caches()
     cold = step_trace.run(rom.PLUS, (3, 4), DEFAULT_FUEL)

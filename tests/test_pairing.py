@@ -178,3 +178,26 @@ def test_pair_and_canon_agree_at_the_threshold(a, b):
         assert canon(code_value(c)) == c
         assert hash(canon(code_value(c))) == hash(c)
         assert unpair(c) == (x, y)
+
+
+# naturals of every size up to 3,000 bits, so that each side of the
+# 1,024-bit and 2,048-bit thresholds is drawn
+_NATURALS = st.integers(min_value=0, max_value=3000).flatmap(
+    lambda bits: st.integers(min_value=0, max_value=2 ** bits))
+
+
+@given(_NATURALS, _NATURALS)
+def test_pair_denotes_the_closed_form(a, b):
+    m = max(a, b)
+    closed = m * (m + 1) - a + b if m % 2 == 0 else m * (m + 1) + a - b
+    assert code_value(pair(a, b)) == closed
+    assert pair(a, b) == canon(closed)
+
+
+@given(_NATURALS.map(lambda n: -n - 1), _NATURALS, st.booleans())
+def test_pair_rejects_a_negative_component_of_any_size(negative, other, canonical):
+    # the other side as given, or in canonical form (a Big past 2,048 bits)
+    other = canon(other) if canonical else other
+    for a, b in ((negative, other), (other, negative)):
+        with pytest.raises(ValueError):
+            pair(a, b)

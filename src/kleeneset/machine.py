@@ -66,7 +66,11 @@ So the steps of a call are those of a reducer with no memo and no plans
 (tests/reference_machine.py), a function of the call alone: the memo and
 the plans change no outcome and no step count, only the time taken.  An
 entry that cost one step is not kept, since one fire costs no more to
-redo than to look up.  The memos and plans are cleared whenever the
+redo than to look up.  So a plan fires a number primitive (p p0 p1 sN
+pN d) that an instruction saturates in place, with no memo key, lookup
+or frame: such a fire costs exactly one step and never gets stuck, so
+the memo never holds an entry for it, and skipping the lookup skips no
+hit.  The memos and plans are cleared whenever the
 library table grows, since that gives a stuck tag-2 code a program
 reading.  tests/data/step_trace.json pins the steps charged on a fixed
 corpus, cold and warm alike.
@@ -168,15 +172,22 @@ _MEMO, _SA, _SB, _PLAN = 0, 1, 2, 3
 # the machine and appends the value as the next register; the last one,
 # (fires, result, None), charges the fires after the last application and
 # gives the result.  An operand is a register number, or a spine (head,
-# HEADS entry, operands) built when it is read.  The value of an
-# instruction past the first `framed` is the plan's result, so it runs as
-# a tail call, with no frame to return to.
+# HEADS entry, operands) built when it is read.  An instruction whose
+# operator, a constant or a spine, has a number primitive head that the
+# operand saturates is (fires, name, operands): the plan charges its fires
+# and the primitive's, and fires it in place on the operands, the
+# primitive's arguments.  The value of an instruction past the first
+# `framed` is the plan's result, so it runs as a tail call, with no frame
+# to return to.
 
 # the applications a compile may make, and the nesting of spine operands
 # (built by host recursion) it may reach, before it gives the body the
 # trivial plan; the library's bodies need at most 240 and 2
 _PLAN_APPLICATIONS = 10_000
 _PLAN_NESTING = 32
+
+# the primitives a plan fires in place
+_NUMBER_FIRES = frozenset(("p", "p0", "p1", "sN", "pN", "d"))
 
 _plans: dict = table_memo()
 
@@ -266,15 +277,34 @@ def _lower(code: list, framed: int, fires: int, result) -> tuple:
             return (v[0], v[2], tuple(operand(x, base, depth + 1) for x in v[1]))
         return consts.setdefault(v, len(consts))
 
+    def instruction(n, f, a, base):
+        if a is not None and type(f) is not _Opaque:
+            head, args, entry = f[:3] if type(f) is _Spine else _peel(f)
+            if entry is not None and entry[3] in _NUMBER_FIRES and len(args) + 1 == entry[2]:
+                return (n, entry[3], tuple(operand(x, base) for x in args + (a,)))
+        return (n, operand(f, base), None if a is None else operand(a, base))
+
     code = code + [(fires, result, None)]
-    for _, f, a in code:  # number the constants
-        operand(f, 0)
-        if a is not None:
-            operand(a, 0)
+    for ins in code:  # number the constants
+        instruction(*ins, 0)
     base = len(consts)
-    code = tuple((n, operand(f, base), None if a is None else operand(a, base))
-                 for n, f, a in code)
-    return (tuple(consts), code, framed)
+    return (tuple(consts), tuple(instruction(*ins, base) for ins in code), framed)
+
+
+def _fire_number(name: str, xs):
+    """The value of the number primitive name fired on its arguments xs."""
+    if name == "p":
+        return pair(_code_of(xs[0]), _code_of(xs[1]))
+    if name == "d":
+        return xs[0] if _code_of(xs[2]) == _code_of(xs[3]) else xs[1]
+    a = _code_of(xs[0])
+    if name == "sN":
+        return a + 1 if isinstance(a, int) and a != _LAST_INT else canon(code_value(a) + 1)
+    if name == "pN":
+        if not isinstance(a, int):
+            return canon(a.value() - 1)
+        return a - 1 if a > 0 else 0
+    return unpair(a)[0 if name == "p0" else 1]
 
 
 def _build(op: tuple, regs: list) -> _Spine:
@@ -333,6 +363,21 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                     if pc:
                         regs.append(val)
                     fires, f, a = plan[1][pc]
+                    while type(f) is str:  # a number primitive, fired in place
+                        left -= fires + 1
+                        if left < 0:
+                            left = -1  # as the fires one by one would run out
+                            raise OutOfFuelError
+                        xs = [regs[x] if type(x) is int else _build(x, regs) for x in a]
+                        val = (pair(_code_of(xs[0]), _code_of(xs[1])) if f == "p"
+                               else _fire_number(f, xs))
+                        if pc >= plan[2]:  # a tail instruction
+                            break
+                        regs.append(val)
+                        pc += 1
+                        fires, f, a = plan[1][pc]
+                    if type(f) is str:  # a tail fired in place: val is the plan's result
+                        continue
                     if fires:  # the s and k fires the plan stands for
                         left -= fires
                         if left < 0:
@@ -411,24 +456,8 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                     push(a)
                     f, a = args[0], f
                     continue
-                elif name == "d":
-                    val = args[0] if _code_of(args[2]) == _code_of(a) else args[1]
-                elif name == "p":
-                    val = pair(_code_of(args[0]), _code_of(a))
-                elif name == "sN":
-                    a = _code_of(a)
-                    val = (a + 1 if isinstance(a, int) and a != _LAST_INT
-                           else canon(code_value(a) + 1))
-                elif name == "pN":
-                    a = _code_of(a)
-                    if not isinstance(a, int):
-                        val = canon(a.value() - 1)
-                    else:
-                        val = a - 1 if a > 0 else 0
-                elif name == "p0":
-                    val = unpair(_code_of(a))[0]
-                else:  # p1
-                    val = unpair(_code_of(a))[1]
+                else:
+                    val = _fire_number(name, args + (a,))
                 break
     except DivergedError:
         for frame in stack:

@@ -13,7 +13,9 @@ would produce; the representation is canonical, so numeric equality is
 structural identity and splitting a pair is O(1).  Exactly the naturals
 of at most 2048 bits are ints, which keeps isqrt calls cheap: pair makes
 an int when the larger component has at most 1024 bits, canon when the
-number itself has at most 2048, and the two rules agree.
+number itself has at most 2048, and the two rules agree.  pair reads each
+component's bit length once (a Big's estimate, an int's bit_length), and
+a negative component raises ValueError whatever its size.
 
 The intern table of Big nodes stays for the whole process: a node
 denotes a number, not what a program means, so nothing in it depends on
@@ -31,6 +33,7 @@ __all__ = [
 
 # Naturals of more than this many bits stay symbolic.
 _THRESHOLD_BITS = 2048
+_HALF_BITS = _THRESHOLD_BITS // 2
 
 
 class Big:
@@ -109,24 +112,31 @@ def pair(a: Code, b: Code) -> Code:
 
     max{a,b}*(max{a,b}+1) - a + b when max{a,b} is even, and
     max{a,b}*(max{a,b}+1) + a - b when it is odd.  Always lands in
-    [m*m, (m+1)*(m+1)) for m = max{a,b}.
+    [m*m, (m+1)*(m+1)) for m = max{a,b}.  A negative component of any
+    size raises ValueError.
     """
-    max_bits = max(code_bits(a), code_bits(b))
-    if max_bits <= _THRESHOLD_BITS // 2:
+    a_bits = a.est_bits if type(a) is Big else a.bit_length()
+    b_bits = b.est_bits if type(b) is Big else b.bit_length()
+    if a_bits <= _HALF_BITS and b_bits <= _HALF_BITS:
         # then pair(a, b) < (max+1)^2 <= 2^2048, canon's int range
         if a < 0 or b < 0:
             raise ValueError("pair is defined on naturals only")
-        return _pair_int(a, b)  # type: ignore[arg-type]
+        m = a if a >= b else b
+        return m * (m + 1) + a - b if m & 1 else m * (m + 1) - a + b
+    if (type(a) is not Big and a < 0) or (type(b) is not Big and b < 0):
+        raise ValueError("pair is defined on naturals only")
     # raw ints above the threshold must enter in canonical symbolic form, or
     # one number could end up with two unequal representations or digests
-    if isinstance(a, int) and a.bit_length() > _THRESHOLD_BITS:
+    if a_bits > _THRESHOLD_BITS and type(a) is not Big:
         a = canon(a)
-    if isinstance(b, int) and b.bit_length() > _THRESHOLD_BITS:
+        a_bits = a.est_bits
+    if b_bits > _THRESHOLD_BITS and type(b) is not Big:
         b = canon(b)
+        b_bits = b.est_bits
     key = (a, b)
     got = _intern.get(key)
     if got is None:
-        got = _intern[key] = Big(a, b, 2 * max(code_bits(a), code_bits(b)) + 2)
+        got = _intern[key] = Big(a, b, 2 * (a_bits if a_bits >= b_bits else b_bits) + 2)
     return got
 
 

@@ -27,7 +27,7 @@ from .machine import (
 )
 from .pairing import Code, incomparable_witness, pair, unpair
 from .terms import mkapp, mkapps
-from .vcodes import seq_decode, seq_encode
+from .vcodes import _MAX_SEQ_LENGTH, seq_decode, seq_encode
 
 __all__ = [
     "SeqCode", "PathView", "CatalogueMachine", "Catalogue", "Requirement",
@@ -212,6 +212,9 @@ def extend_for_requirement(t: SeqCode, r: Requirement,
     pin = pair(r.i, n)
     pjn = pair(r.j, n)
     assert isinstance(pin, int) and isinstance(pjn, int) and pin < pjn
+    if pjn > _MAX_SEQ_LENGTH:  # refused before a prefix that long is built
+        raise ValueError(f"requirement ({r.i}, {r.j}) at stage n = {n} would extend the path "
+                         f"to {pjn} components, past the {_MAX_SEQ_LENGTH} a sequence may have")
     comps = list(t.components) + [0] * (pin - len(t))
     run, out = _run_machine(r.machine, seq_encode(comps), fuel)
     last = 0

@@ -481,6 +481,11 @@ HOSTILE_INPUTS = {
     "catalogue machine named 5": lambda d: (
         "diagonal", "build", "--stages", "2", "--catalogue",
         _write(d / "cat.json", [{"term": "(lam s s)", "step_bound": 20000, "name": 5}])),
+    # a machine that always runs out of fuel leaves each stage open, so the
+    # path pads past its length squared: the fourth stage would be 8 * 10**8 long
+    "catalogue machine that never halts, four stages": lambda d: (
+        "diagonal", "build", "--stages", "4", "--fuel", "100", "--catalogue",
+        _write(d / "cat.json", [{"term": "(lam t (app (app (app fix (app (app s k) k)) t) t))"}])),
     # a printed answer of 2**n characters: ordinals, and a code sharing its subsets
     "alpha star past the printable bound": lambda d: ("lworld", "alphastar", "100000000"),
     "decoded set too long to print": lambda d: ("lworld", "decode", *_sigma_texts(lw.hf_nat(40))),
@@ -501,7 +506,8 @@ HOSTILE_INPUTS = {
 # missing check ends in a MemoryError or a timeout there and not in the
 # test process
 RUN_APART = {"nat bound past MAX_FIN_INDEX", "empty catalogue",
-             "alpha star past the printable bound", "decoded set too long to print"}
+             "alpha star past the printable bound", "decoded set too long to print",
+             "catalogue machine that never halts, four stages"}
 CHILD_MEMORY = 3 << 29  # 1.5 GiB of address space
 
 

@@ -66,11 +66,10 @@ So the steps of a call are those of a reducer with no memo and no plans
 (tests/reference_machine.py), a function of the call alone: the memo and
 the plans change no outcome and no step count, only the time taken.  An
 entry that cost one step is not kept, since one fire costs no more to
-redo than to look up.  So a plan fires a number primitive (p p0 p1 sN
-pN d) that an instruction saturates in place, with no memo key, lookup
-or frame: such a fire costs exactly one step and never gets stuck, so
-the memo never holds an entry for it, and skipping the lookup skips no
-hit.  The memos and plans are cleared whenever the
+redo than to look up.  So a plan fires a number primitive (p p0 p1 sN pN
+d) that an instruction saturates in place, with no memo key, lookup or
+frame: that fire costs one step and is never stuck, so the memo holds no
+entry for it to skip.  The memos and plans are cleared whenever the
 library table grows, since that gives a stuck tag-2 code a program
 reading.  tests/data/step_trace.json pins the steps charged on a fixed
 corpus, cold and warm alike.
@@ -173,9 +172,8 @@ _MEMO, _SA, _SB, _PLAN = 0, 1, 2, 3
 # (fires, result, None), charges the fires after the last application and
 # gives the result.  An operand is a register number, or a spine (head,
 # HEADS entry, operands) built when it is read.  An instruction whose
-# operator, a constant or a spine, has a number primitive head that the
-# operand saturates is (fires, name, operands): the plan charges its fires
-# and the primitive's, and fires it in place on the operands, the
+# operator (a constant or a spine) has a number primitive head that the
+# operand saturates is (fires, name, operands), fired in place on the
 # primitive's arguments.  The value of an instruction past the first
 # `framed` is the plan's result, so it runs as a tail call, with no frame
 # to return to.
@@ -186,7 +184,6 @@ _MEMO, _SA, _SB, _PLAN = 0, 1, 2, 3
 _PLAN_APPLICATIONS = 10_000
 _PLAN_NESTING = 32
 
-# the primitives a plan fires in place
 _NUMBER_FIRES = frozenset(("p", "p0", "p1", "sN", "pN", "d"))
 
 _plans: dict = table_memo()
@@ -368,9 +365,15 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                         if left < 0:
                             left = -1  # as the fires one by one would run out
                             raise OutOfFuelError
-                        xs = [regs[x] if type(x) is int else _build(x, regs) for x in a]
-                        val = (pair(_code_of(xs[0]), _code_of(xs[1])) if f == "p"
-                               else _fire_number(f, xs))
+                        if f == "p":  # the most frequent, read without a list
+                            x, y = a
+                            x = regs[x] if type(x) is int else _build(x, regs)
+                            y = regs[y] if type(y) is int else _build(y, regs)
+                            val = pair(x.code() if type(x) is _Spine else x,
+                                       y.code() if type(y) is _Spine else y)
+                        else:
+                            val = _fire_number(f, [regs[x] if type(x) is int else _build(x, regs)
+                                                   for x in a])
                         if pc >= plan[2]:  # a tail instruction
                             break
                         regs.append(val)

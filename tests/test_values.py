@@ -108,6 +108,27 @@ def test_a_value_cannot_be_changed(cls, fields, text):
         assert getattr(x, name) == value
 
 
+# calls that break Python's call rules, each made from a class and its fields
+BAD_CALLS = {
+    "one positional too many": lambda cls, fields: cls(*fields.values(), None),
+    "a required field left out": lambda cls, fields: cls(**dict(list(fields.items())[1:])),
+    "an unknown keyword": lambda cls, fields: cls(**fields, no_such_field=None),
+    "a field given twice": lambda cls, fields: cls(next(iter(fields.values())), **fields),
+}
+_EVERY_FIELD_DEFAULTED = {U.Truncation, rz.CheckBudget}
+
+
+@pytest.mark.parametrize("cls, fields, call", [
+    pytest.param(cls, fields, call, id=f"{name}-{case}")
+    for (cls, fields, _), name in zip(VALUES, _IDS)
+    for case, call in BAD_CALLS.items()
+    if not (case == "a required field left out" and cls in _EVERY_FIELD_DEFAULTED)
+])
+def test_a_call_that_breaks_the_call_rules_is_a_type_error(cls, fields, call):
+    with pytest.raises(TypeError):
+        call(cls, fields)
+
+
 @pytest.mark.parametrize("a, b", [
     (T.Var("k"), T.Prim("k")),
     (T.RomRef(3), T.Lit(3)),

@@ -128,21 +128,11 @@ class Requirement(Value):
 class Stage(Value):
     __slots__ = _fields = ("seq", "requirement", "witness", "resolved", "extended")
 
-    def __init__(self, seq: SeqCode, requirement: Requirement, witness: int | None,
-                 resolved: bool, extended: bool):
-        setfield(self, "seq", seq)
-        setfield(self, "requirement", requirement)
-        setfield(self, "witness", witness)
-        setfield(self, "resolved", resolved)
-        setfield(self, "extended", extended)
-
 
 class RequirementStatus(Value):
+    """outcome: "yes" | "no" | "unknown"."""
     __slots__ = _fields = ("outcome", "witness")
-
-    def __init__(self, outcome: str, witness: int | None = None):
-        setfield(self, "outcome", outcome)  # "yes" | "no" | "unknown"
-        setfield(self, "witness", witness)
+    _defaults = (None,)
 
 
 def x_membership(t, h_prefix) -> str:

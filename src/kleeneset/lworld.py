@@ -19,7 +19,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 
-from ._value import Value, setfield
+from ._value import Value
 from .pairing import pair, unpair
 
 __all__ = [
@@ -258,6 +258,7 @@ def _definable_masks(dom: list[HFSet], max_size: int) -> set[int]:
 
 _DOMAIN_BOUND = 6  # the formula route's largest domain
 _FORMULA_SIZE = 5  # and its largest formula, in nodes
+_POWERSET_BOUND = 16  # the powerset route's largest domain: |L_4|, which l_stage(5) takes
 
 
 @contextmanager
@@ -291,7 +292,9 @@ def def_subsets(domain: Iterable[HFSet], route: str = "formulas") -> set[HFSet]:
     disjunction of equalities with parameters, so the routes agree on
     finite structures once _FORMULA_SIZE allows it).  The domain is sorted
     canonically, rank first, so the last member of each combination has
-    the largest rank, and the subset's rank is one more than that.
+    the largest rank, and the subset's rank is one more than that.  A
+    domain of more than _POWERSET_BOUND members is a ValueError: its
+    2**17 subsets and more are not built.
 
     Its loop runs with the cyclic garbage collector paused, which only
     saves the collector's time.  A set made here refers only to its
@@ -304,6 +307,9 @@ def def_subsets(domain: Iterable[HFSet], route: str = "formulas") -> set[HFSet]:
     """
     dom = sorted(set(domain))
     if route == "powerset":
+        if len(dom) > _POWERSET_BOUND:
+            raise ValueError(
+                f"structure of size {len(dom)} exceeds the powerset bound {_POWERSET_BOUND}")
         out = {EMPTY}
         with _collector_paused():
             for k in range(1, len(dom) + 1):
@@ -378,10 +384,6 @@ class SigmaCode(Value):
     pair(member-index, container-index) for every edge."""
 
     __slots__ = _fields = ("u", "sigma")
-
-    def __init__(self, u: frozenset[int], sigma: frozenset[int]):
-        setfield(self, "u", u)
-        setfield(self, "sigma", sigma)
 
 
 class IllFoundedCodeError(ValueError):

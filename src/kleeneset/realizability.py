@@ -63,111 +63,62 @@ __all__ = [
 class Var(Value):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        setfield(self, "name", name)
-
 
 class Val(Value):
     __slots__ = _fields = ("value",)
-
-    def __init__(self, value: VCode):
-        setfield(self, "value", value)
 
 
 class OPairT(Value):
     """Ordered-pair constructor term."""
     __slots__ = _fields = ("fst", "snd")
 
-    def __init__(self, fst: FTerm, snd: FTerm):
-        setfield(self, "fst", fst)
-        setfield(self, "snd", snd)
-
 
 class F0T(Value):
     """The derived-family member named by a numeral term."""
     __slots__ = _fields = ("index",)
 
-    def __init__(self, index: FTerm):
-        setfield(self, "index", index)
-
 
 FTerm = Var | Val | OPairT | F0T
 
 
-class _Atom(Value):
+class Eq(Value):
     __slots__ = _fields = ("x", "y")
 
-    def __init__(self, x: FTerm, y: FTerm):
-        setfield(self, "x", x)
-        setfield(self, "y", y)
 
-
-class Eq(_Atom):
-    __slots__ = ()
-
-
-class In(_Atom):
-    __slots__ = ()
+class In(Value):
+    __slots__ = _fields = ("x", "y")
 
 
 class Not(Value):
     __slots__ = _fields = ("body",)
 
-    def __init__(self, body: Formula):
-        setfield(self, "body", body)
 
-
-class _Connective(Value):
+class And(Value):
     __slots__ = _fields = ("lhs", "rhs")
 
-    def __init__(self, lhs: Formula, rhs: Formula):
-        setfield(self, "lhs", lhs)
-        setfield(self, "rhs", rhs)
+
+class Or(Value):
+    __slots__ = _fields = ("lhs", "rhs")
 
 
-class And(_Connective):
-    __slots__ = ()
+class Implies(Value):
+    __slots__ = _fields = ("lhs", "rhs")
 
 
-class Or(_Connective):
-    __slots__ = ()
-
-
-class Implies(_Connective):
-    __slots__ = ()
-
-
-class _Bounded(Value):
+class BAll(Value):
     __slots__ = _fields = ("var", "bound", "body")
 
-    def __init__(self, var: str, bound: FTerm, body: Formula):
-        setfield(self, "var", var)
-        setfield(self, "bound", bound)
-        setfield(self, "body", body)
+
+class BEx(Value):
+    __slots__ = _fields = ("var", "bound", "body")
 
 
-class BAll(_Bounded):
-    __slots__ = ()
-
-
-class BEx(_Bounded):
-    __slots__ = ()
-
-
-class _Unbounded(Value):
+class All(Value):
     __slots__ = _fields = ("var", "body")
 
-    def __init__(self, var: str, body: Formula):
-        setfield(self, "var", var)
-        setfield(self, "body", body)
 
-
-class All(_Unbounded):
-    __slots__ = ()
-
-
-class Ex(_Unbounded):
-    __slots__ = ()
+class Ex(Value):
+    __slots__ = _fields = ("var", "body")
 
 
 Formula = Eq | In | Not | And | Or | Implies | BAll | BEx | All | Ex
@@ -189,11 +140,11 @@ def resolve_term(t: FTerm, env: Mapping[str, VCode]) -> VCode:
         return v_opair(resolve_term(t.fst, env), resolve_term(t.snd, env))
     if isinstance(t, F0T):
         v = resolve_term(t.index, env)
-        view = type_view(v.index_type)
-        if view.kind != "fin":
+        kind, size, _, _ = type_view(v.index_type)
+        if kind != "fin":
             raise IllScopedFormulaError(
                 "the derived-family index must be a numeral")
-        return f0_vcode(view.size)
+        return f0_vcode(size)
     raise TypeError(t)
 
 
@@ -399,10 +350,9 @@ def _synth_subeq(a: Code, b: Code, tr: Truncation,
     (witness, decisive) as for _synth_eq.  A member with no match is a
     decisive no only if every comparison made was decisive, those passed
     over before an earlier member's match among them."""
-    view_a = type_view(index_type_of(a))
-    view_b = type_view(index_type_of(b))
-    if (view_a.kind != "fin" or view_b.kind != "fin"
-            or max(view_a.size, view_b.size) > MAX_FIN_INDEX):
+    kind_a, size_a, _, _ = type_view(index_type_of(a))
+    kind_b, size_b, _, _ = type_view(index_type_of(b))
+    if kind_a != "fin" or kind_b != "fin" or max(size_a, size_b) > MAX_FIN_INDEX:
         return (None, False)
     undecided = []  # a flag per comparison: it found neither a witness nor a decisive no
 
@@ -411,8 +361,8 @@ def _synth_subeq(a: Code, b: Code, tr: Truncation,
         undecided.append(w is None and not d)
         return (w, d)
 
-    w, d = _table(unpair1(a), (range(view_a.size), True), tr, lambda ak: _first_witness(
-        unpair1(b), (range(view_b.size), True), tr, lambda by: equal(ak, by)))
+    w, d = _table(unpair1(a), (range(size_a), True), tr, lambda ak: _first_witness(
+        unpair1(b), (range(size_b), True), tr, lambda by: equal(ak, by)))
     return (None, False) if w is None and any(undecided) else (w, d)
 
 
@@ -562,11 +512,11 @@ def denote(v, tr: Truncation | None = None) -> HFSet | None:
 def _denote(code: Code, tr: Truncation, depth: int) -> HFSet | None:
     if depth > 40:
         return None
-    view = type_view(index_type_of(code))
-    if view.kind != "fin" or view.size > MAX_FIN_INDEX:
+    kind, size, _, _ = type_view(index_type_of(code))
+    if kind != "fin" or size > MAX_FIN_INDEX:
         return None
     out = []
-    for k in range(view.size):
+    for k in range(size):
         ek = _family_at(unpair1(code), k, tr, False)
         if ek is None:
             return None

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from . import realizability as rz
 from . import romlib as rom
-from ._value import Value, setfield
+from ._value import Value
 from .pairing import canon
 from .terms import (
     App, Junk, Lam, Lit, Prim, PRIM_ORDER, RomRef, Term, Var,
@@ -65,10 +65,6 @@ class ParseError(ValueError):
 
 class _Tok(Value):
     __slots__ = _fields = ("text", "pos")
-
-    def __init__(self, text: str, pos: int):
-        setfield(self, "text", text)
-        setfield(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -270,8 +266,8 @@ def _print_atom(x) -> str:
     if isinstance(x, rz.Val):
         if x.value.code == v_omega().code:
             return "omega"
-        view = type_view(x.value.index_type)
-        if view.kind == "fin" and x.value.elem_map == rom.NUMMAP:
-            return f"(numeral {view.size})"
+        kind, size, _, _ = type_view(x.value.index_type)
+        if kind == "fin" and x.value.elem_map == rom.NUMMAP:
+            return f"(numeral {size})"
         return str(x.value.code)
     raise TypeError(x)

@@ -51,7 +51,7 @@ equal when of one class with equal fields, hashed as their field tuple.
 
 from __future__ import annotations
 
-from ._value import Value, setfield
+from ._value import Value
 from .pairing import Code, pair, unpair
 
 __all__ = [
@@ -77,54 +77,32 @@ class Term(Value):
 class Prim(Term):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        setfield(self, "name", name)
-
 
 class Lit(Term):
+    """A literal code: an int or a symbolic pair."""
     __slots__ = _fields = ("value",)
-
-    def __init__(self, value: object):  # a Code: int or a symbolic pair
-        setfield(self, "value", value)
 
 
 class Var(Term):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        setfield(self, "name", name)
-
 
 class App(Term):
     __slots__ = _fields = ("fn", "arg")
 
-    def __init__(self, fn: Term, arg: Term):
-        setfield(self, "fn", fn)
-        setfield(self, "arg", arg)
-
 
 class Lam(Term):
     __slots__ = _fields = ("var", "body")
-
-    def __init__(self, var: str, body: Term):
-        setfield(self, "var", var)
-        setfield(self, "body", body)
 
 
 class RomRef(Term):
     """A leaf naming an intern-table entry by index."""
     __slots__ = _fields = ("index",)
 
-    def __init__(self, index: int):
-        setfield(self, "index", index)
-
 
 class Junk(Term):
     """The designated diverging term behind a non-canonical code."""
     __slots__ = _fields = ("code",)
-
-    def __init__(self, code: object):
-        setfield(self, "code", code)
 
 
 def A(fn: Term, *args: Term) -> Term:

@@ -9,6 +9,11 @@ A type code is read through the pairing function:
   pair(2, pair(n, e)) dependent sum over index type n with family e
   pair(3, pair(n, e)) dependent product over index type n with family e
 
+type_view reads a code by these rules into a plain tuple (kind, size,
+index, family), its kind "fin", "nat", "dist", "sigma", "pi" or
+"invalid".  The nat, dist and invalid views are module constants, so a
+call builds a tuple only for fin, sigma and pi.
+
 din decides "k is a member of t" as far as the truncation allows and
 answers Realized / Refuted / Unknown, with a note when the answer rests
 on an enumeration the truncation cut short, its own or a member's.  Only
@@ -63,7 +68,7 @@ from .terms import table_memo
 
 __all__ = [
     "Verdict", "REALIZED", "REFUTED", "Truncation", "MalformedTypeError",
-    "TypeView", "type_view", "din", "check_in_U", "check_in_V",
+    "type_view", "din", "check_in_U", "check_in_V",
     "enumerate_index", "provably_empty", "MAX_FIN_INDEX",
     "NAT", "DIST", "fin", "sigma_code", "pi_code",
 ]
@@ -86,11 +91,9 @@ def pi_code(n: Code, e: Code) -> Code:
 
 
 class Verdict(Value):
+    """status: "realized" | "refuted" | "unknown"."""
     __slots__ = _fields = ("status", "note")
-
-    def __init__(self, status: str, note: str | None = None):
-        setfield(self, "status", status)  # "realized" | "refuted" | "unknown"
-        setfield(self, "note", note)
+    _defaults = (None,)
 
     @property
     def realized(self) -> bool:
@@ -169,32 +172,28 @@ class Truncation(Value):
 DEFAULT_TRUNCATION = Truncation()
 
 
-class TypeView(Value):
-    __slots__ = _fields = ("kind", "size", "index", "family")
-
-    def __init__(self, kind: str, size: int = 0, index: Code = 0, family: Code = 0):
-        setfield(self, "kind", kind)  # "fin" | "nat" | "dist" | "sigma" | "pi" | "invalid"
-        setfield(self, "size", size)
-        setfield(self, "index", index)
-        setfield(self, "family", family)
+_NAT_VIEW = ("nat", 0, 0, 0)
+_DIST_VIEW = ("dist", 0, 0, 0)
+_INVALID_VIEW = ("invalid", 0, 0, 0)
 
 
-def type_view(t: Code) -> TypeView:
+def type_view(t: Code) -> tuple[str, int, Code, Code]:
+    """(kind, size, index, family), with 0 for a part the kind lacks."""
     tag, payload = unpair(t)
     if tag == 0:
         if isinstance(payload, int):
-            return TypeView("fin", size=payload)
-        return TypeView("invalid")
+            return ("fin", payload, 0, 0)
+        return _INVALID_VIEW
     if tag == 1:
         if payload == 0:
-            return TypeView("nat")
+            return _NAT_VIEW
         if payload == 1:
-            return TypeView("dist")
-        return TypeView("invalid")
+            return _DIST_VIEW
+        return _INVALID_VIEW
     if tag == 2 or tag == 3:
         n, e = unpair(payload)
-        return TypeView("sigma" if tag == 2 else "pi", index=n, family=e)
-    return TypeView("invalid")
+        return ("sigma" if tag == 2 else "pi", 0, n, e)
+    return _INVALID_VIEW
 
 
 def _family_at(e: Code, k: Code, tr: Truncation, on_realized_index: bool) -> Code | None:
@@ -270,14 +269,14 @@ def _depth_memo(limit: int, guarded):
 
 @_depth_memo(_MAX_DEPTH, unknown(_DEPTH_NOTE))
 def _din(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
-    view = type_view(t)
-    if view.kind == "invalid":
+    kind, size, index, family = type_view(t)
+    if kind == "invalid":
         raise MalformedTypeError(f"{t!r} is not a type code")
-    if view.kind == "fin":
-        return REALIZED if isinstance(k, int) and k < view.size else REFUTED
-    if view.kind == "nat":
+    if kind == "fin":
+        return REALIZED if isinstance(k, int) and k < size else REFUTED
+    if kind == "nat":
         return REALIZED
-    if view.kind == "dist":
+    if kind == "dist":
         xs = tr.distinguished
         if xs is None:
             return unknown("no distinguished set configured")
@@ -287,12 +286,12 @@ def _din(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
         if status == "nonmember":
             return REFUTED
         return unknown("beyond the distinguished-set truncation")
-    if view.kind == "sigma":
+    if kind == "sigma":
         k0, u = unpair(k)
-        v0 = _din(k0, view.index, tr, depth + 1)
+        v0 = _din(k0, index, tr, depth + 1)
         if v0.refuted:
             return REFUTED  # first disjunct of the non-membership rule
-        ek = _family_at(view.family, k0, tr, on_realized_index=v0.realized)
+        ek = _family_at(family, k0, tr, on_realized_index=v0.realized)
         if ek is None:
             return unknown("family application exhausted fuel")
         v1 = _din(u, ek, tr, depth + 1)
@@ -302,13 +301,13 @@ def _din(k: Code, t: Code, tr: Truncation, depth: int) -> Verdict:
             return REALIZED
         return unknown("component membership undecided")
     # pi
-    members, complete = enumerate_index(view.index, tr)
+    members, complete = enumerate_index(index, tr)
     saw_unknown = not complete
     note = None if complete else "index type enumerated up to the truncation"
     if complete is None:
         note = _TOO_LARGE_NOTE
     for k0 in members:
-        ek = _family_at(view.family, k0, tr, on_realized_index=True)
+        ek = _family_at(family, k0, tr, on_realized_index=True)
         if ek is None:
             saw_unknown = True
             continue
@@ -343,24 +342,24 @@ def enumerate_index(t: Code, tr: Truncation) -> tuple[list[Code], bool | None]:
 def _enumerate_index(t: Code, tr: Truncation, depth: int) -> tuple[list[Code], bool | None]:
     if depth > _MAX_DEPTH:
         return [], False
-    view = type_view(t)
-    if view.kind == "fin":
-        if view.size > MAX_FIN_INDEX:
+    kind, size, index, family = type_view(t)
+    if kind == "fin":
+        if size > MAX_FIN_INDEX:
             return [], None
-        return list(range(view.size)), True
-    if view.kind == "nat":
+        return list(range(size)), True
+    if kind == "nat":
         return list(range(tr.nat_bound + 1)), False
-    if view.kind == "dist":
+    if kind == "dist":
         xs = tr.distinguished
         if xs is None:
             return [], False
         return list(xs.member_codes(tr.segment_bound)), False
-    if view.kind == "sigma":
-        base, base_complete = _enumerate_index(view.index, tr, depth + 1)
+    if kind == "sigma":
+        base, base_complete = _enumerate_index(index, tr, depth + 1)
         out: list[Code] = []
         complete = base_complete
         for k0 in base:
-            ek = _family_at(view.family, k0, tr, on_realized_index=False)
+            ek = _family_at(family, k0, tr, on_realized_index=False)
             if ek is None:
                 complete = False
                 continue
@@ -378,27 +377,27 @@ def provably_empty(t: Code, tr: Truncation) -> bool:
 
 @_depth_memo(40, False)
 def _provably_empty(t: Code, tr: Truncation, depth: int) -> bool:
-    view = type_view(t)
-    if view.kind == "fin":
-        return view.size == 0
-    if view.kind in ("nat", "dist"):
+    kind, size, index, family = type_view(t)
+    if kind == "fin":
+        return size == 0
+    if kind in ("nat", "dist"):
         return False  # the empty sequence always codes a path member
-    if view.kind == "invalid":
+    if kind == "invalid":
         return False
-    members, complete = enumerate_index(view.index, tr)
-    if view.kind == "sigma":
-        if _provably_empty(view.index, tr, depth + 1):
+    members, complete = enumerate_index(index, tr)
+    if kind == "sigma":
+        if _provably_empty(index, tr, depth + 1):
             return True
         if not complete:
             return False
         for k0 in members:
-            ek = _family_at(view.family, k0, tr, on_realized_index=False)
+            ek = _family_at(family, k0, tr, on_realized_index=False)
             if ek is None or not _provably_empty(ek, tr, depth + 1):
                 return False
         return bool(members)
     # pi: empty when some certainly-inhabited index maps to an empty target
     for k0 in members:
-        ek = _family_at(view.family, k0, tr, on_realized_index=False)
+        ek = _family_at(family, k0, tr, on_realized_index=False)
         if ek is not None and _provably_empty(ek, tr, depth + 1):
             return True
     return False
@@ -426,12 +425,11 @@ def _formation(space: str, c: Code, tr: Truncation, depth: int) -> Verdict:
     type in U, and a family converging at each index to a member of the space."""
     global _window_hi
     if space == "U":
-        view = type_view(c)
-        if view.kind == "invalid":
+        kind, _, index, family = type_view(c)
+        if kind == "invalid":
             return REFUTED  # no formation rule concludes an unknown tag
-        if view.kind in ("fin", "nat", "dist"):
+        if kind in ("fin", "nat", "dist"):
             return REALIZED
-        index, family = view.index, view.family
         v_index = _formation("U", index, tr, depth + 1)
     else:  # a set's index, a type, is checked from depth 0
         index, family = unpair(c)

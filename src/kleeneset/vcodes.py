@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from . import romlib as rom
-from ._value import Value, setfield
+from ._value import Value
 from .machine import DEFAULT_FUEL, apply_chain, apply_raw
 from .pairing import Code, pair, unpair, unpair0, unpair1
 from .terms import mkapp, mkapps
@@ -39,9 +39,6 @@ class VCode(Value):
     """A set code: unpair0 is the index type, unpair1 the element map."""
 
     __slots__ = _fields = ("code",)
-
-    def __init__(self, code: Code):
-        setfield(self, "code", code)
 
     @property
     def index_type(self) -> Code:
@@ -167,11 +164,6 @@ def seq_decode(c: Code) -> list[Code] | None:
 
 class EqType(Value):
     __slots__ = _fields = ("lhs", "rhs", "code")
-
-    def __init__(self, lhs: VCode, rhs: VCode, code: Code):
-        setfield(self, "lhs", lhs)
-        setfield(self, "rhs", rhs)
-        setfield(self, "code", code)
 
 
 def subeq_code(a: Code, b: Code) -> Code:

@@ -491,6 +491,9 @@ HOSTILE_INPUTS = {
     "decoded set too long to print": lambda d: ("lworld", "decode", *_sigma_texts(lw.hf_nat(40))),
     # no machine, no requirement: the search for the first one never ended
     "empty catalogue": lambda d: ("diagonal", "build", "--catalogue", _write(d / "cat.json", [])),
+    # 2**26 subsets: the powerset route takes no domain larger than L_4
+    "powerset of 26 sets": lambda d: (
+        "lworld", "defsub", "--route", "powerset", *("{" * k + "}" * k for k in range(1, 27))),
     # a pi over NAT: unchecked, it lists a billion naturals
     "nat bound past MAX_FIN_INDEX": lambda d: (
         "universe", "check-u", "2562485644", "--nat-bound", "1000000000"),
@@ -507,7 +510,7 @@ HOSTILE_INPUTS = {
 # test process
 RUN_APART = {"nat bound past MAX_FIN_INDEX", "empty catalogue",
              "alpha star past the printable bound", "decoded set too long to print",
-             "catalogue machine that never halts, four stages"}
+             "catalogue machine that never halts, four stages", "powerset of 26 sets"}
 CHILD_MEMORY = 3 << 29  # 1.5 GiB of address space
 
 

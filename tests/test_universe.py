@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from kleeneset import romlib as rom
 from kleeneset.machine import fixpoint
-from kleeneset.pairing import pair
+from kleeneset.pairing import is_big, pair
 from kleeneset.terms import (
     A, L, N, Prim, V, clear_caches, compile_lambda, mkapp, mkapps,
 )
 from kleeneset.universe import (
     DIST, MAX_FIN_INDEX, NAT, MalformedTypeError, Truncation, check_in_U,
     check_in_V, din, enumerate_index, fin, pi_code, provably_empty, sigma_code,
+    type_view,
 )
 from kleeneset.vcodes import (
     seq_encode, v_finite, v_numeral, v_omega, v_opair, v_upair,
@@ -24,6 +25,28 @@ def table_family(codes):
 
 
 TR = Truncation(segment_bound=6, nat_bound=6)
+
+_BIG = pair(2 ** 1100, 0)  # a symbolic code: no finite type has this many members
+_INVALID = ("invalid", 0, 0, 0)
+
+
+@pytest.mark.parametrize("code, view", [
+    (fin(0), ("fin", 0, 0, 0)),
+    (fin(5), ("fin", 5, 0, 0)),
+    (NAT, ("nat", 0, 0, 0)),
+    (DIST, ("dist", 0, 0, 0)),
+    (sigma_code(fin(2), 7), ("sigma", 0, fin(2), 7)),
+    (pi_code(NAT, 9), ("pi", 0, NAT, 9)),
+    (pi_code(_BIG, _BIG), ("pi", 0, _BIG, _BIG)),
+    (pair(0, _BIG), _INVALID),
+    (pair(1, 2), _INVALID),
+    (pair(4, 0), _INVALID),
+], ids=["fin 0", "fin 5", "nat", "dist", "sigma", "pi", "pi of big codes",
+        "tag 0 with a big payload", "tag 1 with payload 2", "tag 4"])
+def test_type_view_reads_every_code_shape(code, view):
+    assert is_big(_BIG)
+    got = type_view(code)
+    assert type(got) is tuple and got == view
 
 
 def test_fin_membership_decided_exactly():
@@ -73,27 +96,23 @@ def test_sigma_rule_cases():
 
 def test_pi_over_fin_matches_pointwise_membership():
     fams = [
-        [fin(1)],
-        [fin(2), fin(1)],
-        [fin(1), fin(3), fin(2)],
-        [fin(2), fin(1), fin(2), fin(1)],
-        [fin(1), fin(2), fin(1), fin(3), fin(2)],
+        [1],
+        [2, 1],
+        [1, 3, 2],
+        [2, 1, 2, 1],
+        [1, 2, 1, 3, 2],
     ]
-    for codes in fams:
-        n = len(codes)
-        t = pi_code(fin(n), table_family(codes))
+    for sizes in fams:
+        n = len(sizes)
+        t = pi_code(fin(n), table_family([fin(m) for m in sizes]))
         # candidate functions: total tables over fin(n)
         import itertools
-        sizes = []
-        for c in codes:
-            from kleeneset.universe import type_view
-            sizes.append(type_view(c).size)
         for values in itertools.product(*(range(3) for _ in range(n))):
             d = table_family(list(values))
             want = all(values[k] < sizes[k] for k in range(n))
             got = din(d, t, TR)
             assert not got.unknown
-            assert got.realized == want, (codes, values)
+            assert got.realized == want, (sizes, values)
 
 
 def test_pi_over_empty_index_is_vacuous():

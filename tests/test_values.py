@@ -65,8 +65,6 @@ VALUES = [
     (U.Verdict, dict(status="unknown", note="why"), "Verdict(status='unknown', note='why')"),
     (U.Truncation, dict(segment_bound=1, nat_bound=2, fuel=3, distinguished=None),
      "Truncation(segment_bound=1, nat_bound=2, fuel=3, distinguished=None)"),
-    (U.TypeView, dict(kind="sigma", size=0, index=4, family=5),
-     "TypeView(kind='sigma', size=0, index=4, family=5)"),
     (VC.VCode, dict(code=5), "VCode(code=5)"),
     (VC.EqType, dict(lhs=VC.VCode(1), rhs=VC.VCode(2), code=3),
      "EqType(lhs=VCode(code=1), rhs=VCode(code=2), code=3)"),
@@ -149,7 +147,7 @@ def test_values_of_different_classes_differ_even_with_equal_fields(a, b):
 @pytest.mark.parametrize("value, fields", [
     (U.Verdict("realized"), ("realized", None)),
     (U.Truncation(), (16, 12, DEFAULT_FUEL, None)),
-    (U.TypeView("nat"), ("nat", 0, 0, 0)),
+    (U.Verdict(status="refuted"), ("refuted", None)),
     (rz.CheckBudget(), (U.Truncation(), 8, ())),
     (D.CatalogueMachine("m", 3), ("m", 3, None)),
     (D.RequirementStatus("no"), ("no", None)),

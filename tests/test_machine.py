@@ -412,8 +412,9 @@ _LEAVES = (st.sampled_from([prim_code(name) for name in PRIM_ORDER]
                               rom.GG, rom.ELEMOF, _STUCK_MID_BODY, _W_W])
            | st.integers(min_value=0, max_value=20))
 _TERMS = st.recursive(_LEAVES, lambda t: st.tuples(t, t), max_leaves=8)
-_CALLS = st.tuples(_TERMS, st.lists(_TERMS, min_size=1, max_size=3).map(tuple),
-                   st.integers(min_value=1, max_value=2000))
+_FUELS = st.integers(min_value=1, max_value=2000)
+_CALLS = (st.tuples(_TERMS, st.lists(_TERMS, min_size=1, max_size=3).map(tuple), _FUELS)
+          | st.tuples(st.just(rom.MONUS), st.tuples(*[st.integers(0, 300)] * 2), _FUELS))
 
 
 def _code(t):
@@ -513,6 +514,67 @@ def test_number_primitives_in_a_plan_charge_as_the_reference(body):
             want = step_trace.reference_run(code, operands, fuel)
             for warm in (False, True):
                 assert _start(code, operands, fuel, warm) == want, (x, fuel, warm)
+
+
+# MONUS a b, the library's truncated subtraction, at fuels 1, steps - 1,
+# steps and steps + 1, cold and warm.  A reference run that reaches its
+# value within steps answers the same at any larger fuel, so it is run at
+# the default fuel and at the two fuels below steps.
+def _assert_monus_runs_as_the_reference(code, operands):
+    want = step_trace.reference_run(code, operands, DEFAULT_FUEL)
+    steps = want["steps"]
+    wants = {1: step_trace.reference_run(code, operands, 1),
+             steps - 1: step_trace.reference_run(code, operands, steps - 1),
+             steps: want, steps + 1: want}
+    for fuel, want in wants.items():
+        for warm in (False, True):
+            assert _start(code, operands, fuel, warm) == want, (operands, fuel, warm)
+
+
+def test_monus_on_small_naturals_charges_as_the_reference():
+    for a in range(13):
+        for b in range(13):
+            _assert_monus_runs_as_the_reference(rom.MONUS, (a, b))
+
+
+def test_monus_on_drawn_naturals_charges_as_the_reference():
+    rng = random.Random(33)
+    for _ in range(5):
+        _assert_monus_runs_as_the_reference(rom.MONUS, (rng.randrange(300), rng.randrange(300)))
+
+
+_WIDE, _BIG = machine._LAST_INT, canon(2 ** 3000)  # 2**2048 - 1, an int; 2**3000, a Big
+
+
+@pytest.mark.parametrize("operands", [
+    (_WIDE, 0), (_WIDE, 7), (7, _WIDE), (_BIG, 0), (_BIG, 7), (7, _BIG), (mkapp(rom.K, 5), 3),
+], ids=["2**2048 - 1, 0", "2**2048 - 1, 7", "7, 2**2048 - 1", "2**3000, 0", "2**3000, 7",
+        "7, 2**3000", "a partial application's code, 3"])
+def test_monus_on_wide_operands_charges_as_the_reference(operands):
+    _assert_monus_runs_as_the_reference(rom.MONUS, operands)
+
+
+# \x. MONUS (k x) 7 and \x. MONUS 7 (k x): the operand k x reaches MONUS as
+# a symbolic spine, not a code
+@pytest.mark.parametrize("body", [
+    L("x", A(N(rom.MONUS), A(Prim("k"), V("x")), N(7))),
+    L("x", A(N(rom.MONUS), N(7), A(Prim("k"), V("x")))),
+], ids=["spine, 7", "7, spine"])
+def test_monus_on_a_spine_operand_charges_as_the_reference(body):
+    _assert_monus_runs_as_the_reference(compile_lambda(body), (2,))
+
+
+def test_monus_answers_a_million_levels_at_the_steps_its_levels_charge(time_limit):
+    # the reference charges MONUS a b a fixed cost per unit of min(a, b),
+    # plus that of the base case which ends the loop: here b reaching 0
+    steps = {ab: step_trace.reference_run(rom.MONUS, ab, DEFAULT_FUEL)["steps"]
+             for ab in ((0, 0), (1, 1), (2, 2), (7, 5))}
+    level = steps[(1, 1)] - steps[(0, 0)]
+    assert steps[(2, 2)] == steps[(0, 0)] + 2 * level
+    assert steps[(7, 5)] == steps[(0, 0)] + 5 * level
+    with time_limit(2, "MONUS on a million"):
+        got = step_trace.run(rom.MONUS, (10 ** 6, 10 ** 6 - 3), 2 * 10 ** 8)
+    assert got == {"outcome": 3, "steps": steps[(0, 0)] + (10 ** 6 - 3) * level}
 
 
 def test_a_warm_repeat_is_answered_from_the_memo_at_its_cold_steps(monkeypatch):

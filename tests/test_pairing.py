@@ -187,6 +187,16 @@ _NATURALS = st.integers(min_value=0, max_value=3000).flatmap(
 
 
 @given(_NATURALS, _NATURALS)
+def test_a_big_hashes_as_the_pair_of_its_childrens_hashes(a, b):
+    # the order of a set or dict of codes follows these hashes, so it must
+    # not depend on whether a child is an int or a Big
+    a, b = canon(a), canon(b)
+    c = pair(a, b)
+    if is_big(c):
+        assert hash(c) == hash((hash(a), hash(b)))
+
+
+@given(_NATURALS, _NATURALS)
 def test_pair_denotes_the_closed_form(a, b):
     m = max(a, b)
     closed = m * (m + 1) - a + b if m % 2 == 0 else m * (m + 1) + a - b

@@ -73,6 +73,21 @@ entry for it to skip.  The memos and plans are cleared whenever the
 library table grows, since that gives a stuck tag-2 code a program
 reading.  tests/data/step_trace.json pins the steps charged on a fixed
 corpus, cold and warm alike.
+
+One combinator runs natively: MONUS = fix g, the library's truncated
+subtraction, which romlib names once it is compiled.  A fire of g whose
+first argument is MONUS itself (its code or the fix spine) and whose two
+numbers x and a are ints gives x - a, or 0 when a > x, at once.  It is
+charged what g's plan charges, and that is exact: every level of the loop
+fires the same sequence whatever the naturals (fix, g, two d tests against
+0, their lifted thunks and two pN), so the steps are level * min(x, a)
+plus those of the base case that ends the loop, a reaching 0 first or x.
+The three counts are measured on g's plan at the first native fire, by
+running g on (0, 0), (1, 1) and (0, 1), and kept in a table memo, so they
+go when the plans they came from do.  A fire short of fuel is charged
+fuel + 1, as the plan's fires would be, and the memo records a native fire
+as any other.  Every other operand (a Big, a spine) and every other first
+argument takes the plan.
 """
 
 from __future__ import annotations
@@ -311,9 +326,10 @@ def _build(op: tuple, regs: list) -> _Spine:
     return _Spine((head, vals, entry, _Spine not in map(type, vals)))
 
 
-def _machine(code: Code, operands: tuple, budget: _Budget):
+def _machine(code: Code, operands: tuple, budget: _Budget, native: bool = True):
     """Run code's own spine, then apply the value to each operand in
-    turn; return the last value (int or _Spine).
+    turn; return the last value (int or _Spine).  With native false,
+    MONUS runs from its plan like any derived combinator.
 
     The operands go on the stack before the first step, the first on top.
     A code whose own spine is a redex is charged its dispatch step, its
@@ -336,6 +352,7 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
     memo_get = memo.get
     peel_get = _peel_memo.get
     plans_get = _plans.get
+    monus_body = _monus_body if native else None
     left = budget.left
     try:
         head, args, entry = _peel(code)
@@ -452,7 +469,18 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
                     continue
                 if name == "k":
                     val = args[0]
-                elif kind == "sc":  # the plan's first instruction takes no value
+                elif kind == "sc":
+                    if (head == monus_body and type(a) is int and type(args[1]) is int
+                            and _code_of(args[0]) == _monus):  # MONUS x a, fired natively
+                        x = args[1]
+                        level, b_ends, a_ends = _monus_costs.get(head) or _measure_monus()
+                        left -= (level * a + b_ends if a <= x else level * x + a_ends) - 1
+                        if left < 0:
+                            left = -1  # as the plan's fires one by one would run out
+                            raise OutOfFuelError
+                        val = x - a if a <= x else 0
+                        break
+                    # the plan's first instruction takes no value
                     plan = plans_get(head) or _plan(head, body, arity)
                     push((_PLAN, plan, [*plan[0], *args, a], 0))
                 elif name == "fix":  # f is the (fix g) spine: the program's own code
@@ -469,6 +497,33 @@ def _machine(code: Code, operands: tuple, budget: _Budget):
         raise
     finally:
         budget.left = left
+
+
+# ---------------------------------------------------------------------------
+# MONUS = fix g, fired natively (see the module docstring)
+
+_monus = _monus_body = None
+_monus_costs: dict = table_memo()
+
+
+def set_native_monus(monus: Code) -> None:
+    """Fire monus = fix g natively from now on: romlib's MONUS."""
+    global _monus, _monus_body
+    _monus, _monus_body = monus, app_view(monus)[1]
+
+
+def _measure_monus() -> tuple:
+    """(level, b ends, a ends): the steps of one level of MONUS x a, and
+    those of g's fire when a is 0 and when x is 0 but a is not, each
+    measured on g's plan and kept until the memos are next cleared."""
+    def steps(x, a):
+        budget = _Budget(DEFAULT_FUEL)
+        _machine(_monus_body, (_monus, x, a), budget, native=False)
+        return DEFAULT_FUEL - budget.left
+
+    b_ends = steps(0, 0)
+    costs = _monus_costs[_monus_body] = (steps(1, 1) - b_ends, b_ends, steps(0, 1))
+    return costs
 
 
 def apply_raw(f: Code, a: Code, fuel: Fuel = DEFAULT_FUEL) -> Code:

@@ -53,7 +53,9 @@ class Big:
         self.a = a
         self.b = b
         self.est_bits = est_bits
-        self._hash = hash((hash(a), hash(b)))
+        # a Big child's hash is its _hash slot: read it, not __hash__
+        self._hash = hash((a._hash if type(a) is Big else hash(a),
+                           b._hash if type(b) is Big else hash(b)))
         self._value = None
 
     def __hash__(self) -> int:

@@ -330,9 +330,10 @@ def _synth_eq(a: Code, b: Code, tr: Truncation,
     """(witness, decisive) for a = b.  Past the two type-level tests the
     search is the two subset tables, which it builds over finite index
     types only: a set indexed otherwise is left undecided."""
-    if din(rom.IOTA, eq_code(a, b), tr).realized:
+    eq = eq_code(a, b)
+    if din(rom.IOTA, eq, tr).realized:
         return (rom.IOTA, True)
-    if provably_empty(eq_code(a, b), tr):
+    if provably_empty(eq, tr):
         return (None, True)
     w1, d1 = _synth_subeq(a, b, tr, depth + 1)
     w2, d2 = _synth_subeq(b, a, tr, depth + 1)

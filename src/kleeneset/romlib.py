@@ -20,7 +20,7 @@ taken.  Numbers are compared and rebuilt with d, p, p0, p1, sN, pN only.
 from __future__ import annotations
 
 from . import terms
-from .machine import fixpoint
+from .machine import fixpoint, set_native_monus
 from .pairing import pair
 from .terms import A, L, Lam, N, Prim, V, compile_lambda, prim_code
 from .universe import DIST, NAT, fin
@@ -68,12 +68,15 @@ def _c(term, name: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Small-number arithmetic (unary loops; operands stay desk-sized)
+# Small-number arithmetic (unary loops; operands stay desk-sized).  MONUS
+# runs natively on naturals, charged the steps of its plan (see machine);
+# PLUS and HALF run from their plans.
 
 MONUS = fixpoint(_c(L("f", "a", "b",
     _ifz(V("b"), V("a"),
          _ifz(V("a"), N(0),
               A(V("f"), A(_pN, V("a")), A(_pN, V("b")))))), "monus"))
+set_native_monus(MONUS)
 
 PLUS = fixpoint(_c(L("f", "a", "b",
     _ifz(V("a"), V("b"),

@@ -210,7 +210,6 @@ def _intern_node(f: Code, a: Code) -> int:
         return got
     code = _node_index[key] = _rom_code(len(_rom))
     _rom.append(("node", f, a))
-    clear_caches()
     return code
 
 
@@ -244,15 +243,18 @@ def register_combinator(term: Term, name: str = "") -> int:
         raise UnboundVariableError(sorted(extra))
     for v in reversed(params):
         body = _bracket(v, body)
-    body_code = _intern_term(body)
-    key = (body_code, len(params))
-    got = _sc_index.get(key)
-    if got is not None:
-        return got
-    code = _sc_index[key] = _rom_code(len(_rom))
-    entry = HEADS[code] = ("sc", body_code, len(params), name)
-    _rom.append(entry)
-    clear_caches()
+    size = len(_rom)
+    try:
+        body_code = _intern_term(body)
+        key = (body_code, len(params))
+        code = _sc_index.get(key)
+        if code is None:
+            code = _sc_index[key] = _rom_code(len(_rom))
+            entry = HEADS[code] = ("sc", body_code, len(params), name)
+            _rom.append(entry)
+    finally:  # once per growth of the table, however the call ends
+        if len(_rom) > size:
+            clear_caches()
     return code
 
 
@@ -392,7 +394,8 @@ def lambda_lift(t: Term) -> Term:
     literal spine code -- small and canonical.
     """
     if isinstance(t, App):
-        return App(lambda_lift(t.fn), lambda_lift(t.arg))
+        fn, arg = lambda_lift(t.fn), lambda_lift(t.arg)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if not isinstance(t, Lam):
         return t
     fvs = free_vars(t)

@@ -53,7 +53,7 @@ class Big:
         self.a = a
         self.b = b
         self.est_bits = est_bits
-        # a Big child's hash is its _hash slot: read it, not __hash__
+        # a Big child's hash read from its slot, without a Python-level __hash__ call
         self._hash = hash((a._hash if type(a) is Big else hash(a),
                            b._hash if type(b) is Big else hash(b)))
         self._value = None

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kleeneset import diagonal, romlib as rom
+from kleeneset import diagonal, romlib as rom, vcodes
 from kleeneset.diagonal import (
     CatalogueMachine, Requirement, SeqCode, build_h,
     default_catalogue, enumerate_requirements, extend_for_requirement,
@@ -276,21 +276,31 @@ def _membership_oracle(comps, c):
     if not isinstance(length, int) or length > len(comps) + 65536:
         return "beyond"
     got = seq_decode(c)
-    if got is None or any(not isinstance(x, int) for x in got):
+    if got is None:
         return "nonmember"
     if len(got) <= len(comps):
         return "member" if tuple(got) == comps[:len(got)] else "nonmember"
+    if any(not isinstance(x, int) for x in got):
+        # a component past 2**2048 decodes as a Big: no longer path has it
+        return "nonmember"
     return "beyond" if tuple(got[:len(comps)]) == comps else "nonmember"
 
 
 _COMPONENTS = st.lists(st.integers(min_value=0, max_value=40)
-                       | st.integers(min_value=0, max_value=2 ** 70), max_size=12)
+                       | st.integers(min_value=0, max_value=2 ** 70)
+                       | st.integers(min_value=2 ** 2048 - 4, max_value=2 ** 2100), max_size=12)
+
+# codes of every shape: ints of up to 2048 bits and Big pairs of them
+_CODES = st.recursive(st.integers(min_value=0, max_value=40)
+                      | st.integers(min_value=0, max_value=2 ** 2048 - 1),
+                      lambda kids: st.builds(pair, kids, kids), max_leaves=6)
 
 
 @given(_COMPONENTS, st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=4),
-       st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3))
+       st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=20), _CODES), max_size=4))
 @settings(max_examples=80, deadline=None)
-def test_seqcode_prefix_codes_and_membership(comps, others, tail):
+def test_seqcode_prefix_codes_and_membership(comps, others, tail, drawn):
     comps = tuple(comps)
     s = SeqCode(comps)
     for n in range(len(comps) + 1):
@@ -306,6 +316,8 @@ def test_seqcode_prefix_codes_and_membership(comps, others, tail):
         candidates.append(seq_encode(bumped))
     candidates += [seq_encode(comps + tuple(tail)), seq_encode(tail), pair(10 ** 9, 0)]
     candidates += others
+    for length, code in drawn:
+        candidates += [code, pair(length, code), pair(len(comps) + length, code)]
     for c in candidates:
         assert s.membership(c) == _membership_oracle(comps, c), c
     twin = SeqCode(list(comps))
@@ -313,18 +325,33 @@ def test_seqcode_prefix_codes_and_membership(comps, others, tail):
     assert Truncation(distinguished=twin).key() == Truncation(distinguished=s).key()
 
 
+@given(st.lists(st.integers(min_value=0, max_value=3)
+                | st.integers(min_value=0, max_value=2 ** 40), max_size=300), st.randoms())
+@settings(max_examples=25, deadline=None)
+def test_every_prefix_code_is_the_code_of_the_prefix(comps, rng):
+    s = SeqCode(comps)
+    lengths = list(range(len(comps) + 1))
+    rng.shuffle(lengths)  # the prefixes asked for in any order
+    for n in lengths:
+        assert s.segment_code(n) == seq_encode(comps[:n])
+
+
 def test_seqcode_encodes_lazily_and_once(monkeypatch):
+    want = seq_encode(range(7))
     calls = []
-    def counting(xs):
-        calls.append(len(xs))
-        return seq_encode(xs)
-    monkeypatch.setattr(diagonal, "seq_encode", counting)
+    def counting(a, b):
+        calls.append((a, b))
+        return pair(a, b)
+    monkeypatch.setattr(diagonal, "pair", counting)
+    monkeypatch.setattr(vcodes, "pair", counting)
     s = SeqCode(tuple(range(4000)))
     assert calls == []  # a long --h-prefix file costs no encoding to load
     assert s.membership(0) == "member"
-    assert s.segment_code(7) == seq_encode(range(7))
-    s.segment_code(7)
-    assert calls == [0, 7]
+    assert s.segment_code(7) == want
+    assert 0 < len(calls) <= 16
+    del calls[:]
+    assert s.segment_code(7) == want
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", [None, 1.5, "1", True, -1, [0]])

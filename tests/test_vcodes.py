@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from kleeneset import romlib as rom
 from kleeneset.machine import apply_chain, apply_raw
-from kleeneset.pairing import pair, unpair0, unpair1
+from kleeneset.pairing import is_big, pair, unpair0, unpair1
 from kleeneset.universe import Truncation, din, fin, type_view
 from kleeneset.vcodes import (
     alpha0, elem_of, eq_code, eq_code_via_machine, eq_type,
-    f0_membership_realiser, f0_membership_type, internal_pair_fn, pair_graph_elem, seq_decode,
-    seq_encode, subeq_code, subeq_code_via_machine, v_finite, v_numeral,
-    v_omega, v_opair, v_upair)
+    f0_membership_realiser, f0_membership_type, internal_pair_fn, pair_graph_elem, pow2ceil,
+    seq_decode, seq_encode, subeq_code, subeq_code_via_machine, v_finite, v_numeral, v_omega,
+    v_opair, v_upair)
 
 TR = Truncation(segment_bound=6, nat_bound=6)
 
@@ -239,6 +239,36 @@ def test_seq_roundtrip_examples():
 @settings(max_examples=120, deadline=None)
 def test_seq_roundtrip_random(xs):
     assert seq_decode(seq_encode(xs)) == xs
+
+
+def _reference_encode(xs):
+    """The recursive encoder: halve the zero-padded list, pair the halves."""
+    def tree(xs):
+        if len(xs) == 1:
+            return xs[0]
+        h = len(xs) // 2
+        return pair(tree(xs[:h]), tree(xs[h:]))
+
+    xs = list(xs)
+    if not xs:
+        return 0
+    return pair(len(xs), tree(xs + [0] * (pow2ceil(len(xs)) - len(xs))))
+
+
+# small ints, raw ints past the 2**2048 of an int code, and Big codes
+_SEQ_COMPONENTS = (st.integers(min_value=0, max_value=9)
+                   | st.integers(min_value=2 ** 2048, max_value=2 ** 2100)
+                   | st.builds(pair, st.integers(min_value=2 ** 1100, max_value=2 ** 1200),
+                               st.integers(min_value=0, max_value=3)))
+
+
+@given(st.lists(_SEQ_COMPONENTS, max_size=40))
+@settings(max_examples=120, deadline=None)
+def test_seq_encode_equals_the_recursive_encoder(xs):
+    c = seq_encode(iter(xs))
+    assert c == _reference_encode(xs)
+    if any(is_big(x) or x.bit_length() > 2048 for x in xs):
+        assert is_big(c)
 
 
 def test_seq_decode_rejects_noncanonical():

@@ -25,9 +25,9 @@ from ._value import Value, setfield
 from .machine import (
     DEFAULT_FUEL, DivergedError, OutOfFuelError, apply_raw,
 )
-from .pairing import Code, incomparable_witness, pair, unpair
+from .pairing import _THRESHOLD_BITS, Code, incomparable_witness, pair, unpair
 from .terms import mkapp, mkapps
-from .vcodes import _MAX_SEQ_LENGTH, seq_decode, seq_encode
+from .vcodes import _MAX_SEQ_LENGTH, seq_decode, seq_encode, seq_grow, seq_prefix_code
 
 __all__ = [
     "SeqCode", "PathView", "CatalogueMachine", "Catalogue", "Requirement",
@@ -44,12 +44,15 @@ class SeqCode(Value):
     It also serves as the distinguished set of a truncation: the initial
     segments of the path this sequence is a prefix of.  Segments inside
     the prefix are decided, longer candidates that agree with the whole
-    prefix are beyond the truncation, everything else is out.  Each
-    prefix code is encoded the first time it is asked for and kept.
+    prefix are beyond the truncation, everything else is out.  The rows of
+    aligned block codes (see vcodes) are grown only as far as the longest
+    prefix asked for so far; a prefix code pairs the blocks that straddle
+    its length, and is kept.  A longer candidate is compared block by block
+    with the rows, never decoded.
     """
 
     _fields = ("components",)
-    __slots__ = _fields + ("_codes",)  # the prefix codes: no part of the value
+    __slots__ = _fields + ("_rows", "_codes")  # no part of the value
 
     def __init__(self, components: Iterable[int]):
         comps = tuple(components)
@@ -57,6 +60,7 @@ class SeqCode(Value):
             if type(x) is not int or x < 0:
                 raise ValueError(f"sequence component {k} is not a natural: {x!r}")
         setfield(self, "components", comps)
+        setfield(self, "_rows", [comps])
         setfield(self, "_codes", {})
 
     def __len__(self) -> int:
@@ -71,7 +75,8 @@ class SeqCode(Value):
             return None
         got = self._codes.get(length)
         if got is None:
-            got = self._codes[length] = seq_encode(self.components[:length])
+            seq_grow(self._rows, length)
+            got = self._codes[length] = seq_prefix_code(self._rows, length)
         return got
 
     def member_codes(self, segment_bound: int) -> list[Code]:
@@ -79,17 +84,37 @@ class SeqCode(Value):
                 for n in range(min(segment_bound, len(self.components)) + 1)]
 
     def membership(self, c: Code) -> str:
-        length = unpair(c)[0]
-        if not isinstance(length, int) or length > len(self.components) + 65536:
+        length, tree = unpair(c)
+        known = len(self.components)
+        if not isinstance(length, int) or length > known + 65536:
             # too long to inspect: could extend the path past the prefix
             return "beyond"
-        if length <= len(self.components):
+        if length <= known:
             return "member" if c == self.segment_code(length) else "nonmember"
-        comps = seq_decode(c)
-        if comps is None or any(not isinstance(x, int) for x in comps):
-            return "nonmember"  # not the canonical code of any sequence
-        agrees = tuple(comps[:len(self.components)]) == self.components
-        return "beyond" if agrees else "nonmember"
+        if (length > _MAX_SEQ_LENGTH
+                or max(self.components, default=0).bit_length() > _THRESHOLD_BITS):
+            # no canonical code that long; or a component decodes as a Big,
+            # which no longer sequence of naturals has
+            return "nonmember"
+        rows = self._rows
+        seq_grow(rows, known)
+
+        def agrees(t: Code, k: int, i: int) -> bool:
+            # block i of level k of the candidate: the prefix's block while it
+            # lies wholly inside the prefix, 0 past the length, ints between
+            start, end = i << k, (i + 1) << k
+            if end <= known:
+                return t == rows[k][i]
+            if start >= length:
+                return t == 0
+            if isinstance(t, int) and (k == 0 or start >= known and end <= length):
+                return True  # every component of an int block is an int
+            if k == 0:
+                return False
+            left, right = unpair(t)
+            return agrees(left, k - 1, 2 * i) and agrees(right, k - 1, 2 * i + 1)
+
+        return "beyond" if agrees(tree, (length - 1).bit_length(), 0) else "nonmember"
 
 
 PathView = SeqCode  # the older name, kept only because bench/workloads.py builds D.PathView

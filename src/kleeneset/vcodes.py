@@ -31,7 +31,7 @@ __all__ = [
     "subeq_code_via_machine", "eq_code_via_machine",
     "internal_pair_fn", "pair_graph_elem", "alpha0",
     "f0_vcode", "f0_membership_type", "f0_membership_realiser",
-    "seq_encode", "seq_decode", "pow2ceil",
+    "seq_encode", "seq_decode", "seq_grow", "seq_prefix_code", "pow2ceil",
 ]
 
 
@@ -101,6 +101,16 @@ def v_finite(elems: Sequence) -> VCode:
 # Sequence codes (shared with the diagonal module): pair(length, balanced
 # tree over a power-of-two leaf count, zero padded).  pair(0,0) = 0 is the
 # empty sequence and the all-zero tree collapses to the number 0.
+#
+# The tree is built bottom up in rows.  Row 0 is the components, and entry
+# i of row k is the code of the aligned block of 2**k components from
+# i * 2**k: the pair of entries 2i and 2i+1 of row k-1.  The rows hold only
+# the blocks that lie wholly inside the components they were grown over.
+# The code of the first L components reads those blocks from the rows,
+# takes 0 for a block past L (all padding, and pair(0, 0) = 0), and pairs
+# only the blocks that straddle L, at most one per level; since pair is a
+# bijection with one representation per natural, equal blocks have equal
+# codes, so every prefix shares the rows.
 
 
 def pow2ceil(n: int) -> int:
@@ -110,19 +120,39 @@ def pow2ceil(n: int) -> int:
     return s
 
 
-def _tree(xs: list) -> Code:
-    if len(xs) == 1:
-        return xs[0]
-    h = len(xs) // 2
-    return pair(_tree(xs[:h]), _tree(xs[h:]))
+def seq_grow(rows: list, length: int) -> None:
+    """Grow each row above rows[0] to the blocks wholly inside the first
+    length components."""
+    k = 1
+    while length >> k:
+        if k == len(rows):
+            rows.append([])
+        below, row = rows[k - 1], rows[k]
+        for i in range(len(row), length >> k):
+            row.append(pair(below[2 * i], below[2 * i + 1]))
+        k += 1
+
+
+def seq_prefix_code(rows: list, length: int) -> Code:
+    """The code of the first length components, from rows grown that far."""
+    if length == 0:
+        return 0
+    top = (length - 1).bit_length()  # the tree has 2**top leaves
+    if length == 1 << top:
+        return pair(length, rows[top][0])
+    tree = 0  # the block of level k that straddles length, padded with 0
+    for k in range(top):
+        if length >> k & 1:
+            tree = pair(rows[k][(length >> k) - 1], tree)
+        elif tree != 0:
+            tree = pair(tree, 0)
+    return pair(length, tree)
 
 
 def seq_encode(xs: Iterable) -> Code:
-    xs = list(xs)
-    if not xs:
-        return 0
-    padded = xs + [0] * (pow2ceil(len(xs)) - len(xs))
-    return pair(len(xs), _tree(padded))
+    rows = [list(xs)]
+    seq_grow(rows, len(rows[0]))
+    return seq_prefix_code(rows, len(rows[0]))
 
 
 _MAX_SEQ_LENGTH = 1_000_000

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -286,6 +287,22 @@ def test_cli_catalogue_file(tmp_path):
     payload = json.loads(out)
     assert rc == 0 and len(payload["stages"]) == 4
     assert all(s["resolved"] for s in payload["stages"])
+
+
+LOOP_CATALOGUE = [{"term": "(lam t (app (app (app fix (app (app s k) k)) t) t))"}]
+
+
+def test_cli_builds_three_open_stages_of_a_machine_that_never_halts(tmp_path, time_limit):
+    # each open stage pads the path past its length squared; the 351 prefix
+    # codes of the 28,563 components cost a path of pairs each, not an encoding
+    path = _write(tmp_path / "cat.json", LOOP_CATALOGUE)
+    argv = ("diagonal", "build", "--catalogue", path, "--stages", "3", "--fuel", "100")
+    with time_limit(2, "three stages of the loop catalogue"):
+        rc, out = run_cli(*argv)
+        assert (rc, out) == (0, "built a prefix of length 28563 over 3 stages (3 extensions)\n")
+        rc, out = run_cli(*argv, "--json")
+    assert rc == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "7a72087ee93d234536690e7ba5185400"
 
 
 def test_cli_encodes_any_closed_term(tmp_path):

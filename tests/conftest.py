@@ -56,21 +56,28 @@ class TimeLimitExceeded(Exception):
     a file into a clean exit 2, and a hang must not pass for that."""
 
 
+RING_AGAIN_S = 0.05
+
+
+@contextmanager
+def time_limited(seconds, what):
+    """Raise TimeLimitExceeded in the body once seconds of wall time have
+    passed.  The timer rings again every RING_AGAIN_S until the body leaves:
+    a raise from a signal handler that runs inside a garbage-collector
+    callback is dropped, and one ring alone would then let the body run on."""
+    def ring(signum, frame):
+        raise TimeLimitExceeded(f"{what} took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds, RING_AGAIN_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture(scope="session")
 def time_limit():
-    """time_limit(seconds, what): a context manager that raises
-    TimeLimitExceeded in its body once seconds of wall time have passed."""
-    @contextmanager
-    def limit(seconds, what):
-        def ring(signum, frame):
-            raise TimeLimitExceeded(f"{what} took more than {seconds} s")
-
-        previous = signal.signal(signal.SIGALRM, ring)
-        signal.setitimer(signal.ITIMER_REAL, seconds)
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-
-    return limit
+    """time_limit(seconds, what): time_limited, as a fixture."""
+    return time_limited

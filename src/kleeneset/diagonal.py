@@ -25,9 +25,11 @@ from ._value import Value, setfield
 from .machine import (
     DEFAULT_FUEL, DivergedError, OutOfFuelError, apply_raw,
 )
-from .pairing import _THRESHOLD_BITS, Code, incomparable_witness, pair, unpair
+from .pairing import Code, incomparable_witness, pair, unpair
 from .terms import mkapp, mkapps
-from .vcodes import _MAX_SEQ_LENGTH, seq_decode, seq_encode, seq_grow, seq_prefix_code
+from .vcodes import (
+    _MAX_SEQ_LENGTH, seq_decode, seq_encode, seq_extends, seq_grow, seq_prefix_code,
+)
 
 __all__ = [
     "SeqCode", "PathView", "CatalogueMachine", "Catalogue", "Requirement",
@@ -84,37 +86,14 @@ class SeqCode(Value):
                 for n in range(min(segment_bound, len(self.components)) + 1)]
 
     def membership(self, c: Code) -> str:
-        length, tree = unpair(c)
+        length = unpair(c)[0]
         known = len(self.components)
         if not isinstance(length, int) or length > known + 65536:
             # too long to inspect: could extend the path past the prefix
             return "beyond"
         if length <= known:
             return "member" if c == self.segment_code(length) else "nonmember"
-        if (length > _MAX_SEQ_LENGTH
-                or max(self.components, default=0).bit_length() > _THRESHOLD_BITS):
-            # no canonical code that long; or a component decodes as a Big,
-            # which no longer sequence of naturals has
-            return "nonmember"
-        rows = self._rows
-        seq_grow(rows, known)
-
-        def agrees(t: Code, k: int, i: int) -> bool:
-            # block i of level k of the candidate: the prefix's block while it
-            # lies wholly inside the prefix, 0 past the length, ints between
-            start, end = i << k, (i + 1) << k
-            if end <= known:
-                return t == rows[k][i]
-            if start >= length:
-                return t == 0
-            if isinstance(t, int) and (k == 0 or start >= known and end <= length):
-                return True  # every component of an int block is an int
-            if k == 0:
-                return False
-            left, right = unpair(t)
-            return agrees(left, k - 1, 2 * i) and agrees(right, k - 1, 2 * i + 1)
-
-        return "beyond" if agrees(tree, (length - 1).bit_length(), 0) else "nonmember"
+        return "beyond" if seq_extends(self._rows, c) else "nonmember"
 
 
 PathView = SeqCode  # the older name, kept only because bench/workloads.py builds D.PathView

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Sequence
 from . import romlib as rom
 from ._value import Value
 from .machine import DEFAULT_FUEL, apply_chain, apply_raw
-from .pairing import Code, pair, unpair, unpair0, unpair1
+from .pairing import _THRESHOLD_BITS, Code, pair, unpair, unpair0, unpair1
 from .terms import mkapp, mkapps
 from .universe import NAT, DIST, Truncation, fin, pi_code, sigma_code
 
@@ -31,7 +31,7 @@ __all__ = [
     "subeq_code_via_machine", "eq_code_via_machine",
     "internal_pair_fn", "pair_graph_elem", "alpha0",
     "f0_vcode", "f0_membership_type", "f0_membership_realiser",
-    "seq_encode", "seq_decode", "seq_grow", "seq_prefix_code", "pow2ceil",
+    "seq_encode", "seq_decode", "seq_grow", "seq_prefix_code", "seq_extends", "pow2ceil",
 ]
 
 
@@ -186,6 +186,38 @@ def seq_decode(c: Code) -> list[Code] | None:
     if seq_encode(out) != c:
         return None
     return out
+
+
+def seq_extends(rows: list, c: Code) -> bool:
+    """Whether c is the code of a sequence longer than rows[0], starting
+    with it and with int components only, as seq_decode would read c.
+
+    c is walked block by block against the rows, never decoded: a block
+    wholly inside rows[0] must equal its row entry, a block past c's length
+    must be 0, and a component in between must be an int.  A component of
+    rows[0] past 2**2048 decodes as a Big, so no such c starts with it.
+    """
+    length, tree = unpair(c)
+    known = len(rows[0])
+    if (not isinstance(length, int) or not known < length <= _MAX_SEQ_LENGTH
+            or max(rows[0], default=0).bit_length() > _THRESHOLD_BITS):
+        return False
+    seq_grow(rows, known)
+
+    def agrees(t: Code, k: int, i: int) -> bool:  # block i of level k of c
+        start, end = i << k, (i + 1) << k
+        if end <= known:
+            return t == rows[k][i]
+        if start >= length:
+            return t == 0
+        if isinstance(t, int) and (k == 0 or start >= known and end <= length):
+            return True  # every component of an int block is an int
+        if k == 0:
+            return False
+        left, right = unpair(t)
+        return agrees(left, k - 1, 2 * i) and agrees(right, k - 1, 2 * i + 1)
+
+    return agrees(tree, (length - 1).bit_length(), 0)
 
 
 # ---------------------------------------------------------------------------

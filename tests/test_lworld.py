@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from typing import Sequence
@@ -486,22 +488,76 @@ def test_the_powerset_route_leaves_the_collector_as_it_found_it(monkeypatch):
         return real(fs, rank)
 
     was_on = gc.isenabled()
+    frozen = gc.get_freeze_count()
     try:
         gc.enable()
         def_subsets(L4, route="powerset")
-        assert gc.isenabled()
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
         gc.disable()
         def_subsets(L4, route="powerset")
-        assert not gc.isenabled()
+        assert not gc.isenabled() and gc.get_freeze_count() == frozen
         gc.enable()
         monkeypatch.setattr(lworld, "_interned", fails_at_the_fifth)
         with pytest.raises(_Partway) as raised:
             def_subsets(L4, route="powerset")
         assert raised.value is stop
         assert seen_on == [False] * 5  # paused through the loop
-        assert gc.isenabled()
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was_on else gc.disable)()
+
+
+# The probe stays on until the oldest generation has been listed, so a
+# collection the pause left due shows up here.
+_L5_IN_THE_OLDEST_GENERATION = """
+import gc
+from kleeneset.lworld import l_stage
+gc.collect()
+if gc.get_freeze_count():
+    print("frozen", gc.get_freeze_count())
+    raise SystemExit
+starts = []
+def probe(phase, info):
+    if phase == "start":
+        starts.append(info["generation"])
+gc.callbacks.append(probe)
+stage = l_stage(5)
+oldest = {id(x) for x in gc.get_objects(generation=2)}
+gc.callbacks.remove(probe)
+print(len(stage), sum(id(x) in oldest for x in stage), starts, gc.get_freeze_count())
+"""
+
+
+def test_l5_is_built_without_a_collection_and_left_in_the_oldest_generation(child_env):
+    """L_5 is built once per process, so a fresh interpreter builds it: the
+    end of the powerset pause moves the interned sets to the oldest
+    generation, so no collection walks the 65,536 sets it made."""
+    out = subprocess.run([sys.executable, "-c", _L5_IN_THE_OLDEST_GENERATION], env=child_env,
+                         capture_output=True, text=True, check=True).stdout
+    if out.startswith("frozen"):  # 3.12.1 keeps 375 objects frozen, even after gc.unfreeze()
+        pytest.skip(f"this interpreter keeps objects frozen ({out.split()[1]}), "
+                    "so the route keeps the collector's walk")
+    assert out.split() == ["65536", "65536", "[]", "0"]
+
+
+_A_CALLER_FROZE_OBJECTS = """
+import gc
+from kleeneset.lworld import def_subsets, hf_nat
+kept = [[k] for k in range(1000)]
+gc.freeze()
+frozen = gc.get_freeze_count()
+got = def_subsets([hf_nat(k) for k in range(8)], route="powerset")
+print(len(got), frozen >= 1000, gc.get_freeze_count() == frozen, gc.isenabled())
+"""
+
+
+def test_the_powerset_route_leaves_a_callers_frozen_objects_frozen(child_env):
+    """A caller that froze objects keeps them frozen: the subsets of the
+    first eight naturals are new in a fresh interpreter, so the route
+    makes sets there, and the freeze count is the same after it."""
+    out = subprocess.run([sys.executable, "-c", _A_CALLER_FROZE_OBJECTS], env=child_env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["256", "True", "True", "True"]
 
 
 def test_every_member_of_l5_has_its_rank():

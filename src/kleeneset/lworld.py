@@ -7,7 +7,9 @@ denotation and by the powerset shortcut, and a set is coded as the edge
 set of the membership digraph on its transitive closure, with decoding
 by well-founded recursion.  The powerset route interns its subsets with
 the cyclic garbage collector paused, since interned sets are acyclic
-(each member has a smaller rank); `def_subsets` gives the argument.
+(each member has a smaller rank), and at the end of the pause moves them
+to the collector's oldest generation, since interned sets are never
+garbage; `def_subsets` gives the argument.
 """
 
 from __future__ import annotations
@@ -264,12 +266,17 @@ _POWERSET_BOUND = 16  # the powerset route's largest domain: |L_4|, which l_stag
 @contextmanager
 def _collector_paused():
     """Switch the cyclic garbage collector off for the body, and back on
-    after it only if it was on before."""
+    after it only if it was on before.  On the way out, unless the process
+    has frozen objects, every tracked object moves to the oldest generation
+    (def_subsets gives the argument)."""
     was_on = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
         if was_on:
             gc.enable()
 
@@ -304,6 +311,20 @@ def def_subsets(domain: Iterable[HFSet], route: str = "formulas") -> set[HFSet]:
     the workbench starts no threads, so a collection during the loop
     could free nothing.  Pausing changes no set, no rank, no iteration
     result and no memory bound.
+
+    When the pause ends, gc.freeze() then gc.unfreeze() moves every object
+    the collector tracks into its oldest generation; both only splice
+    lists.  The sets made here are interned for the whole process, so
+    they are never garbage, and the collection the pause left due would
+    walk them (about 131,000 objects for L_5) to free nothing.  The move
+    frees nothing and keeps nothing alive either, so it changes no set,
+    no rank, no iteration result and no memory bound.  It also promotes a
+    caller's young objects early, as if they had survived two
+    collections; with the collector on there are at most about
+    threshold0 + threshold1 * survivors of them, and the next full
+    collection still examines them.  gc.unfreeze() would also thaw what
+    a caller froze, so the move is skipped while anything is frozen, and
+    the freeze count is the same after every call as before it.
     """
     dom = sorted(set(domain))
     if route == "powerset":

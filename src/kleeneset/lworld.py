@@ -317,14 +317,16 @@ def def_subsets(domain: Iterable[HFSet], route: str = "formulas") -> set[HFSet]:
     lists.  The sets made here are interned for the whole process, so
     they are never garbage, and the collection the pause left due would
     walk them (about 131,000 objects for L_5) to free nothing.  The move
-    frees nothing and keeps nothing alive either, so it changes no set,
-    no rank, no iteration result and no memory bound.  It also promotes a
-    caller's young objects early, as if they had survived two
-    collections; with the collector on there are at most about
-    threshold0 + threshold1 * survivors of them, and the next full
-    collection still examines them.  gc.unfreeze() would also thaw what
-    a caller froze, so the move is skipped while anything is frozen, and
-    the freeze count is the same after every call as before it.
+    frees no object and makes none, and the intern table keeps these sets
+    alive whichever generation holds them, so it changes no set, no rank,
+    no iteration result and no memory bound of the route.  It also
+    promotes a caller's young objects early, as if they had survived two
+    collections: with the collector on, at most threshold0 objects of the
+    youngest generation and the survivors of fewer than threshold1 young
+    collections.  Garbage among them waits for the next full collection
+    instead of a young one.  gc.unfreeze() would also thaw what a caller
+    froze, so the move is skipped while anything is frozen, and the
+    freeze count is the same after every call as before it.
     """
     dom = sorted(set(domain))
     if route == "powerset":

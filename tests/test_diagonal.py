@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,3 +360,30 @@ def test_seqcode_encodes_lazily_and_once(monkeypatch):
 def test_seqcode_rejects_components_that_are_not_naturals(bad):
     with pytest.raises(ValueError):
         SeqCode((0, bad, 1))
+
+
+# Each query runs cold in a fresh interpreter, so build_h compiles plans and
+# grows prefix codes; free_vars runs inside compile_lambda and on its own.
+_QUERIES_WITH_THE_COLLECTOR_OFF = """
+import gc
+from kleeneset import diagonal, machine, pairing, terms, vcodes
+from kleeneset.sexpr import parse_term
+catalogue = diagonal.default_catalogue()
+gc.collect()
+gc.disable()
+seq, _ = diagonal.build_h(catalogue, 30)
+past = diagonal.SeqCode(seq.components).membership(vcodes.seq_encode(seq.components + (7,)))
+decoded = vcodes.seq_decode(seq.code) == list(seq.components)
+swap = terms.compile_lambda(parse_term("(lam x (lam y (app (app p y) x)))"))
+fired = machine.apply_chain(swap, 2, 3)
+fvs = terms.free_vars(parse_term("(lam x (app (app y x) z))"))
+print(len(seq), past, decoded, fired == pairing.pair(3, 2), fvs, gc.collect())
+"""
+
+
+def test_the_deciders_leave_no_cyclic_garbage(child_env):
+    """Reference counting frees everything a round makes: no recursive
+    closure is left behind as a cycle that only the collector frees."""
+    out = subprocess.run([sys.executable, "-c", _QUERIES_WITH_THE_COLLECTOR_OFF], env=child_env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["123", "beyond", "True", "True", "['y',", "'z']", "0"]

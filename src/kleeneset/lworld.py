@@ -5,7 +5,9 @@ extensional equality is object identity, definable subsets of a finite
 structure are computed both by formula enumeration up to equal
 denotation and by the powerset shortcut, and a set is coded as the edge
 set of the membership digraph on its transitive closure, with decoding
-by well-founded recursion.  The powerset route interns its subsets with
+by well-founded recursion.  The powerset route builds its subsets by
+doubling, each one a smaller subset's frozenset with one member added,
+so each gets the smallest table its size allows; it interns them with
 the cyclic garbage collector paused, since interned sets are acyclic
 (each member has a smaller rank), and at the end of the pause moves them
 to the collector's oldest generation, since interned sets are never
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import itertools
 from collections import deque
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
@@ -297,11 +298,23 @@ def def_subsets(domain: Iterable[HFSet], route: str = "formulas") -> set[HFSet]:
 
     The powerset route returns every subset (each one is definable by a
     disjunction of equalities with parameters, so the routes agree on
-    finite structures once _FORMULA_SIZE allows it).  The domain is sorted
-    canonically, rank first, so the last member of each combination has
-    the largest rank, and the subset's rank is one more than that.  A
-    domain of more than _POWERSET_BOUND members is a ValueError: its
-    2**17 subsets and more are not built.
+    finite structures once _FORMULA_SIZE allows it).  A domain of more
+    than _POWERSET_BOUND members is a ValueError: its 2**17 subsets and
+    more are not built.
+
+    It builds the subsets by doubling.  The subsets of the empty prefix
+    of the domain are the empty set alone; those of a prefix ending in e
+    are those of the prefix before e, and each of them with e added.  The
+    domain is sorted canonically, rank first, so every member of a subset
+    built before e has a rank no larger than e's, and the rank of a
+    subset with e added is e's rank plus one.  The new subset's frozenset
+    is the old one's with e added: the union sizes its table once, from
+    the number of members it copies, so each frozenset has the smallest
+    table a set of its size is copied into.  Built one insertion at a
+    time, as from a combination, a frozenset grows its table in steps and
+    can keep a larger one: 728 bytes instead of 472 for each of the
+    36,686 members of L_5 with 5 to 8 elements.  The intern lookup and
+    the making of a missing set are _interned's, written out in the loop.
 
     Its loop runs with the cyclic garbage collector paused, which only
     saves the collector's time.  A set made here refers only to its
@@ -333,12 +346,22 @@ def def_subsets(domain: Iterable[HFSet], route: str = "formulas") -> set[HFSet]:
         if len(dom) > _POWERSET_BOUND:
             raise ValueError(
                 f"structure of size {len(dom)} exceeds the powerset bound {_POWERSET_BOUND}")
-        out = {EMPTY}
+        intern = HFSet._intern
+        made = [EMPTY]
         with _collector_paused():
-            for k in range(1, len(dom) + 1):
-                for combo in itertools.combinations(dom, k):
-                    out.add(_interned(frozenset(combo), combo[-1]._rank + 1))
-        return out
+            for e in dom:
+                rank, single = e._rank + 1, frozenset((e,))
+                for i in range(len(made)):
+                    fs = made[i].elems | single
+                    got = intern.get(fs)
+                    if got is None:
+                        got = intern[fs] = object.__new__(HFSet)
+                        got.elems = fs
+                        got._rank = rank
+                        got._sorted = None
+                        got._ordinal = None
+                    made.append(got)
+        return set(made)
     if route != "formulas":
         raise ValueError(route)
     if len(dom) > _DOMAIN_BOUND:

@@ -279,28 +279,29 @@ def _lower(code: list, framed: int, fires: int, result) -> tuple:
     """The plan of compiled instructions: registers numbered constants
     first (in the order met), then arguments, then instruction values."""
     consts: dict = {}
-
-    def operand(v, base, depth=0):
-        if type(v) is _Opaque:
-            return base + v.reg
-        if type(v) is _Spine:
-            if depth == _PLAN_NESTING:
-                raise _Unplannable
-            return (v[0], v[2], tuple(operand(x, base, depth + 1) for x in v[1]))
-        return consts.setdefault(v, len(consts))
-
-    def instruction(n, f, a, base):
-        if a is not None and type(f) is not _Opaque:
-            head, args, entry = f[:3] if type(f) is _Spine else _peel(f)
-            if entry is not None and entry[3] in _NUMBER_FIRES and len(args) + 1 == entry[2]:
-                return (n, entry[3], tuple(operand(x, base) for x in args + (a,)))
-        return (n, operand(f, base), None if a is None else operand(a, base))
-
     code = code + [(fires, result, None)]
     for ins in code:  # number the constants
-        instruction(*ins, 0)
+        _instruction(*ins, 0, consts)
     base = len(consts)
-    return (tuple(consts), tuple(instruction(*ins, base) for ins in code), framed)
+    return (tuple(consts), tuple(_instruction(*ins, base, consts) for ins in code), framed)
+
+
+def _operand(v, base: int, consts: dict, depth: int = 0):
+    if type(v) is _Opaque:
+        return base + v.reg
+    if type(v) is _Spine:
+        if depth == _PLAN_NESTING:
+            raise _Unplannable
+        return (v[0], v[2], tuple(_operand(x, base, consts, depth + 1) for x in v[1]))
+    return consts.setdefault(v, len(consts))
+
+
+def _instruction(n: int, f, a, base: int, consts: dict) -> tuple:
+    if a is not None and type(f) is not _Opaque:
+        head, args, entry = f[:3] if type(f) is _Spine else _peel(f)
+        if entry is not None and entry[3] in _NUMBER_FIRES and len(args) + 1 == entry[2]:
+            return (n, entry[3], tuple(_operand(x, base, consts) for x in args + (a,)))
+    return (n, _operand(f, base, consts), None if a is None else _operand(a, base, consts))
 
 
 def _fire_number(name: str, xs):

@@ -338,19 +338,19 @@ def decode(code: Code) -> Term:
 def free_vars(t: Term) -> list[str]:
     """The free variables of t, each once, in order of first occurrence."""
     out: list[str] = []
-
-    def walk(t: Term, bound: frozenset[str]) -> None:
-        if isinstance(t, Var):
-            if t.name not in bound and t.name not in out:
-                out.append(t.name)
-        elif isinstance(t, App):
-            walk(t.fn, bound)
-            walk(t.arg, bound)
-        elif isinstance(t, Lam):
-            walk(t.body, bound | {t.var})
-
-    walk(t, frozenset())
+    _free_walk(t, frozenset(), out)
     return out
+
+
+def _free_walk(t: Term, bound: frozenset[str], out: list[str]) -> None:
+    if isinstance(t, Var):
+        if t.name not in bound and t.name not in out:
+            out.append(t.name)
+    elif isinstance(t, App):
+        _free_walk(t.fn, bound, out)
+        _free_walk(t.arg, bound, out)
+    elif isinstance(t, Lam):
+        _free_walk(t.body, bound | {t.var}, out)
 
 
 # ---------------------------------------------------------------------------

@@ -170,22 +170,23 @@ def seq_decode(c: Code) -> list[Code] | None:
     if length == 0:
         return [] if payload == 0 else None
     leaves: list[Code] = []
-
-    def walk(t: Code, size: int) -> None:
-        if size == 1:
-            leaves.append(t)
-            return
-        l, r = unpair(t)
-        walk(l, size // 2)
-        walk(r, size // 2)
-
-    walk(payload, pow2ceil(length))
+    _seq_leaves(payload, pow2ceil(length), leaves)
     if any(x != 0 for x in leaves[length:]):
         return None
     out = leaves[:length]
     if seq_encode(out) != c:
         return None
     return out
+
+
+def _seq_leaves(t: Code, size: int, leaves: list) -> None:
+    """Append the size leaves of the tree t to leaves, left to right."""
+    if size == 1:
+        leaves.append(t)
+        return
+    l, r = unpair(t)
+    _seq_leaves(l, size // 2, leaves)
+    _seq_leaves(r, size // 2, leaves)
 
 
 def seq_extends(rows: list, c: Code) -> bool:
@@ -203,21 +204,24 @@ def seq_extends(rows: list, c: Code) -> bool:
             or max(rows[0], default=0).bit_length() > _THRESHOLD_BITS):
         return False
     seq_grow(rows, known)
+    return _block_agrees(tree, (length - 1).bit_length(), 0, rows, known, length)
 
-    def agrees(t: Code, k: int, i: int) -> bool:  # block i of level k of c
-        start, end = i << k, (i + 1) << k
-        if end <= known:
-            return t == rows[k][i]
-        if start >= length:
-            return t == 0
-        if isinstance(t, int) and (k == 0 or start >= known and end <= length):
-            return True  # every component of an int block is an int
-        if k == 0:
-            return False
-        left, right = unpair(t)
-        return agrees(left, k - 1, 2 * i) and agrees(right, k - 1, 2 * i + 1)
 
-    return agrees(tree, (length - 1).bit_length(), 0)
+def _block_agrees(t: Code, k: int, i: int, rows: list, known: int, length: int) -> bool:
+    """Whether t, block i of level k of a code of the given length, agrees
+    with the rows by seq_extends's rule; known is len(rows[0])."""
+    start, end = i << k, (i + 1) << k
+    if end <= known:
+        return t == rows[k][i]
+    if start >= length:
+        return t == 0
+    if isinstance(t, int) and (k == 0 or start >= known and end <= length):
+        return True  # every component of an int block is an int
+    if k == 0:
+        return False
+    left, right = unpair(t)
+    return (_block_agrees(left, k - 1, 2 * i, rows, known, length)
+            and _block_agrees(right, k - 1, 2 * i + 1, rows, known, length))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ denotation and by the powerset shortcut, and a set is coded as the edge
 set of the membership digraph on its transitive closure, with decoding
 by well-founded recursion.  The powerset route builds its subsets by
 doubling, each one a smaller subset's frozenset with one member added,
-so each gets the smallest table its size allows; it interns them with
-the cyclic garbage collector paused, since interned sets are acyclic
-(each member has a smaller rank), and at the end of the pause moves them
-to the collector's oldest generation, since interned sets are never
-garbage; `def_subsets` gives the argument.
+so each table is sized once, by the copy, for its members.  It interns
+them with the cyclic garbage collector paused, since interned sets are
+acyclic (each member has a smaller rank), and at the end of the pause
+moves them to the collector's oldest generation, since interned sets are
+never garbage; `def_subsets` gives the argument.
 """
 
 from __future__ import annotations

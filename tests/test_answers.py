@@ -12,6 +12,7 @@ must give the cold answers: an answer does not depend on what ran before.
 
 import collections
 import importlib.util
+import itertools
 import json
 import pathlib
 
@@ -60,6 +61,23 @@ def test_cold_answers_are_pinned(group):
     got = asker.replay(queries, warm=False)
     wrong = [(q, a) for q, a in zip(queries, got) if a != q["answer"]]
     assert not wrong, (len(wrong), wrong[:3])
+
+
+def test_each_equality_answers_the_same_with_its_sides_swapped():
+    # equality is mutual inclusion, so which side comes first cannot
+    # matter; the sets whose element map converges nowhere are left out
+    pool = {k: v for k, v in answers._pool().items() if k not in ("loopset", "divset")}
+    differ = []
+    for fuel in (40, 300, 10 ** 6):
+        for nat in (1, 3):
+            budget = answers.rz.CheckBudget(answers.U.Truncation(nat_bound=nat, fuel=fuel))
+            for x, y in itertools.combinations(pool, 2):
+                a, b = answers.rz.Val(pool[x]), answers.rz.Val(pool[y])
+                there = answers.rz.formula_status(answers.rz.Eq(a, b), {}, budget).status
+                back = answers.rz.formula_status(answers.rz.Eq(b, a), {}, budget).status
+                if there != back:
+                    differ.append((x, y, fuel, nat, there, back))
+    assert not differ, (len(differ), differ[:3])
 
 
 @pytest.mark.parametrize("order", ["in order", "reversed"])

@@ -391,6 +391,11 @@ SUBCOMMAND_ANSWERS = [
       "--bind", "b=numeral:1"), 1, "refuted", '{"verdict":"refuted"}'),
     (("check", "(app (app p 0) iota)", "(in a b)", "--bind", "a=0",
       "--bind", "b=omega"), 0, "realized", '{"verdict":"realized"}'),
+    # the identity realises A -> A; A bounds x by {0, 3, 4}, indexed by a sum
+    (("check", "(lam a a)", "(-> (all x 897371221224137741117825546714260896126925133 "
+      "(in x (numeral 8))) (all x 897371221224137741117825546714260896126925133 "
+      "(in x (numeral 8))))"), 0, "realized (relative to the searched antecedent realisers)",
+     '{"note":"relative to the searched antecedent realisers","verdict":"realized"}'),
     (("diagonal", "build", "--stages", "2", "--out", "OUT"), 0,
      "built a prefix of length 10 over 2 stages (1 extensions)",
      '{"components":[0,0,0,0,0,0,0,0,0,0],"stages":['

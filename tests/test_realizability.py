@@ -449,6 +449,29 @@ def test_equality_search_stops_at_a_set_indexed_by_a_sum():
     assert (v.status, v.note) == ("realized", None)
 
 
+# {0, 3, 4}: the sum of fin 1 over fin 3 lists the codes pair(k, 0), k < 3,
+# and NUMMAP sends each code to its numeral
+SUM_SET = VCode(pair(sigma_code(fin(3), mkapp(rom.K, fin(1))), rom.NUMMAP))
+
+
+def test_a_bounded_universal_table_is_keyed_by_member_code():
+    # the checker runs a bounded universal's realiser on each member code,
+    # 0, 3 and 4 here, not on the positions 0, 1 and 2 of the listing
+    phi = BAll("x", Val(SUM_SET), In(Var("x"), Val(v_numeral(8))))
+    w, decisive = find_realiser(phi, {}, B)
+    assert decisive and check(w, phi, {}, B).realized
+    v = check(compile_lambda(L("a", V("a"))), Implies(phi, phi), {}, B)
+    assert (v.status, v.note) == ("realized", "relative to the searched antecedent realisers")
+
+
+def test_a_table_over_codes_past_the_finite_bound_is_not_built(time_limit):
+    # the sum of fin 300 over fin 1 lists the codes pair(0, k), k < 300, up
+    # to 89,401: a table keyed by them is not built, whatever its members
+    big = VCode(pair(sigma_code(fin(1), mkapp(rom.K, fin(300))), rom.NUMMAP))
+    with time_limit(2, "a table over codes past MAX_FIN_INDEX"):
+        assert find_realiser(BAll("x", Val(big), Eq(Var("x"), Var("x"))), {}, B) == (None, False)
+
+
 @pytest.mark.parametrize("s", _no_element_sets())
 def test_a_bounded_universal_runs_its_evidence_before_the_element_map(s):
     # 15 provably diverges on every index; the evidence runs before the

@@ -19,10 +19,11 @@ budget's witness family.
 
 find_realiser is the witness synthesizer the negative clauses lean on.
 Its two walks over a bound's listed members find the first member with
-a witness (membership, bounded existential) or a table of witnesses
-(bounded universal, each half of equality).  It decides realizability
-outright (decisive) on hereditarily finite-indexed codes, which the
-acceptance suite cross-checks against plain truth over the sets they denote.
+a witness (membership, bounded existential) or a table of witnesses keyed
+by member code (bounded universal, each half of equality).  It decides
+realizability outright (decisive) on codes whose index types, finite ones
+and sums of them, list completely all the way down, which the acceptance
+suite cross-checks on finite-indexed codes against plain truth.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .universe import (
     type_view, unknown,
 )
 from .vcodes import (
-    VCode, as_code, eq_code, f0_vcode, index_type_of, seq_encode, v_omega,
-    v_opair)
+    VCode, as_code, eq_code, f0_vcode, index_type_of, seq_encode, subeq_code,
+    v_omega, v_opair)
 
 __all__ = [
     "Var", "Val", "OPairT", "F0T", "FTerm",
@@ -327,44 +328,32 @@ def _run_on_each(e: Code, cases, tr: Truncation, undecided: str, check_case) -> 
 @_depth_memo(60, (None, False))
 def _synth_eq(a: Code, b: Code, tr: Truncation,
               depth: int) -> tuple[Code | None, bool]:
-    """(witness, decisive) for a = b.  Past the two type-level tests the
-    search is the two subset tables, which it builds over finite index
-    types only: a set indexed otherwise is left undecided."""
-    eq = eq_code(a, b)
-    if din(rom.IOTA, eq, tr).realized:
+    """(witness, decisive) for a = b: the identity realises it, the two
+    subset tables over each side's listed members answer, or an
+    inclusion's type is provably empty.  The second inclusion's type is
+    tested only when the tables leave the answer open, so that where they
+    decide, no machine run is added to the first one's test."""
+    if din(rom.IOTA, eq_code(a, b), tr).realized:
         return (rom.IOTA, True)
-    if provably_empty(eq, tr):
+    if provably_empty(subeq_code(a, b), tr):
         return (None, True)
     w1, d1 = _synth_subeq(a, b, tr, depth + 1)
     w2, d2 = _synth_subeq(b, a, tr, depth + 1)
     if w1 is not None and w2 is not None:
         return (pair(w1, w2), True)
-    if (w1 is None and d1) or (w2 is None and d2):
-        return (None, True)
-    return (None, False)
+    return (None, (w1 is None and d1) or (w2 is None and d2)
+            or provably_empty(subeq_code(b, a), tr))
 
 
 # no guard of its own: _synth_eq's bounds it
 def _synth_subeq(a: Code, b: Code, tr: Truncation,
                  depth: int) -> tuple[Code | None, bool]:
-    """A table sending each member of a to an equal member of b;
-    (witness, decisive) as for _synth_eq.  A member with no match is a
-    decisive no only if every comparison made was decisive, those passed
-    over before an earlier member's match among them."""
-    kind_a, size_a, _, _ = type_view(index_type_of(a))
-    kind_b, size_b, _, _ = type_view(index_type_of(b))
-    if kind_a != "fin" or kind_b != "fin" or max(size_a, size_b) > MAX_FIN_INDEX:
-        return (None, False)
-    undecided = []  # a flag per comparison: it found neither a witness nor a decisive no
-
-    def equal(ak: Code, by: Code) -> tuple[Code | None, bool]:
-        w, d = _synth_eq(ak, by, tr, depth + 1)
-        undecided.append(w is None and not d)
-        return (w, d)
-
-    w, d = _table(unpair1(a), (range(size_a), True), tr, lambda ak: _first_witness(
-        unpair1(b), (range(size_b), True), tr, lambda by: equal(ak, by)))
-    return (None, False) if w is None and any(undecided) else (w, d)
+    """A table sending each member of a to an equal member of b; (witness,
+    decisive) as for _synth_eq.  A member of a that decisively equals no
+    member of b is a decisive no: a subset realiser must send it somewhere."""
+    in_b = enumerate_index(index_type_of(b), tr)
+    return _table(unpair1(a), enumerate_index(index_type_of(a), tr), tr, lambda ak: _first_witness(
+        unpair1(b), in_b, tr, lambda by: _synth_eq(ak, by, tr, depth + 1)))
 
 
 def _first_witness(family: Code, listing, tr: Truncation, search) -> tuple[Code | None, bool]:
@@ -386,13 +375,15 @@ def _first_witness(family: Code, listing, tr: Truncation, search) -> tuple[Code 
 
 
 def _table(family: Code, listing, tr: Truncation, search) -> tuple[Code | None, bool]:
-    """A table sending each listed index to its member's witness by search;
-    (None, False) unless the listing is complete and every member
-    converges, and the first member without one answers for the table."""
+    """A table whose entry k is the witness by search of the member at the
+    listed code k, every other entry 0, as the checker runs a bounded
+    universal's realiser on member codes.  (None, False) unless the listing
+    is complete, of codes below MAX_FIN_INDEX, and every member converges;
+    the first member without a witness answers for the table."""
     members, complete = listing
-    if not complete:
+    if not complete or not all(isinstance(k, int) and k < MAX_FIN_INDEX for k in members):
         return (None, False)
-    table: list[Code] = []
+    table = [0] * (max(members) + 1) if members else []
     for k in members:
         elem = _family_at(family, k, tr, False)
         if elem is None:
@@ -400,7 +391,7 @@ def _table(family: Code, listing, tr: Truncation, search) -> tuple[Code | None, 
         w, d = search(elem)
         if w is None:
             return (None, d)
-        table.append(w)
+        table[k] = w
     return (mkapp(rom.ELEMOF, seq_encode(table)) if table else 0, True)
 
 

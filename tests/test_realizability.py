@@ -435,15 +435,16 @@ def test_truth_with_an_undecided_part(phi, truth):
     assert native_truth(phi, {}, LOW.truncation) is truth
 
 
-def test_equality_search_stops_at_a_set_indexed_by_a_sum():
-    # a = {0}, listed twice over the sum of fin 1 over fin 2: the subset
-    # table walks finite index types only, so a = 1 is left undecided,
-    # although each inclusion has a realiser
+def test_equality_search_walks_a_set_indexed_by_a_sum():
+    # a = {0}, listed twice over the sum of fin 1 over fin 2: each subset
+    # table walks the listed codes, so a = 1 is realized, as the
+    # conjunction of the two inclusions is
     a = VCode(pair(sigma_code(fin(2), mkapp(rom.K, fin(1))), mkapp(rom.K, N0.code)))
     phi = Eq(Val(a), Val(N1))
-    assert find_realiser(phi, {}, B) == (None, False)
+    w, decisive = find_realiser(phi, {}, B)
+    assert decisive and w is not None
     v = formula_status(phi, {}, B)
-    assert (v.status, v.note) == ("unknown", "witness search not decisive")
+    assert (v.status, v.note) == ("realized", None)
     both = And(BAll("x", Val(a), In(Var("x"), Val(N1))), BAll("x", Val(N1), In(Var("x"), Val(a))))
     v = formula_status(both, {}, B)
     assert (v.status, v.note) == ("realized", None)

@@ -51,9 +51,13 @@ class HFSet:
     def __new__(cls, elems: Iterable["HFSet"] = ()):
         fs = frozenset(elems)
         got = cls._intern.get(fs)
-        if got is not None:
-            return got
-        return _interned(fs, 1 + max([e._rank for e in fs]) if fs else 0)
+        if got is None:
+            got = cls._intern[fs] = object.__new__(cls)
+            got.elems = fs
+            got._rank = 1 + max([e._rank for e in fs]) if fs else 0
+            got._sorted = None
+            got._ordinal = None
+        return got
 
     def sorted_children(self) -> tuple["HFSet", ...]:
         if self._sorted is None:
@@ -80,19 +84,6 @@ class HFSet:
     @property
     def rank(self) -> int:
         return self._rank
-
-
-def _interned(fs: frozenset, rank: int) -> HFSet:
-    """The set with members fs, made only if it is not interned yet.  The
-    caller vouches for rank; it is stored on a miss and never recomputed."""
-    got = HFSet._intern.get(fs)
-    if got is None:
-        got = HFSet._intern[fs] = object.__new__(HFSet)
-        got.elems = fs
-        got._rank = rank
-        got._sorted = None
-        got._ordinal = None
-    return got
 
 
 def _cmp(a: "HFSet", b: "HFSet") -> int:
@@ -134,11 +125,14 @@ def is_ordinal(x: HFSet) -> bool:
 
     The finite ordinal n has exactly the members 0, ..., n - 1, so its
     rank equals its size, n; a set whose size differs from its rank is
-    rejected before its members are walked."""
+    rejected before its members are walked.  Transitivity need not be
+    tested: if x has n members, its rank is n and every member is an
+    ordinal, each member has rank below n, the ordinals of rank below n
+    are exactly 0, ..., n - 1, and x holds n of them, so x is n."""
     if len(x.elems) != x._rank:
         return False
     if x._ordinal is None:
-        x._ordinal = is_transitive(x) and all(is_ordinal(e) for e in x.elems)
+        x._ordinal = all(is_ordinal(e) for e in x.elems)
     return x._ordinal
 
 
@@ -314,7 +308,7 @@ def def_subsets(domain: Iterable[HFSet], route: str = "formulas") -> set[HFSet]:
     time, as from a combination, a frozenset grows its table in steps and
     can keep a larger one: 728 bytes instead of 472 for each of the
     36,686 members of L_5 with 5 to 8 elements.  The intern lookup and
-    the making of a missing set are _interned's, written out in the loop.
+    the making of a missing set are HFSet.__new__'s, written out in the loop.
 
     Its loop runs with the cyclic garbage collector paused, which only
     saves the collector's time.  A set made here refers only to its

@@ -331,8 +331,8 @@ def _synth_eq(a: Code, b: Code, tr: Truncation,
     """(witness, decisive) for a = b: the identity realises it, the two
     subset tables over each side's listed members answer, or an
     inclusion's type is provably empty.  The second inclusion's type is
-    tested only when the tables leave the answer open, so that where they
-    decide, no machine run is added to the first one's test."""
+    tested only where the tables leave the answer open, which answers as
+    testing it first would and adds no machine run where they decide."""
     if din(rom.IOTA, eq_code(a, b), tr).realized:
         return (rom.IOTA, True)
     if provably_empty(subeq_code(a, b), tr):

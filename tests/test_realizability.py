@@ -450,15 +450,13 @@ def test_equality_search_walks_a_set_indexed_by_a_sum():
     assert (v.status, v.note) == ("realized", None)
 
 
-# {0, 3, 4}: the sum of fin 1 over fin 3 lists the codes pair(k, 0), k < 3,
-# and NUMMAP sends each code to its numeral
-SUM_SET = VCode(pair(sigma_code(fin(3), mkapp(rom.K, fin(1))), rom.NUMMAP))
-
-
 def test_a_bounded_universal_table_is_keyed_by_member_code():
-    # the checker runs a bounded universal's realiser on each member code,
-    # 0, 3 and 4 here, not on the positions 0, 1 and 2 of the listing
-    phi = BAll("x", Val(SUM_SET), In(Var("x"), Val(v_numeral(8))))
+    # {0, 3, 4}: the sum of fin 1 over fin 3 lists the codes pair(k, 0),
+    # k < 3, and NUMMAP sends each code to its numeral; the checker runs a
+    # bounded universal's realiser on the codes 0, 3 and 4, not on the
+    # positions 0, 1 and 2 of the listing
+    s = VCode(pair(sigma_code(fin(3), mkapp(rom.K, fin(1))), rom.NUMMAP))
+    phi = BAll("x", Val(s), In(Var("x"), Val(v_numeral(8))))
     w, decisive = find_realiser(phi, {}, B)
     assert decisive and check(w, phi, {}, B).realized
     v = check(compile_lambda(L("a", V("a"))), Implies(phi, phi), {}, B)
